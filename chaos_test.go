@@ -87,15 +87,15 @@ func referenceResults(t *testing.T) []engine.SessionResult {
 		for _, op := range chaosScript {
 			switch op {
 			case "step":
-				if _, err := e.Step(id); err != nil {
+				if _, _, err := e.StepIdem(context.Background(), id, ""); err != nil {
 					t.Fatal(err)
 				}
 			case "batch3":
-				if _, err := e.BatchStep(id, 3); err != nil {
+				if _, _, err := e.BatchStepIdem(context.Background(), id, 3, ""); err != nil {
 					t.Fatal(err)
 				}
 			case "epoch":
-				if _, err := e.AdvanceEpoch(id); err != nil {
+				if _, _, err := e.AdvanceEpochIdem(context.Background(), id, ""); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -42,18 +42,12 @@
 //     trajectories bit for bit (math.Float64bits), proving the fleet
 //     returned exactly what a single deterministic engine would have.
 //
-// Two knobs shape throughput measurements for the paper's regime,
-// where an observation is a run of the application and runs take real
-// time on real nodes. `-eval-cost d` makes every spawned worker hold a
-// pool slot for an extra d per session-step evaluation — wall-clock
-// only, observed values untouched, so trajectories and journals are
-// identical with the knob on or off. `-warmup w` reports steady-state
-// sessions/s: only observations committed between w and -duration
-// count, divided by the measurement window and the script's
-// observations per session. Without it, completions over total wall
-// time structurally undercount sharded fleets, whose drain tapers
-// shard by shard while a single saturated server drains at full pool
-// utilization.
+// `-warmup w` reports steady-state sessions/s: only observations
+// committed between w and -duration count, divided by the measurement
+// window and the script's observations per session. Without it,
+// completions over total wall time structurally undercount sharded
+// fleets, whose drain tapers shard by shard while a single saturated
+// server drains at full pool utilization.
 //
 // Every mutating request goes through internal/client, so chaos- or
 // failover-induced retries are idempotent and the error rate reflects
@@ -100,7 +94,6 @@ type config struct {
 	spawnShards   int
 	shardBin      string
 	maxInflight   int
-	evalCost      time.Duration
 	killAfter     time.Duration
 	killShard     int
 	restartAfter  time.Duration
@@ -148,7 +141,6 @@ func main() {
 	flag.IntVar(&cfg.spawnShards, "spawn-shards", 0, "spawn this many peer-wired workers behind a -shard-bin router and drive the router (0 = off)")
 	flag.StringVar(&cfg.shardBin, "shard-bin", "", "phasetune-shard binary for -spawn-shards fleet mode")
 	flag.IntVar(&cfg.maxInflight, "max-inflight", 0, "per-shard admission high-water mark passed to spawned workers (0 = server default)")
-	flag.DurationVar(&cfg.evalCost, "eval-cost", 0, "emulated per-evaluation application run time passed to spawned workers; wall-clock only, observations unchanged (0 = off)")
 	flag.DurationVar(&cfg.killAfter, "kill-after", 0, "fleet mode: SIGKILL worker -kill-shard this long into the load window (0 = never)")
 	flag.IntVar(&cfg.killShard, "kill-shard", 0, "fleet mode: index of the worker -kill-after kills")
 	flag.DurationVar(&cfg.restartAfter, "restart-after", time.Second, "fleet mode: delay before the killed worker restarts with -recover")
@@ -237,9 +229,6 @@ func spawnWorker(cfg config, dir string, recoverJournals bool) (*serveProc, erro
 	args := []string{"-addr", "127.0.0.1:0", "-workers", fmt.Sprint(cfg.workers)}
 	if cfg.maxInflight > 0 {
 		args = append(args, "-max-inflight", fmt.Sprint(cfg.maxInflight))
-	}
-	if cfg.evalCost > 0 {
-		args = append(args, "-eval-cost", cfg.evalCost.String())
 	}
 	if dir != "" {
 		args = append(args, "-journal-dir", dir)
@@ -818,7 +807,6 @@ func run(cfg config) error {
 		rec.WorkersPerShard = cfg.workers
 		rec.MaxInflightPerShard = cfg.maxInflight
 	}
-	rec.EvalCostMs = float64(cfg.evalCost) / float64(time.Millisecond)
 	rec.Cores = runtime.NumCPU()
 	if failover != nil {
 		failover.Restarted = false
@@ -1204,7 +1192,6 @@ type record struct {
 	Shards              int     `json:"shards"`
 	WorkersPerShard     int     `json:"workers_per_shard,omitempty"`
 	MaxInflightPerShard int     `json:"max_inflight_per_shard,omitempty"`
-	EvalCostMs          float64 `json:"eval_cost_ms,omitempty"`
 	WarmupS             float64 `json:"warmup_s,omitempty"`
 	MeasuredWindowS     float64 `json:"measured_window_s,omitempty"`
 	Cores               int     `json:"cores"`

@@ -11,9 +11,8 @@
 //	     -d '{"scenario":"b","strategy":"GP-discontinuous","seed":42}'
 //	curl -s -X POST localhost:8080/v1/sessions/s1/step -d '{}'
 //
-//	# Prometheus text exposition (default); JSON view via Accept header
+//	# Prometheus text exposition
 //	curl -s localhost:8080/metrics
-//	curl -s -H 'Accept: application/json' localhost:8080/metrics
 //
 //	# one session's Chrome trace-event JSON (Perfetto-loadable)
 //	curl -s localhost:8080/v1/sessions/s1/trace
@@ -78,7 +77,6 @@ type config struct {
 	pprofAddr    string
 	peers        string
 	peerTimeout  time.Duration
-	evalCost     time.Duration
 }
 
 func main() {
@@ -97,7 +95,6 @@ func main() {
 	flag.StringVar(&cfg.pprofAddr, "pprof-addr", "", "net/http/pprof listen address on its own mux, never the API listener (empty = off; a bare port binds loopback only)")
 	flag.StringVar(&cfg.peers, "peers", "", "comma-separated base URLs of shard peers whose evaluation caches answer local misses (empty = no peer lookups; repointable at POST /v1/cache/peers)")
 	flag.DurationVar(&cfg.peerTimeout, "peer-timeout", 0, "per-peer cache probe timeout (0 = 75ms); past it the worker simulates locally")
-	flag.DurationVar(&cfg.evalCost, "eval-cost", 0, "emulated per-evaluation application run time, held under a worker slot; wall-clock only, observed values are unchanged (0 = off)")
 	selfcheck := flag.Bool("selfcheck", false, "run the full lifecycle (serve, session, shutdown, recover) on a loopback port, exit")
 	flag.Parse()
 
@@ -131,9 +128,6 @@ func run(cfg config) error {
 		SnapshotEvery: cfg.snapEvery,
 		Telemetry:     tel,
 	})
-	if cfg.evalCost > 0 {
-		eng.SetEvalCost(cfg.evalCost)
-	}
 	srv := engine.NewServerWithOptions(eng, engine.ServerOptions{
 		MaxInFlight:  cfg.maxInFlight,
 		MaxBodyBytes: cfg.maxBody,
@@ -526,28 +520,17 @@ func runSelfcheck(cfg config) error {
 		return fmt.Errorf("result: %w", err)
 	}
 
-	// Telemetry surfaces: Prometheus text is the /metrics default, the
-	// JSON view is preserved under Accept: application/json, the session
+	// Telemetry surfaces: /metrics serves Prometheus text, the session
 	// trace endpoint serves Chrome trace-event JSON, and pprof answers
 	// on its own listener.
-	status, text, err := fetch(base+"/metrics", "")
+	status, text, err := fetch(base + "/metrics")
 	if err != nil || status != http.StatusOK {
 		return fmt.Errorf("metrics text: status %d, err %v", status, err)
 	}
 	if !strings.HasPrefix(string(text), "# HELP") || !strings.Contains(string(text), "phasetune_") {
 		return fmt.Errorf("metrics text does not look like Prometheus exposition: %.80s", text)
 	}
-	var metricsJSON struct {
-		Workers int `json:"workers"`
-	}
-	status, jsonBody, err := fetch(base+"/metrics", "application/json")
-	if err != nil || status != http.StatusOK {
-		return fmt.Errorf("metrics JSON view: status %d, err %v", status, err)
-	}
-	if err := json.Unmarshal(jsonBody, &metricsJSON); err != nil || metricsJSON.Workers != eng.Workers() {
-		return fmt.Errorf("metrics JSON view: workers %d, err %v", metricsJSON.Workers, err)
-	}
-	status, traceData, err := fetch(base+"/v1/sessions/"+created.ID+"/trace", "")
+	status, traceData, err := fetch(base + "/v1/sessions/" + created.ID + "/trace")
 	if err != nil || status != http.StatusOK {
 		return fmt.Errorf("session trace: status %d, err %v", status, err)
 	}
@@ -572,7 +555,7 @@ func runSelfcheck(cfg config) error {
 		return fmt.Errorf("event log missing session.created for %s (%d events)", created.ID, len(evResp.Events))
 	}
 	fmt.Printf("event log ok: %d events, session.created recorded\n", len(evResp.Events))
-	status, _, err = fetch("http://"+pprofLn.Addr().String()+"/debug/pprof/cmdline", "")
+	status, _, err = fetch("http://" + pprofLn.Addr().String() + "/debug/pprof/cmdline")
 	if err != nil || status != http.StatusOK {
 		return fmt.Errorf("pprof cmdline: status %d, err %v", status, err)
 	}
@@ -675,7 +658,7 @@ func runSelfcheck(cfg config) error {
 		after.BestAction != before.BestAction {
 		return fmt.Errorf("recovered session diverged: %+v vs %+v", after, before)
 	}
-	if _, err := eng2.Step(created.ID); err != nil {
+	if _, _, err := eng2.StepIdem(context.Background(), created.ID, ""); err != nil {
 		return fmt.Errorf("step after recovery: %w", err)
 	}
 	if err := eng2.Close(); err != nil {
@@ -687,17 +670,9 @@ func runSelfcheck(cfg config) error {
 	return nil
 }
 
-// fetch GETs url with an optional Accept header and returns the status
-// and full body.
-func fetch(url, accept string) (int, []byte, error) {
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
-	resp, err := http.DefaultClient.Do(req)
+// fetch GETs url and returns the status and full body.
+func fetch(url string) (int, []byte, error) {
+	resp, err := http.Get(url)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"os"
@@ -74,7 +75,7 @@ func engineClients(b *testing.B, sc platform.Scenario, opts harness.SimOptions) 
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			r, err := eng.Sweep(sc, opts, SweepOptions{})
+			r, err := eng.SweepCtx(context.Background(), sc, opts, SweepOptions{})
 			if err != nil {
 				errs.record(err)
 				return

@@ -48,20 +48,15 @@ func NewCache() *Cache {
 	return &Cache{entries: map[CacheKey]*cacheEntry{}}
 }
 
-// Eval returns the value for key, computing it via compute at most once
-// per key across all concurrent callers. hit reports whether the value
-// came from an existing entry rather than this call's computation.
-func (c *Cache) Eval(key CacheKey, compute func() (float64, error)) (val float64, hit bool, err error) {
-	//lint:allow ctxflow compat wrapper for pre-context callers; never on a request path (handlers use EvalCtx)
-	return c.EvalCtx(context.Background(), key, compute)
-}
-
-// EvalCtx is Eval with cancellation: a caller waiting on another
-// goroutine's in-flight computation stops waiting when its context is
-// done (the computation itself continues and lands in the cache for
-// later callers — cancellation abandons the wait, not the work). The
-// abandoned wait still counts as a hit: the request was served by an
-// existing entry, it just declined to stay for the answer.
+// EvalCtx returns the value for key, computing it via compute at most
+// once per key across all concurrent callers. hit reports whether the
+// value came from an existing entry rather than this call's
+// computation. A caller waiting on another goroutine's in-flight
+// computation stops waiting when its context is done (the computation
+// itself continues and lands in the cache for later callers —
+// cancellation abandons the wait, not the work). The abandoned wait
+// still counts as a hit: the request was served by an existing entry,
+// it just declined to stay for the answer.
 func (c *Cache) EvalCtx(ctx context.Context, key CacheKey, compute func() (float64, error)) (val float64, hit bool, err error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {

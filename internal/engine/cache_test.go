@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -23,7 +24,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := c.Eval(key, func() (float64, error) {
+			v, _, err := c.EvalCtx(context.Background(), key, func() (float64, error) {
 				computes.Add(1)
 				time.Sleep(5 * time.Millisecond) // widen the race window
 				return 42.5, nil
@@ -59,7 +60,7 @@ func TestCacheSingleflight(t *testing.T) {
 func TestCacheDistinctKeysAndPeek(t *testing.T) {
 	c := NewCache()
 	for a := 1; a <= 4; a++ {
-		v, hit, err := c.Eval(CacheKey{"fp", 0, a}, func() (float64, error) {
+		v, hit, err := c.EvalCtx(context.Background(), CacheKey{"fp", 0, a}, func() (float64, error) {
 			return float64(a) * 10, nil
 		})
 		if err != nil || hit || v != float64(a)*10 {
@@ -87,13 +88,13 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	c := NewCache()
 	key := CacheKey{"fp", 0, 1}
 	boom := errors.New("boom")
-	if _, _, err := c.Eval(key, func() (float64, error) { return 0, boom }); !errors.Is(err, boom) {
+	if _, _, err := c.EvalCtx(context.Background(), key, func() (float64, error) { return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if st := c.Stats(); st.Entries != 0 {
 		t.Fatalf("error left %d entries cached", st.Entries)
 	}
-	v, hit, err := c.Eval(key, func() (float64, error) { return 7, nil })
+	v, hit, err := c.EvalCtx(context.Background(), key, func() (float64, error) { return 7, nil })
 	if err != nil || hit || v != 7 {
 		t.Fatalf("retry after error: v=%v hit=%v err=%v", v, hit, err)
 	}
@@ -105,7 +106,7 @@ func TestCacheEpochInvalidation(t *testing.T) {
 	c := NewCache()
 	var computes atomic.Int64
 	eval := func(fp string, epoch, action int) float64 {
-		v, _, err := c.Eval(CacheKey{fp, epoch, action}, func() (float64, error) {
+		v, _, err := c.EvalCtx(context.Background(), CacheKey{fp, epoch, action}, func() (float64, error) {
 			computes.Add(1)
 			return float64(100*epoch + action), nil
 		})

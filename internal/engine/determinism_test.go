@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"phasetune/internal/core"
@@ -84,7 +85,7 @@ func TestEngineSessionMatchesRunOnlineBitForBit(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < iters; i++ {
-			if _, err := e.Step(s.id); err != nil {
+			if _, _, err := e.StepIdem(context.Background(), s.id, ""); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -127,11 +128,11 @@ func TestBatchStepWorkerCountIndependent(t *testing.T) {
 		}
 		// One sequential step to prime a real observation (the liar needs
 		// something credible), then speculative batches.
-		if _, err := e.Step(s.id); err != nil {
+		if _, _, err := e.StepIdem(context.Background(), s.id, ""); err != nil {
 			t.Fatal(err)
 		}
 		for b := 0; b < 3; b++ {
-			if _, err := e.BatchStep(s.id, 4); err != nil {
+			if _, _, err := e.BatchStepIdem(context.Background(), s.id, 4, ""); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -174,11 +175,11 @@ func TestSweepMatchesSequentialArgmin(t *testing.T) {
 	}
 
 	so := SweepOptions{NoiseSD: 0.5, Reps: 3, Seed: 99}
-	r1, err := New(1).Sweep(sc, opts, so)
+	r1, err := New(1).SweepCtx(context.Background(), sc, opts, so)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := New(8).Sweep(sc, opts, so)
+	r8, err := New(8).SweepCtx(context.Background(), sc, opts, so)
 	if err != nil {
 		t.Fatal(err)
 	}

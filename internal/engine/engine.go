@@ -32,7 +32,6 @@ type Engine struct {
 	closed     atomic.Bool
 	sweepIdem  sweepIdemStore // engine-wide idempotency registry for sweeps
 	peer       atomic.Pointer[PeerLookup]
-	evalCost   atomic.Int64 // emulated per-evaluation application run time, ns
 
 	// Replication (see replica.go): the planner names each session's
 	// follower, replClient ships journal records to it, and replicas
@@ -119,17 +118,6 @@ const replicaShipTimeout = 2 * time.Second
 
 // Telemetry returns the engine's telemetry bundle (nil when disabled).
 func (e *Engine) Telemetry() *obsv.Telemetry { return e.tel }
-
-// SetEvalCost makes every session-step evaluation occupy a worker slot
-// for an extra d of wall time, emulating the regime the paper's tuning
-// loop lives in: an observation is a run of the application, and runs
-// take real time on real nodes while the tuner's own bookkeeping is
-// nearly free. The sleep happens under the pool's concurrency bound —
-// exactly like a simulation would — and never touches observed values,
-// so trajectories and journals are byte-identical with the cost on or
-// off. Zero (the default) disables the emulation; sweeps and journal
-// recovery never pay it.
-func (e *Engine) SetEvalCost(d time.Duration) { e.evalCost.Store(int64(d)) }
 
 // ErrClosed is returned by every operation after Close.
 var ErrClosed = errors.New("engine: closed")
@@ -389,15 +377,15 @@ func (e *Engine) Result(id string) (SessionResult, error) {
 	return s.result(), nil
 }
 
-// eval fetches the deterministic makespan for (session scenario, epoch,
-// action) through the shared cache; a cold miss runs the DES simulation
-// under a pool slot, while waiters and hits pay nothing. ctx bounds the
-// wait for a pool slot or an in-flight computation, never a running
-// simulation.
-func (e *Engine) eval(ctx context.Context, s *Session, epoch, action int) (float64, bool, error) {
+// eval fetches the deterministic makespan for (evaluator scenario,
+// epoch, action) through the shared cache; a cold miss runs the DES
+// simulation under a pool slot, while waiters and hits pay nothing. ctx
+// bounds the wait for a pool slot or an in-flight computation, never a
+// running simulation.
+func (e *Engine) eval(ctx context.Context, ev *harness.Evaluator, epoch, action int) (float64, bool, error) {
 	sc := obsv.FromContext(ctx)
 	endLookup := sc.Span("cache", "cache.lookup")
-	key := CacheKey{Fingerprint: s.ev.Fingerprint(), Epoch: epoch, Action: action}
+	key := CacheKey{Fingerprint: ev.Fingerprint(), Epoch: epoch, Action: action}
 	v, hit, err := e.cache.EvalCtx(ctx, key, func() (float64, error) {
 		// A local miss first asks shard peers (when configured): a value
 		// another shard already computed skips the pool entirely. Peer
@@ -415,11 +403,11 @@ func (e *Engine) eval(ctx context.Context, s *Session, epoch, action int) (float
 			endEval := sc.Span("des", "des.eval")
 			if sc.Tracing() {
 				rec := trace.NewRecorder()
-				v, verr = s.ev.EvaluateObserved(action, rec)
+				v, verr = ev.EvaluateObserved(action, rec)
 				endEval(map[string]any{"action": action, "epoch": epoch, "makespan": v})
 				sc.SimEval(fmt.Sprintf("eval n=%d epoch=%d", action, epoch), rec.Spans())
 			} else {
-				v, verr = s.ev.Evaluate(action)
+				v, verr = ev.Evaluate(action)
 				endEval(nil)
 			}
 		})
@@ -436,17 +424,6 @@ func (e *Engine) eval(ctx context.Context, s *Session, epoch, action int) (float
 		endLookup(map[string]any{"action": action, "epoch": epoch, "hit": hit})
 	} else {
 		endLookup(nil)
-	}
-	if d := time.Duration(e.evalCost.Load()); d > 0 && err == nil {
-		// The emulated application run occupies a pool slot whether the
-		// makespan came from the cache or a fresh simulation: the paper's
-		// observation is the run itself, and the cache only spares the
-		// deterministic reference computation.
-		if derr := e.pool.DoCtx(ctx, func() {
-			time.Sleep(d) //lint:allow determinism emulated application run time is wall-clock only and never reaches observed values
-		}); derr != nil {
-			return 0, hit, derr
-		}
 	}
 	return v, hit, err
 }
@@ -483,206 +460,16 @@ func (e *Engine) commitOp(ctx context.Context, s *Session, rec journalRecord) er
 	return e.replicate(ctx, s)
 }
 
-// Step advances a session by one sequential tuning iteration. See
-// StepCtx.
-func (e *Engine) Step(id string) (StepResult, error) {
-	//lint:allow ctxflow compat wrapper for pre-context callers; handlers go through StepCtx/StepIdem
-	return e.StepCtx(context.Background(), id)
-}
-
-// StepCtx advances a session by one sequential tuning iteration:
-// Next -> evaluate (cache/pool) -> noisy observation -> Observe. With
-// the same seed and strategy, a stepped session reproduces
-// harness.RunOnline bit-for-bit regardless of the engine's worker count
-// or what other sessions are doing. The committed step is journaled
-// (fsync'd) before StepCtx returns.
-func (e *Engine) StepCtx(ctx context.Context, id string) (StepResult, error) {
-	res, _, err := e.StepIdem(ctx, id, "")
-	return res, err
-}
-
-// StepIdem is StepCtx under an idempotency key: a key that already
-// committed a step replays the journaled result (byte-identical fields,
-// no second application) and reports replayed=true. An empty key
-// disables idempotency.
-func (e *Engine) StepIdem(ctx context.Context, id, key string) (StepResult, bool, error) {
-	s, err := e.checkout(id)
-	if err != nil {
-		return StepResult{}, false, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ent, found, err := s.lookupIdem(key, "step", 0); err != nil {
-		return StepResult{}, false, err
-	} else if found {
-		return s.replaySteps(ent)[0], true, nil
-	}
-	if s.broken {
-		return StepResult{}, false, fmt.Errorf("engine: session %q failed closed on a journal error", id)
-	}
-	sc := obsv.FromContext(ctx)
-	var stepArgs map[string]any
-	endStep := sc.Span("session", "session.step")
-	defer func() { endStep(stepArgs) }()
-	endPropose := sc.Span("strategy", "strategy.propose")
-	action := s.driver.Next()
-	s.props.Inc()
-	if sc != nil {
-		endPropose(map[string]any{"action": action})
-	} else {
-		endPropose(nil)
-	}
-	sim, hit, err := e.eval(ctx, s, s.epoch, action)
-	if err != nil {
-		// The strategy consumed a proposal that produced no observation;
-		// journal the abort so recovery replays the same Next call. The
-		// abort carries no key: a retry must re-attempt, not replay.
-		if jerr := e.commitOp(ctx, s, journalRecord{T: "abort", Epoch: s.epoch, Actions: []int{action}}); jerr != nil {
-			return StepResult{}, false, errors.Join(err, jerr)
-		}
-		return StepResult{}, false, err
-	}
-	d := s.observe(sim)
-	s.driver.Observe(action, d)
-	res := s.record(action, d, sim)
-	res.CacheHit = hit
-	if err := e.commitOp(ctx, s, journalRecord{
-		T: "step", Epoch: s.epoch, Iter: res.Iter, Key: key,
-		Actions: []int{action}, Sims: []float64{sim}, Obs: []float64{d}, Hits: []bool{hit},
-	}); err != nil {
-		return StepResult{}, false, err
-	}
-	s.registerIdem(key, idemEntry{op: "step", first: res.Iter, n: 1, hits: []bool{hit}})
-	if sc != nil {
-		stepArgs = map[string]any{"iter": res.Iter, "action": action, "sim": sim, "cache_hit": hit}
-	}
-	return res, false, nil
-}
-
-// BatchStep advances a session by up to k speculative iterations. See
-// BatchStepCtx.
-func (e *Engine) BatchStep(id string, k int) ([]StepResult, error) {
-	//lint:allow ctxflow compat wrapper for pre-context callers; handlers go through BatchStepCtx/BatchStepIdem
-	return e.BatchStepCtx(context.Background(), id, k)
-}
-
-// BatchStepCtx advances a session by up to k speculative iterations:
-// the driver proposes a constant-liar batch, all proposals are
-// evaluated in parallel, and the results are committed — noise drawn,
-// strategy informed, history appended — in batch order. Committing in
-// proposal order (not completion order) is what keeps batch results a
-// pure function of (seed, strategy, k): identical at 1 worker and at 8.
-// The whole batch is journaled as one record, so a crash either keeps
-// the complete batch or none of it.
-func (e *Engine) BatchStepCtx(ctx context.Context, id string, k int) ([]StepResult, error) {
-	res, _, err := e.BatchStepIdem(ctx, id, k, "")
-	return res, err
-}
-
-// BatchStepIdem is BatchStepCtx under an idempotency key: a key that
-// already committed a batch replays the journaled steps instead of
-// proposing and evaluating again, and reports replayed=true. The batch
-// width k is part of the request shape — reusing a key with a
-// different k is an ErrIdemConflict.
-func (e *Engine) BatchStepIdem(ctx context.Context, id string, k int, key string) ([]StepResult, bool, error) {
-	s, err := e.checkout(id)
-	if err != nil {
-		return nil, false, err
-	}
-	if k < 1 {
-		k = 1
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ent, found, err := s.lookupIdem(key, "batch", k); err != nil {
-		return nil, false, err
-	} else if found {
-		return s.replaySteps(ent), true, nil
-	}
-	if s.broken {
-		return nil, false, fmt.Errorf("engine: session %q failed closed on a journal error", id)
-	}
-	sc := obsv.FromContext(ctx)
-	var batchArgs map[string]any
-	endBatch := sc.Span("session", "session.batch-step")
-	defer func() { endBatch(batchArgs) }()
-	epoch := s.epoch
-	fp := s.ev.Fingerprint()
-	endPropose := sc.Span("strategy", "strategy.propose-batch")
-	actions, lies := s.driver.NextBatch(k, func(a int) (float64, bool) {
-		return e.cache.Peek(CacheKey{Fingerprint: fp, Epoch: epoch, Action: a})
-	})
-	s.props.Add(float64(len(actions)))
-	if sc != nil {
-		endPropose(map[string]any{"k": k, "proposed": len(actions)})
-	} else {
-		endPropose(nil)
-	}
-
-	sims := make([]float64, len(actions))
-	hits := make([]bool, len(actions))
-	var errs errCollector
-	e.pool.ForEach(len(actions), func(i int) {
-		v, hit, err := e.eval(ctx, s, epoch, actions[i])
-		if err != nil {
-			errs.record(err)
-			return
-		}
-		sims[i], hits[i] = v, hit
-	})
-	if err := errs.first(); err != nil {
-		// Proposals and lies already reached the strategy; journal the
-		// abort so recovery reconstructs the identical strategy state.
-		if jerr := e.commitOp(ctx, s, journalRecord{T: "abort", Epoch: epoch, Actions: actions, Lies: lies}); jerr != nil {
-			return nil, false, errors.Join(err, jerr)
-		}
-		return nil, false, err
-	}
-
-	firstIter := len(s.actions)
-	out := make([]StepResult, 0, len(actions))
-	for i, a := range actions {
-		d := s.observe(sims[i])
-		s.driver.Observe(a, d)
-		res := s.record(a, d, sims[i])
-		res.CacheHit = hits[i]
-		out = append(out, res)
-	}
-	obs := make([]float64, len(out))
-	allSims := make([]float64, len(out))
-	for i, r := range out {
-		obs[i], allSims[i] = r.Duration, r.Sim
-	}
-	if err := e.commitOp(ctx, s, journalRecord{
-		T: "batch", Epoch: epoch, Iter: firstIter, K: k, Key: key,
-		Actions: actions, Lies: lies, Sims: allSims, Obs: obs, Hits: hits,
-	}); err != nil {
-		return nil, false, err
-	}
-	s.registerIdem(key, idemEntry{op: "batch", first: firstIter, n: len(out), k: k, hits: hits})
-	if sc != nil {
-		batchArgs = map[string]any{"k": k, "steps": len(out), "first_iter": firstIter}
-	}
-	return out, false, nil
-}
-
-// AdvanceEpoch bumps the session's platform epoch and evicts the
+// AdvanceEpochIdem bumps the session's platform epoch and evicts the
 // fingerprint's now-stale cache entries. This is the hook the fault
 // layer drives when the platform underneath a served session changes:
 // values from different epochs never mix (the key separates them) and
 // the old epoch's memory is reclaimed. The transition is journaled so a
-// recovered session resumes in the correct epoch.
-func (e *Engine) AdvanceEpoch(id string) (int, error) {
-	//lint:allow ctxflow compat wrapper for pre-context callers; handlers go through AdvanceEpochIdem
-	epoch, _, err := e.AdvanceEpochIdem(context.Background(), id, "")
-	return epoch, err
-}
-
-// AdvanceEpochIdem is AdvanceEpoch under an idempotency key: a key
-// that already committed an epoch advance replays the resulting epoch
-// instead of advancing again — the difference between a retried
-// request costing nothing and a platform silently skipping an epoch.
-// ctx bounds the replication ship of the journaled transition.
+// recovered session resumes in the correct epoch. A key that already
+// committed an epoch advance replays the resulting epoch instead of
+// advancing again — the difference between a retried request costing
+// nothing and a platform silently skipping an epoch. ctx bounds the
+// replication ship of the journaled transition.
 func (e *Engine) AdvanceEpochIdem(ctx context.Context, id, key string) (int, bool, error) {
 	s, err := e.checkout(id)
 	if err != nil {
@@ -760,13 +547,6 @@ type SweepResult struct {
 	BestMakespan float64      `json:"best_makespan"`
 }
 
-// Sweep evaluates every feasible action of the scenario in parallel.
-// See SweepCtx.
-func (e *Engine) Sweep(sc platform.Scenario, opts harness.SimOptions, so SweepOptions) (*SweepResult, error) {
-	//lint:allow ctxflow compat wrapper for pre-context callers; handlers go through SweepCtx/SweepKeyed
-	return e.SweepCtx(context.Background(), sc, opts, so)
-}
-
 // SweepCtx evaluates every feasible action of the scenario in parallel
 // through the shared cache and returns the per-action makespans and the
 // argmin. Deterministic: the same inputs give the same result at any
@@ -787,18 +567,7 @@ func (e *Engine) SweepCtx(ctx context.Context, sc platform.Scenario, opts harnes
 	var errs errCollector
 	e.pool.ForEach(len(actions), func(i int) {
 		a := actions[i]
-		key := CacheKey{Fingerprint: ev.Fingerprint(), Epoch: so.Epoch, Action: a}
-		mk, hit, err := e.cache.EvalCtx(ctx, key, func() (float64, error) {
-			if pv, ok := e.peerFetch(ctx, key); ok {
-				return pv, nil
-			}
-			var v float64
-			var verr error
-			if derr := e.pool.DoCtx(ctx, func() { v, verr = ev.Evaluate(a) }); derr != nil {
-				return 0, derr
-			}
-			return v, verr
-		})
+		mk, hit, err := e.eval(ctx, ev, so.Epoch, a)
 		if err != nil {
 			errs.record(err)
 			return

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -34,7 +35,7 @@ func TestConcurrentSessionsShareCache(t *testing.T) {
 		go func(id string) {
 			defer wg.Done()
 			for i := 0; i < steps; i++ {
-				if _, err := e.Step(id); err != nil {
+				if _, _, err := e.StepIdem(context.Background(), id, ""); err != nil {
 					t.Errorf("session %s: %v", id, err)
 					return
 				}
@@ -88,13 +89,13 @@ func TestAdvanceEpochInvalidates(t *testing.T) {
 	}
 	// Right-Left starts at N and walks left: first two steps hit N, N-1.
 	for i := 0; i < 2; i++ {
-		if _, err := e.Step(s.id); err != nil {
+		if _, _, err := e.StepIdem(context.Background(), s.id, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st0 := e.Cache().Stats()
 
-	epoch, err := e.AdvanceEpoch(s.id)
+	epoch, _, err := e.AdvanceEpochIdem(context.Background(), s.id, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestAdvanceEpochInvalidates(t *testing.T) {
 	}
 
 	// The next step re-simulates even if the strategy repeats an action.
-	if _, err := e.Step(s.id); err != nil {
+	if _, _, err := e.StepIdem(context.Background(), s.id, ""); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Cache().Stats(); st.Misses != st0.Misses+1 {
@@ -124,7 +125,7 @@ func TestMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := e.Step(s.id); err != nil {
+		if _, _, err := e.StepIdem(context.Background(), s.id, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -161,7 +162,7 @@ func TestCreateSessionErrors(t *testing.T) {
 	if _, err := e.CreateSession(SessionConfig{ScenarioKey: "b", Strategy: "nope"}); err == nil {
 		t.Fatal("unknown strategy must fail")
 	}
-	if _, err := e.Step("missing"); err == nil {
+	if _, _, err := e.StepIdem(context.Background(), "missing", ""); err == nil {
 		t.Fatal("step on missing session must fail")
 	}
 }
@@ -177,7 +178,7 @@ func TestDriverBatchLiar(t *testing.T) {
 	}
 	// Before any observation and with a cold cache there is nothing
 	// credible to lie with: the batch degrades to a single proposal.
-	first, err := e.BatchStep(s.id, 4)
+	first, _, err := e.BatchStepIdem(context.Background(), s.id, 4, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestDriverBatchLiar(t *testing.T) {
 		t.Fatalf("cold batch returned %d steps, want 1 (no credible lie yet)", len(first))
 	}
 	// With history, batches fill to k.
-	batch, err := e.BatchStep(s.id, 4)
+	batch, _, err := e.BatchStepIdem(context.Background(), s.id, 4, "")
 	if err != nil {
 		t.Fatal(err)
 	}

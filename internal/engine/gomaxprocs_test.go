@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -44,12 +45,12 @@ func TestObservationLogByteIdentical(t *testing.T) {
 		// Mix sequential steps and speculative batches so both engine
 		// paths are exercised.
 		for i := 0; i < 2; i++ {
-			if _, err := e.Step(s.id); err != nil {
+			if _, _, err := e.StepIdem(context.Background(), s.id, ""); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for b := 0; b < 3; b++ {
-			if _, err := e.BatchStep(s.id, 4); err != nil {
+			if _, _, err := e.BatchStepIdem(context.Background(), s.id, 4, ""); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -74,7 +73,7 @@ const (
 //	POST /v1/replica/{id}/promote         supervisor promotes the local replica into a
 //	                                      live session at a bumped generation
 //	GET  /v1/replica/status               replica journals held here + live generations
-//	GET  /metrics                         Prometheus text by default; the JSON view at Accept: application/json
+//	GET  /metrics                         Prometheus text exposition
 //	GET  /v1/sessions/{id}/trace          Chrome trace-event JSON of the session's recorded spans
 //	GET  /v1/trace                        this process's raw span events for one fleet trace id
 //	                                      (?trace=) or session (?session=), for the router's stitcher
@@ -268,6 +267,39 @@ func (s *Server) evalContext(r *http.Request) (context.Context, context.CancelFu
 	return r.Context(), func() {}
 }
 
+// beginStep is the shared preamble of the step, batch-step and
+// stream-step routes: serving state, the request body (req, when the
+// route takes one), the idempotency key, admission, the evaluation
+// timeout and the request's root trace span. On success the returned
+// context carries the span and done releases everything in reverse
+// order; on failure the response is already written.
+func (s *Server) beginStep(w http.ResponseWriter, r *http.Request, route string, req *batchStepRequest) (context.Context, string, func(), bool) {
+	if !s.serving(w) {
+		return nil, "", nil, false
+	}
+	if req != nil {
+		if err := s.decodeJSON(w, r, req); err != nil {
+			s.error(w, bodyStatus(err), fmt.Errorf("bad request body: %w", err))
+			return nil, "", nil, false
+		}
+	}
+	key, ok := s.idemKey(w, r)
+	if !ok {
+		return nil, "", nil, false
+	}
+	release, ok := s.admit(w)
+	if !ok {
+		return nil, "", nil, false
+	}
+	ctx, cancel := s.evalContext(r)
+	sc, endReq := s.startTrace(r, r.PathValue("id"), route)
+	return obsv.ContextWith(ctx, sc), key, func() {
+		endReq()
+		cancel()
+		release()
+	}, true
+}
+
 // decodeJSON hardens request-body decoding: the body is bounded by
 // MaxBytesReader (oversized payloads answer 413), unknown fields are
 // rejected, trailing garbage is rejected, and an empty body decodes as
@@ -370,30 +402,10 @@ func (s *Server) joinTrace(r *http.Request, session, name string) (*obsv.SpanCtx
 	return s.e.tel.Trace.StartRequestLink(session, name, link)
 }
 
-// wantsJSON implements /metrics content negotiation: the first
-// recognized media type in the Accept header decides, and the
-// pre-existing JSON view is served only on an explicit
-// application/json ask — Prometheus text is the default.
-func wantsJSON(accept string) bool {
-	for _, part := range strings.Split(accept, ",") {
-		mt := strings.TrimSpace(part)
-		if i := strings.Index(mt, ";"); i >= 0 {
-			mt = strings.TrimSpace(mt[:i])
-		}
-		switch mt {
-		case "application/json":
-			return true
-		case "text/plain", "text/*":
-			return false
-		}
-	}
-	return false
-}
-
-// writePrometheus renders the engine snapshot (the same numbers the
-// JSON view reports) as Prometheus text, then appends the live
-// telemetry registry when the engine carries one. Rendering into a
-// buffer lets errors surface as a 500 before any header is written.
+// writePrometheus renders the engine snapshot (Engine.Metrics) as
+// Prometheus text, then appends the live telemetry registry when the
+// engine carries one. Rendering into a buffer lets errors surface as a
+// 500 before any header is written.
 func (s *Server) writePrometheus(buf *bytes.Buffer) error {
 	m := s.e.Metrics()
 	reg := obsv.NewRegistry()
@@ -553,24 +565,12 @@ func (s *Server) routes() {
 		writeJSON(w, http.StatusOK, resp)
 	})
 	s.handle("POST /v1/sessions/{id}/step", func(w http.ResponseWriter, r *http.Request) {
-		if !s.serving(w) {
-			return
-		}
-		key, ok := s.idemKey(w, r)
+		ctx, key, done, ok := s.beginStep(w, r, "POST /v1/sessions/{id}/step", nil)
 		if !ok {
 			return
 		}
-		release, ok := s.admit(w)
-		if !ok {
-			return
-		}
-		defer release()
-		ctx, cancel := s.evalContext(r)
-		defer cancel()
-		id := r.PathValue("id")
-		sc, endReq := s.startTrace(r, id, "POST /v1/sessions/{id}/step")
-		defer endReq()
-		res, replayed, err := s.e.StepIdem(obsv.ContextWith(ctx, sc), id, key)
+		defer done()
+		res, replayed, err := s.e.StepIdem(ctx, r.PathValue("id"), key)
 		if err != nil {
 			s.error(w, statusFor(err), err)
 			return
@@ -579,32 +579,13 @@ func (s *Server) routes() {
 		writeJSON(w, http.StatusOK, res)
 	})
 	s.handle("POST /v1/sessions/{id}/batch-step", func(w http.ResponseWriter, r *http.Request) {
-		if !s.serving(w) {
-			return
-		}
 		var req batchStepRequest
-		if err := s.decodeJSON(w, r, &req); err != nil {
-			s.error(w, bodyStatus(err), fmt.Errorf("bad request body: %w", err))
-			return
-		}
-		if req.K < 1 {
-			req.K = 1
-		}
-		key, ok := s.idemKey(w, r)
+		ctx, key, done, ok := s.beginStep(w, r, "POST /v1/sessions/{id}/batch-step", &req)
 		if !ok {
 			return
 		}
-		release, ok := s.admit(w)
-		if !ok {
-			return
-		}
-		defer release()
-		ctx, cancel := s.evalContext(r)
-		defer cancel()
-		id := r.PathValue("id")
-		sc, endReq := s.startTrace(r, id, "POST /v1/sessions/{id}/batch-step")
-		defer endReq()
-		res, replayed, err := s.e.BatchStepIdem(obsv.ContextWith(ctx, sc), id, req.K, key)
+		defer done()
+		res, replayed, err := s.e.BatchStepIdem(ctx, r.PathValue("id"), req.K, key)
 		if err != nil {
 			s.error(w, statusFor(err), err)
 			return
@@ -613,31 +594,12 @@ func (s *Server) routes() {
 		writeJSON(w, http.StatusOK, batchStepResponse{Steps: res})
 	})
 	s.handle("POST /v1/sessions/{id}/stream-step", func(w http.ResponseWriter, r *http.Request) {
-		if !s.serving(w) {
-			return
-		}
 		var req batchStepRequest
-		if err := s.decodeJSON(w, r, &req); err != nil {
-			s.error(w, bodyStatus(err), fmt.Errorf("bad request body: %w", err))
-			return
-		}
-		if req.K < 1 {
-			req.K = 1
-		}
-		key, ok := s.idemKey(w, r)
+		ctx, key, done, ok := s.beginStep(w, r, "POST /v1/sessions/{id}/stream-step", &req)
 		if !ok {
 			return
 		}
-		release, ok := s.admit(w)
-		if !ok {
-			return
-		}
-		defer release()
-		ctx, cancel := s.evalContext(r)
-		defer cancel()
-		id := r.PathValue("id")
-		sc, endReq := s.startTrace(r, id, "POST /v1/sessions/{id}/stream-step")
-		defer endReq()
+		defer done()
 
 		// The response is ndjson: one line per committed step, flushed
 		// immediately, then a terminal {"done":true,"steps":N} line. The
@@ -655,7 +617,7 @@ func (s *Server) routes() {
 				flusher.Flush()
 			}
 		}
-		n, _, err := s.e.StreamBatchStepIdem(obsv.ContextWith(ctx, sc), id, req.K, key,
+		n, _, err := s.e.StreamBatchStepIdem(ctx, r.PathValue("id"), req.K, key,
 			func(replayed bool) {
 				markReplayed(w, replayed)
 				w.Header().Set("Content-Type", "application/x-ndjson")
@@ -842,10 +804,6 @@ func (s *Server) routes() {
 		writeJSON(w, http.StatusOK, res)
 	})
 	s.handle("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		if wantsJSON(r.Header.Get("Accept")) {
-			writeJSON(w, http.StatusOK, s.e.Metrics())
-			return
-		}
 		var buf bytes.Buffer
 		if err := s.writePrometheus(&buf); err != nil {
 			s.error(w, http.StatusInternalServerError, err)

@@ -153,14 +153,47 @@ func TestHTTPEvalTimeout(t *testing.T) {
 		Scenario: "b", Strategy: "DC", Tiles: 4,
 	}, &created)
 
-	block := make(chan struct{})
-	started := make(chan struct{})
-	go e.pool.Do(func() { close(started); <-block })
-	<-started
-	defer close(block)
+	release := saturatePool(t, e)
+	defer release()
 
 	resp := postRaw(t, srv.URL+"/v1/sessions/"+created.ID+"/step", "")
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("timed-out step status %d, want 504", resp.StatusCode)
+	}
+}
+
+// TestHTTPBatchWidthBounded: a batch width above the session's action
+// count answers 400 on both batch routes — the driver would otherwise
+// size its proposal slice by the request's k, and an allocation that
+// large ends the process — and the server keeps serving afterwards.
+func TestHTTPBatchWidthBounded(t *testing.T) {
+	srv := httptest.NewServer(NewServer(New(1)))
+	defer srv.Close()
+
+	var created createSessionResponse
+	postJSON(t, srv.URL+"/v1/sessions", createSessionRequest{
+		Scenario: "a", Strategy: "DC", Seed: 1, Tiles: 4,
+	}, &created)
+	base := srv.URL + "/v1/sessions/" + created.ID
+	actions := created.Nodes - created.MinNodes + 1
+
+	for i, route := range []string{"/batch-step", "/stream-step"} {
+		for _, k := range []int{1 << 40, actions + 1} {
+			var body map[string]string
+			resp := postJSON(t, base+route, batchStepRequest{K: k}, &body)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body["error"], "outside [") {
+				t.Fatalf("%s k=%d: status %d, body %v; want 400 naming the bound", route, k, resp.StatusCode, body)
+			}
+		}
+		var step StepResult
+		if resp := postJSON(t, base+"/step", struct{}{}, &step); resp.StatusCode != http.StatusOK || step.Iter != i {
+			t.Fatalf("step after oversized %s: status %d, %+v", route, resp.StatusCode, step)
+		}
+	}
+
+	// The action count itself is a valid width.
+	var batch batchStepResponse
+	if resp := postJSON(t, base+"/batch-step", batchStepRequest{K: actions}, &batch); resp.StatusCode != http.StatusOK || len(batch.Steps) == 0 {
+		t.Fatalf("batch-step k=%d: status %d, %d steps", actions, resp.StatusCode, len(batch.Steps))
 	}
 }

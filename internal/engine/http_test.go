@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
+
+	"phasetune/internal/obsv/obsvtest"
 )
 
 func postJSON(t *testing.T, url string, body any, out any) *http.Response {
@@ -31,13 +34,7 @@ func postJSON(t *testing.T, url string, body any, out any) *http.Response {
 
 func getJSON(t *testing.T, url string, out any) *http.Response {
 	t.Helper()
-	// /metrics content-negotiates: ask for the JSON view explicitly.
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept", "application/json")
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,6 +45,35 @@ func getJSON(t *testing.T, url string, out any) *http.Response {
 		}
 	}
 	return resp
+}
+
+// scrape GETs /metrics and parses its Prometheus exposition.
+func scrape(t *testing.T, base string) map[string]*obsvtest.Family {
+	t.Helper()
+	resp, body := get(t, base+"/metrics", "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("metrics status %d", resp.StatusCode)
+	}
+	fams, err := obsvtest.ParsePrometheus(body)
+	if err != nil {
+		t.Fatalf("metrics exposition: %v", err)
+	}
+	return fams
+}
+
+// metricValue returns the one sample of family name carrying labels
+// (nil matches an unlabeled sample).
+func metricValue(t *testing.T, fams map[string]*obsvtest.Family, name string, labels map[string]string) float64 {
+	t.Helper()
+	if f := fams[name]; f != nil {
+		for _, s := range f.Samples {
+			if maps.Equal(s.Labels, labels) {
+				return s.Value
+			}
+		}
+	}
+	t.Fatalf("metrics carry no %s%v sample", name, labels)
+	return 0
 }
 
 func TestHTTPSessionLifecycle(t *testing.T) {
@@ -101,19 +127,18 @@ func TestHTTPSessionLifecycle(t *testing.T) {
 		t.Fatalf("advance-epoch status %d, body %v", resp.StatusCode, ep)
 	}
 
-	var m Metrics
-	resp = getJSON(t, srv.URL+"/metrics", &m)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics status %d", resp.StatusCode)
+	fams := scrape(t, srv.URL)
+	if n, iters := metricValue(t, fams, "phasetune_sessions", nil),
+		metricValue(t, fams, "phasetune_iterations_total", nil); n != 1 || iters != 6 {
+		t.Fatalf("metrics: %v sessions, %v iterations", n, iters)
 	}
-	if m.SessionsTotal != 1 || m.IterationsTotal != 6 {
-		t.Fatalf("metrics %+v", m)
-	}
-	if m.Cache.Hits+m.Cache.Misses == 0 {
+	if metricValue(t, fams, "phasetune_cache_hits_total", nil)+
+		metricValue(t, fams, "phasetune_cache_misses_total", nil) == 0 {
 		t.Fatal("metrics carry no cache accounting")
 	}
-	if m.Sessions[0].Epoch != 1 {
-		t.Fatalf("session epoch in metrics = %d, want 1", m.Sessions[0].Epoch)
+	if ep := metricValue(t, fams, "phasetune_session_epoch",
+		map[string]string{"session": created.ID, "strategy": "DC"}); ep != 1 {
+		t.Fatalf("session epoch in metrics = %v, want 1", ep)
 	}
 }
 
@@ -187,9 +212,9 @@ func TestHTTPConcurrentClients(t *testing.T) {
 	}
 	wg.Wait()
 
-	var m Metrics
-	getJSON(t, srv.URL+"/metrics", &m)
-	if m.SessionsTotal != clients || m.IterationsTotal != clients*6 {
-		t.Fatalf("metrics after concurrent clients: %+v", m)
+	fams := scrape(t, srv.URL)
+	if n, iters := metricValue(t, fams, "phasetune_sessions", nil),
+		metricValue(t, fams, "phasetune_iterations_total", nil); n != clients || iters != clients*6 {
+		t.Fatalf("metrics after concurrent clients: %v sessions, %v iterations", n, iters)
 	}
 }

@@ -120,7 +120,7 @@ func TestAdvanceEpochIdempotent(t *testing.T) {
 	if err != nil || !replayed || ep2 != ep1 {
 		t.Fatalf("retried advance: epoch %d (want %d), replayed %t, err %v", ep2, ep1, replayed, err)
 	}
-	if got, err := e.AdvanceEpoch(s.id); err != nil || got != ep1+1 {
+	if got, _, err := e.AdvanceEpochIdem(context.Background(), s.id, ""); err != nil || got != ep1+1 {
 		t.Fatalf("keyless advance after replay: epoch %d, want %d (err %v)", got, ep1+1, err)
 	}
 }

@@ -37,7 +37,7 @@ import (
 //	 "actions":[...],"lies":[...],"sims":[...],
 //	 "obs":[...],"hits":[...],"key":"..."}            one committed speculative batch
 //	{"t":"abort","seq":N,"epoch":E,
-//	 "actions":[...],"lies":[...]}                    proposals whose evaluation failed:
+//	 "actions":[...],"lies":[...]}                    a step or batch whose evaluation failed:
 //	                                                  the strategy consumed Next/lie calls
 //	                                                  but no observation was committed
 //	{"t":"spropose","seq":N,"epoch":E,"k":K,
@@ -55,6 +55,15 @@ import (
 //	                                                  promoted onto this node at generation G;
 //	                                                  replication from any older generation
 //	                                                  is rejected from this record on
+//
+// The one commit path (commit.go) writes the operation records in two
+// shapes. Step and batch-step are atomic: one step or batch record, or
+// one abort record if any evaluation failed. Stream-step writes
+// spropose first and then one scommit per step in proposal order.
+// Step and batch keep a single record because every record is an fsync
+// and a replica round-trip before the caller sees its result; the
+// per-step form buys a stream its early delivery, which an atomic
+// operation cannot use.
 //
 // key is the client's idempotency key when the committing request
 // carried one (absent otherwise); hits are the per-step cache-hit
@@ -424,6 +433,39 @@ func listSessionIDs(dir string) ([]string, error) {
 		return ids[i] < ids[j]
 	})
 	return ids, nil
+}
+
+// removeSnapshotTemps deletes the temp files that a crash inside a
+// snapshot rotation leaves behind. The rotation never took effect, so
+// the temp held nothing committed. Only the exact name
+// fsutil.WriteFileAtomic gives the temp of a listed session's snapshot
+// matches: <id>.snap.json.tmp-<digits>, where os.CreateTemp's random
+// suffix is a decimal uint32. A session id may itself contain ".tmp-",
+// but a session's own files end in .journal or .snap.json, so none of
+// them can match.
+func removeSnapshotTemps(dir string, ids []string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("engine: read journal dir: %w", err)
+	}
+	snaps := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		snaps[id+".snap.json"] = true
+	}
+	for _, e := range entries {
+		name := e.Name()
+		i := strings.LastIndex(name, ".tmp-")
+		if i < 0 || !snaps[name[:i]] {
+			continue
+		}
+		if _, err := strconv.ParseUint(name[i+len(".tmp-"):], 10, 32); err != nil {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			return fmt.Errorf("engine: remove stale snapshot temp: %w", err)
+		}
+	}
+	return nil
 }
 
 // sessionNum extracts the numeric part of an engine-assigned session ID

@@ -1,10 +1,14 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -14,19 +18,19 @@ import (
 // advance.
 func stepScript(t *testing.T, e *Engine, id string) SessionResult {
 	t.Helper()
-	if _, err := e.Step(id); err != nil {
+	if _, _, err := e.StepIdem(context.Background(), id, ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.BatchStep(id, 3); err != nil {
+	if _, _, err := e.BatchStepIdem(context.Background(), id, 3, ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.AdvanceEpoch(id); err != nil {
+	if _, _, err := e.AdvanceEpochIdem(context.Background(), id, ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Step(id); err != nil {
+	if _, _, err := e.StepIdem(context.Background(), id, ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.BatchStep(id, 2); err != nil {
+	if _, _, err := e.BatchStepIdem(context.Background(), id, 2, ""); err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.Result(id)
@@ -94,10 +98,10 @@ func TestRecoverBitIdentical(t *testing.T) {
 	// hints from the cache, so this also proves the recovery rewarmed the
 	// shared cache to the uninterrupted engine's view.
 	for _, e := range []*Engine{live, rec} {
-		if _, err := e.BatchStep(s.id, 3); err != nil {
+		if _, _, err := e.BatchStepIdem(context.Background(), s.id, 3, ""); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Step(s.id); err != nil {
+		if _, _, err := e.StepIdem(context.Background(), s.id, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -134,7 +138,7 @@ func TestRecoverAfterGracefulClose(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Step(s.id); err == nil {
+	if _, _, err := e.StepIdem(context.Background(), s.id, ""); err == nil {
 		t.Fatal("step after Close should fail")
 	}
 
@@ -164,7 +168,7 @@ func TestRecoverTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := e.Step(s.id); err != nil {
+		if _, _, err := e.StepIdem(context.Background(), s.id, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -196,6 +200,67 @@ func TestRecoverTornTail(t *testing.T) {
 	sameResult(t, "torn tail", before, after)
 }
 
+// TestRecoverRemovesSnapshotTemps: a crash mid-rotation leaves the
+// snapshot's temp file behind, and recovery removes it. Client-assigned
+// ids may themselves contain ".tmp-"; such a session keeps its journal
+// and snapshot.
+func TestRecoverRemovesSnapshotTemps(t *testing.T) {
+	dir := t.TempDir()
+	e := NewWithOptions(Options{Workers: 2, JournalDir: dir, SnapshotEvery: 2})
+	ids := []string{"x", "x.tmp-1", "x.snap.json.tmp-1"}
+	before := map[string]SessionResult{}
+	for _, id := range ids {
+		if _, err := e.CreateSession(SessionConfig{ID: id, ScenarioKey: "b", Strategy: "DC", Seed: 3, Tiles: 4}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if _, _, err := e.StepIdem(context.Background(), id, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r, err := e.Result(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[id] = r
+		if err := os.WriteFile(snapshotPath(dir, id)+".tmp-42", []byte("{"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rec := NewWithOptions(Options{Workers: 2, JournalDir: dir})
+	got, err := rec.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(ids) {
+		t.Fatalf("recovered %d sessions, want %d", len(got), len(ids))
+	}
+	for _, id := range ids {
+		after, err := rec.Result(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, id, before[id], after)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	var want []string
+	for _, id := range ids {
+		want = append(want, filepath.Base(journalPath(dir, id)), filepath.Base(snapshotPath(dir, id)))
+	}
+	sort.Strings(want)
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Fatalf("journal dir after recovery:\n got %v\nwant %v", names, want)
+	}
+}
+
 // TestRecoverCorruptMiddle: a malformed record that is not the tail is
 // corruption, not a torn append — recovery must refuse.
 func TestRecoverCorruptMiddle(t *testing.T) {
@@ -206,7 +271,7 @@ func TestRecoverCorruptMiddle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := e.Step(s.id); err != nil {
+		if _, _, err := e.StepIdem(context.Background(), s.id, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -227,72 +292,207 @@ func TestRecoverCorruptMiddle(t *testing.T) {
 	}
 }
 
+// saturatePool occupies every slot of e's pool until the returned
+// release runs, so an evaluation that misses the cache under a
+// cancelled context fails at admission, deterministically.
+func saturatePool(t *testing.T, e *Engine) (release func()) {
+	t.Helper()
+	block := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < e.pool.Workers(); i++ {
+		started := make(chan struct{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = e.pool.DoCtx(context.Background(), func() { close(started); <-block })
+		}()
+		<-started
+	}
+	return func() { close(block); wg.Wait() }
+}
+
+// journalRecords reads a session's live journal file (no snapshot
+// rotation may have happened) as decoded records.
+func journalRecords(t *testing.T, dir, id string) []journalRecord {
+	t.Helper()
+	data, err := os.ReadFile(journalPath(dir, id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []journalRecord
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var rec journalRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
 // TestRecoverAbortedStep: an evaluation failure consumes strategy
-// proposals without committing observations; the abort record makes
-// recovery replay the identical strategy state.
+// proposals without committing observations, in both failure shapes.
+// Step and batch-step are atomic: they commit nothing and journal one
+// abort record. Stream-step journals its proposals before evaluating,
+// so its spropose record alone carries the consumed proposals. Either
+// way recovery replays the identical strategy state, and the recovered
+// session continues exactly like the live one.
 func TestRecoverAbortedStep(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   func(ctx context.Context, e *Engine, id string) error
+		want string // the one record the failed operation journals
+	}{
+		{"step", func(ctx context.Context, e *Engine, id string) error {
+			_, _, err := e.StepIdem(ctx, id, "")
+			return err
+		}, "abort"},
+		{"batch-step", func(ctx context.Context, e *Engine, id string) error {
+			_, _, err := e.BatchStepIdem(ctx, id, 3, "")
+			return err
+		}, "abort"},
+		{"stream-step", func(ctx context.Context, e *Engine, id string) error {
+			_, _, err := e.StreamBatchStepIdem(ctx, id, 3, "", nil, func(StepResult) {})
+			return err
+		}, "spropose"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			live := NewWithOptions(Options{Workers: 1, JournalDir: dir, SnapshotEvery: 100})
+			s, err := live.CreateSession(SessionConfig{
+				ScenarioKey: "b", Strategy: "GP-discontinuous", Seed: 11, Tiles: 4,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bg := context.Background()
+			if _, _, err := live.StepIdem(bg, s.id, ""); err != nil {
+				t.Fatal(err)
+			}
+
+			// With every pool slot taken and the context cancelled, the
+			// slot wait fails after the strategy already proposed.
+			release := saturatePool(t, live)
+			ctx, cancel := context.WithCancel(bg)
+			cancel()
+			opErr := tc.op(ctx, live, s.id)
+			release()
+			if opErr == nil {
+				t.Fatal("operation with cancelled context under a saturated pool should fail")
+			}
+			if res, err := live.Result(s.id); err != nil || res.Iterations != 1 {
+				t.Fatalf("failed operation committed steps: %+v, %v", res, err)
+			}
+			recs := journalRecords(t, dir, s.id)
+			if len(recs) != 3 || recs[2].T != tc.want {
+				t.Fatalf("failed operation journaled %+v, want one %q record", recs[2:], tc.want)
+			}
+
+			// Continue the live session past the failure.
+			for i := 0; i < 2; i++ {
+				if _, _, err := live.StepIdem(bg, s.id, ""); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before, err := live.Result(s.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			rec := NewWithOptions(Options{Workers: 2, JournalDir: dir})
+			if _, err := rec.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			after, err := rec.Result(s.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, "post-failure", before, after)
+
+			// And the recovered session keeps agreeing with the live one.
+			for _, e := range []*Engine{live, rec} {
+				if err := tc.op(bg, e, s.id); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := e.StepIdem(bg, s.id, ""); err != nil {
+					t.Fatal(err)
+				}
+			}
+			liveRes, err := live.Result(s.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recRes, err := rec.Result(s.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, "post-failure continuation", liveRes, recRes)
+		})
+	}
+}
+
+// TestJournalGolden pins the journal format the commit path writes: a
+// fixed script covering every operation record (step, keyed batch,
+// keyed stream, an idempotent replay that must write nothing, a keyed
+// epoch advance, an aborted step) must reproduce
+// testdata/journal_golden.jsonl record for record. The per-step hits
+// flags are left out: when one batch proposes an action twice, which
+// evaluation computes and which shares it depends on goroutine timing.
+func TestJournalGolden(t *testing.T) {
 	dir := t.TempDir()
-	live := NewWithOptions(Options{Workers: 1, JournalDir: dir})
-	s, err := live.CreateSession(SessionConfig{
-		ScenarioKey: "b", Strategy: "GP-discontinuous", Seed: 11, Tiles: 4,
+	e := NewWithOptions(Options{Workers: 1, JournalDir: dir, SnapshotEvery: 100})
+	s, err := e.CreateSession(SessionConfig{
+		ScenarioKey: "b", Strategy: "GP-discontinuous", Seed: 7, Tiles: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := live.Step(s.id); err != nil {
+	ctx := context.Background()
+	if _, _, err := e.StepIdem(ctx, s.id, ""); err != nil {
 		t.Fatal(err)
 	}
-
-	// Occupy the single pool slot, then step with a cancelled context:
-	// the slot wait fails deterministically and the step aborts after
-	// the strategy already produced its proposal.
-	block := make(chan struct{})
-	started := make(chan struct{})
-	go live.pool.Do(func() { close(started); <-block })
-	<-started
-	ctx, cancel := context.WithCancel(context.Background())
+	if _, _, err := e.BatchStepIdem(ctx, s.id, 3, "golden-batch"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.StreamBatchStepIdem(ctx, s.id, 3, "golden-stream", nil, func(StepResult) {}); err != nil {
+		t.Fatal(err)
+	}
+	if _, replayed, err := e.BatchStepIdem(ctx, s.id, 3, "golden-batch"); err != nil || !replayed {
+		t.Fatalf("batch replay: replayed=%t, err %v", replayed, err)
+	}
+	if _, _, err := e.AdvanceEpochIdem(ctx, s.id, "golden-epoch"); err != nil {
+		t.Fatal(err)
+	}
+	// The epoch advance emptied this fingerprint's cache, so the next
+	// proposal misses and fails at the saturated pool.
+	release := saturatePool(t, e)
+	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := live.StepCtx(ctx, s.id); err == nil {
+	_, _, stepErr := e.StepIdem(cancelled, s.id, "")
+	release()
+	if stepErr == nil {
 		t.Fatal("step with cancelled context under a saturated pool should fail")
 	}
-	close(block)
+	if _, _, err := e.StepIdem(ctx, s.id, ""); err != nil {
+		t.Fatal(err)
+	}
 
-	// Continue the live session past the abort.
-	for i := 0; i < 2; i++ {
-		if _, err := live.Step(s.id); err != nil {
+	var got bytes.Buffer
+	for _, rec := range journalRecords(t, dir, s.id) {
+		rec.Hits = nil
+		line, err := json.Marshal(rec)
+		if err != nil {
 			t.Fatal(err)
 		}
+		got.Write(append(line, '\n'))
 	}
-	before, err := live.Result(s.id)
+	want, err := os.ReadFile(filepath.Join("testdata", "journal_golden.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	rec := NewWithOptions(Options{Workers: 2, JournalDir: dir})
-	if _, err := rec.Recover(); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("journal records differ from testdata/journal_golden.jsonl:\ngot:\n%s\nwant:\n%s", got.Bytes(), want)
 	}
-	after, err := rec.Result(s.id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "post-abort", before, after)
-
-	// And the recovered session keeps agreeing with the live one.
-	for _, e := range []*Engine{live, rec} {
-		if _, err := e.Step(s.id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	liveRes, err := live.Result(s.id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recRes, err := rec.Result(s.id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "post-abort continuation", liveRes, recRes)
 }
 
 // TestSnapshotRotation: the journal is compacted every SnapshotEvery
@@ -306,7 +506,7 @@ func TestSnapshotRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := e.Step(s.id); err != nil {
+		if _, _, err := e.StepIdem(context.Background(), s.id, ""); err != nil {
 			t.Fatal(err)
 		}
 	}

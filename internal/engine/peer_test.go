@@ -43,21 +43,21 @@ func httpPeerLookup(base string) PeerLookup {
 // account for it, and B's observation log stays bit-identical to a
 // shard that computed everything locally.
 func TestPeerCacheLookup(t *testing.T) {
-	// An epoch-less script: AdvanceEpoch drops superseded cache epochs,
+	// An epoch-less script: AdvanceEpochIdem drops superseded cache epochs,
 	// which would make the warmed peer legitimately miss — this test
 	// wants every probe answerable.
 	flatScript := func(t *testing.T, e *Engine, id string) SessionResult {
 		t.Helper()
-		if _, err := e.Step(id); err != nil {
+		if _, _, err := e.StepIdem(context.Background(), id, ""); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.BatchStep(id, 3); err != nil {
+		if _, _, err := e.BatchStepIdem(context.Background(), id, 3, ""); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Step(id); err != nil {
+		if _, _, err := e.StepIdem(context.Background(), id, ""); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.BatchStep(id, 2); err != nil {
+		if _, _, err := e.BatchStepIdem(context.Background(), id, 2, ""); err != nil {
 			t.Fatal(err)
 		}
 		res, err := e.Result(id)

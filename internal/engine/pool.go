@@ -11,7 +11,7 @@ import (
 
 // Pool bounds how many DES evaluations run at once. It is a semaphore,
 // not a goroutine farm: callers bring their own goroutines (sessions,
-// sweeps, HTTP handlers) and Do gates the expensive region, so waiting
+// sweeps, HTTP handlers) and DoCtx gates the expensive region, so waiting
 // on a cache singleflight never occupies a slot — only actual
 // simulation work does.
 type Pool struct {
@@ -39,13 +39,6 @@ func (p *Pool) InFlight() int64 { return p.flying.Load() }
 // Waiting returns how many callers are blocked on a slot right now —
 // the service layer's saturation signal.
 func (p *Pool) Waiting() int64 { return p.waiting.Load() }
-
-// Do runs fn holding one pool slot, blocking until a slot frees up.
-func (p *Pool) Do(fn func()) {
-	// A background context never cancels, so the error is unreachable.
-	//lint:allow ctxflow compat wrapper for pre-context callers; never on a request path (handlers use DoCtx)
-	_ = p.DoCtx(context.Background(), fn)
-}
 
 // DoCtx runs fn holding one pool slot, or gives up with ctx.Err() if
 // the context is done before a slot frees up. Once fn starts it runs to

@@ -53,6 +53,9 @@ func (e *Engine) Recover() ([]RecoveredSession, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := removeSnapshotTemps(e.journalDir, ids); err != nil {
+		return nil, err
+	}
 	var out []RecoveredSession
 	for _, id := range ids {
 		st, err := loadSessionState(e.journalDir, id)
@@ -98,7 +101,6 @@ func (e *Engine) Recover() ([]RecoveredSession, error) {
 // Holding no locks is fine: the session is not yet registered, so
 // nothing else can reach it.
 func (e *Engine) replaySession(s *Session, ops []journalRecord) error {
-	fp := s.ev.Fingerprint()
 	// stream tracks the in-progress streaming batch during replay: the
 	// spropose record opens it, each scommit consumes its oldest pending
 	// proposal, and any other record (or the end of the journal)
@@ -109,11 +111,14 @@ func (e *Engine) replaySession(s *Session, ops []journalRecord) error {
 			stream = nil
 		}
 		switch rec.T {
-		case "step", "batch":
+		case "step", "batch", "spropose", "scommit":
 			if rec.Epoch != s.epoch {
 				return fmt.Errorf("op %d: journaled epoch %d, replay at epoch %d",
 					rec.Seq, rec.Epoch, s.epoch)
 			}
+		}
+		switch rec.T {
+		case "step", "batch":
 			if len(rec.Sims) != len(rec.Actions) || len(rec.Obs) != len(rec.Actions) {
 				return fmt.Errorf("op %d: %d actions with %d sims / %d obs",
 					rec.Seq, len(rec.Actions), len(rec.Sims), len(rec.Obs))
@@ -122,17 +127,10 @@ func (e *Engine) replaySession(s *Session, ops []journalRecord) error {
 				return fmt.Errorf("op %d: %w", rec.Seq, err)
 			}
 			first := len(s.actions)
-			for i, a := range rec.Actions {
-				d := s.observe(rec.Sims[i])
-				if math.Float64bits(d) != math.Float64bits(rec.Obs[i]) {
-					return fmt.Errorf("op %d action %d: replayed observation %v, journal says %v (journal and binary disagree)",
-						rec.Seq, a, d, rec.Obs[i])
+			for i := range rec.Actions {
+				if err := e.replayStep(s, rec, i); err != nil {
+					return err
 				}
-				s.driver.Observe(a, d)
-				s.record(a, d, rec.Sims[i])
-				// Rewarm the shared cache: the uninterrupted run would
-				// hold this entry, and batch lies peek at it.
-				e.cache.Prime(CacheKey{Fingerprint: fp, Epoch: rec.Epoch, Action: a}, rec.Sims[i])
 			}
 			// Rebuild the idempotency registry: a client retrying the
 			// committed request after the crash replays this exact
@@ -153,10 +151,6 @@ func (e *Engine) replaySession(s *Session, ops []journalRecord) error {
 				return fmt.Errorf("op %d (abort): %w", rec.Seq, err)
 			}
 		case "spropose":
-			if rec.Epoch != s.epoch {
-				return fmt.Errorf("op %d: journaled epoch %d, replay at epoch %d",
-					rec.Seq, rec.Epoch, s.epoch)
-			}
 			if err := s.driver.Replay(rec.Actions, rec.Lies); err != nil {
 				return fmt.Errorf("op %d (spropose): %w", rec.Seq, err)
 			}
@@ -168,27 +162,17 @@ func (e *Engine) replaySession(s *Session, ops []journalRecord) error {
 			if stream == nil || len(stream.pending) == 0 {
 				return fmt.Errorf("op %d: scommit without a pending stream proposal", rec.Seq)
 			}
-			if rec.Epoch != s.epoch {
-				return fmt.Errorf("op %d: journaled epoch %d, replay at epoch %d",
-					rec.Seq, rec.Epoch, s.epoch)
-			}
 			if len(rec.Actions) != 1 || len(rec.Sims) != 1 || len(rec.Obs) != 1 {
 				return fmt.Errorf("op %d: scommit carries %d actions / %d sims / %d obs",
 					rec.Seq, len(rec.Actions), len(rec.Sims), len(rec.Obs))
 			}
-			a := stream.pending[0]
-			if rec.Actions[0] != a {
+			if a := stream.pending[0]; rec.Actions[0] != a {
 				return fmt.Errorf("op %d: scommit action %d, stream proposed %d",
 					rec.Seq, rec.Actions[0], a)
 			}
-			d := s.observe(rec.Sims[0])
-			if math.Float64bits(d) != math.Float64bits(rec.Obs[0]) {
-				return fmt.Errorf("op %d action %d: replayed observation %v, journal says %v (journal and binary disagree)",
-					rec.Seq, a, d, rec.Obs[0])
+			if err := e.replayStep(s, rec, 0); err != nil {
+				return err
 			}
-			s.driver.Observe(a, d)
-			s.record(a, d, rec.Sims[0])
-			e.cache.Prime(CacheKey{Fingerprint: fp, Epoch: rec.Epoch, Action: a}, rec.Sims[0])
 			stream.pending = stream.pending[1:]
 			hit := len(rec.Hits) == 1 && rec.Hits[0]
 			stream.hits = append(stream.hits, hit)
@@ -200,7 +184,7 @@ func (e *Engine) replaySession(s *Session, ops []journalRecord) error {
 			}
 		case "epoch":
 			s.epoch = rec.Epoch
-			e.cache.DropEpochsBelow(fp, rec.Epoch)
+			e.cache.DropEpochsBelow(s.ev.Fingerprint(), rec.Epoch)
 			if rec.Key != "" {
 				s.registerIdem(rec.Key, idemEntry{op: "epoch", epoch: rec.Epoch})
 			}
@@ -212,5 +196,24 @@ func (e *Engine) replaySession(s *Session, ops []journalRecord) error {
 			return fmt.Errorf("op %d: unknown record type %q", rec.Seq, rec.T)
 		}
 	}
+	return nil
+}
+
+// replayStep re-commits step i of a journaled step, batch or scommit
+// record: the noise draw must reproduce the journaled observation bit
+// for bit (a mismatch means the journal and the running binary
+// disagree), then the strategy observes it, the history records it,
+// and the shared cache is rewarmed — the uninterrupted run would hold
+// the entry, and batch lies peek at it.
+func (e *Engine) replayStep(s *Session, rec journalRecord, i int) error {
+	a, sim := rec.Actions[i], rec.Sims[i]
+	d := s.observe(sim)
+	if math.Float64bits(d) != math.Float64bits(rec.Obs[i]) {
+		return fmt.Errorf("op %d action %d: replayed observation %v, journal says %v (journal and binary disagree)",
+			rec.Seq, a, d, rec.Obs[i])
+	}
+	s.driver.Observe(a, d)
+	s.record(a, d, sim)
+	e.cache.Prime(CacheKey{Fingerprint: s.ev.Fingerprint(), Epoch: rec.Epoch, Action: a}, sim)
 	return nil
 }

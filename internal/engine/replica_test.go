@@ -134,7 +134,7 @@ func TestPromoteReplicaIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Step(s.id); err != nil {
+	if _, _, err := e.StepIdem(context.Background(), s.id, ""); err != nil {
 		t.Fatal(err)
 	}
 	p, err := e.PromoteReplica(context.Background(), s.id, 1)
@@ -165,7 +165,7 @@ func TestFencingDeposedOwner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := owner.Step(s.id); err != nil {
+	if _, _, err := owner.StepIdem(context.Background(), s.id, ""); err != nil {
 		t.Fatal(err)
 	}
 
@@ -178,17 +178,17 @@ func TestFencingDeposedOwner(t *testing.T) {
 	// The zombie owner comes back from its partition and tries to keep
 	// committing: the ship is refused, the commit errors, and the
 	// session fails closed.
-	_, err = owner.Step(s.id)
+	_, _, err = owner.StepIdem(context.Background(), s.id, "")
 	if err == nil || !strings.Contains(err.Error(), "fenced out") {
 		t.Fatalf("deposed owner's commit: %v, want fenced out", err)
 	}
-	if _, err := owner.Step(s.id); err == nil ||
+	if _, _, err := owner.StepIdem(context.Background(), s.id, ""); err == nil ||
 		!strings.Contains(err.Error(), "failed closed") {
 		t.Fatalf("second commit on the zombie: %v, want failed closed", err)
 	}
 
 	// The promoted copy is unharmed and still serving.
-	if _, err := follower.Step(s.id); err != nil {
+	if _, _, err := follower.StepIdem(context.Background(), s.id, ""); err != nil {
 		t.Fatalf("promoted session must keep serving: %v", err)
 	}
 }
@@ -205,7 +205,7 @@ func TestReplicationDegradedThenResync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := owner.Step(s.id); err != nil {
+	if _, _, err := owner.StepIdem(context.Background(), s.id, ""); err != nil {
 		t.Fatalf("degraded mode must stay available: %v", err)
 	}
 	if !owner.ReplicationLagging(s.id) {
@@ -214,7 +214,7 @@ func TestReplicationDegradedThenResync(t *testing.T) {
 
 	follower, fsrv := newFollower(t, 1)
 	owner.SetReplicaPlanner(plannerTo(fsrv.URL))
-	if _, err := owner.Step(s.id); err != nil {
+	if _, _, err := owner.StepIdem(context.Background(), s.id, ""); err != nil {
 		t.Fatal(err)
 	}
 	if owner.ReplicationLagging(s.id) {
@@ -345,7 +345,7 @@ func TestJournalVersionGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := live.Step(s.id); err != nil {
+	if _, _, err := live.StepIdem(context.Background(), s.id, ""); err != nil {
 		t.Fatal(err)
 	}
 	path := journalPath(dir, s.id)

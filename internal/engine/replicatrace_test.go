@@ -71,7 +71,7 @@ func TestReplicaShipTraceHeader(t *testing.T) {
 	// Telemetry off: the hop must not invent a header.
 	var plain shipRecorder
 	e, id := replicatedEngine(t, nil, plain.server(t).URL)
-	if _, err := e.Step(id); err != nil {
+	if _, _, err := e.StepIdem(context.Background(), id, ""); err != nil {
 		t.Fatal(err)
 	}
 	if h := plain.last(t); h != "" {
@@ -87,7 +87,7 @@ func TestReplicaShipTraceHeader(t *testing.T) {
 		t.Fatal("test link failed to parse")
 	}
 	sc, end := tel.Trace.StartRequestLink(id2, "POST step", link)
-	if _, err := e2.StepCtx(obsv.ContextWith(context.Background(), sc), id2); err != nil {
+	if _, _, err := e2.StepIdem(obsv.ContextWith(context.Background(), sc), id2, ""); err != nil {
 		t.Fatal(err)
 	}
 	end()
@@ -130,7 +130,7 @@ func TestPromoteReplicaNilTelemetry(t *testing.T) {
 
 	owner, id := replicatedEngine(t, nil, fsrv.URL)
 	for i := 0; i < 3; i++ {
-		if _, err := owner.Step(id); err != nil {
+		if _, _, err := owner.StepIdem(context.Background(), id, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -171,9 +171,9 @@ func TestObservationLogTraceInvariant(t *testing.T) {
 				ctx = obsv.ContextWith(ctx, sc)
 			}
 			if batch > 0 {
-				_, err = e.BatchStepCtx(ctx, s.id, batch)
+				_, _, err = e.BatchStepIdem(ctx, s.id, batch, "")
 			} else {
-				_, err = e.StepCtx(ctx, s.id)
+				_, _, err = e.StepIdem(ctx, s.id, "")
 			}
 			if err != nil {
 				t.Fatal(err)

@@ -31,14 +31,14 @@ func streamSteps(t *testing.T, e *Engine, id string, k int, key string) []StepRe
 // streaming batch of the same width.
 func streamScript(t *testing.T, e *Engine, id string) SessionResult {
 	t.Helper()
-	if _, err := e.Step(id); err != nil {
+	if _, _, err := e.StepIdem(context.Background(), id, ""); err != nil {
 		t.Fatal(err)
 	}
 	streamSteps(t, e, id, 3, "")
-	if _, err := e.AdvanceEpoch(id); err != nil {
+	if _, _, err := e.AdvanceEpochIdem(context.Background(), id, ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Step(id); err != nil {
+	if _, _, err := e.StepIdem(context.Background(), id, ""); err != nil {
 		t.Fatal(err)
 	}
 	streamSteps(t, e, id, 2, "")
@@ -135,7 +135,7 @@ func TestStreamRecoverBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := live.Step(s.id); err != nil {
+	if _, _, err := live.StepIdem(context.Background(), s.id, ""); err != nil {
 		t.Fatal(err)
 	}
 	streamed := streamSteps(t, live, s.id, 3, "stream-key")
@@ -173,7 +173,7 @@ func TestStreamRecoverBitIdentical(t *testing.T) {
 	// Both engines continue identically (batch lies peek at the cache,
 	// so this also checks the recovered cache priming).
 	for _, e := range []*Engine{live, rec} {
-		if _, err := e.BatchStep(s.id, 2); err != nil {
+		if _, _, err := e.BatchStepIdem(context.Background(), s.id, 2, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -196,7 +196,7 @@ func TestStreamRecoverPartial(t *testing.T) {
 	// One observation first: a constant-liar batch on a fresh session
 	// stops after one proposal (no mean to lie with), and this test
 	// needs a full-width stream.
-	if _, err := live.Step(s.id); err != nil {
+	if _, _, err := live.StepIdem(context.Background(), s.id, ""); err != nil {
 		t.Fatal(err)
 	}
 	streamed := streamSteps(t, live, s.id, 3, "part-key")
@@ -244,7 +244,7 @@ func TestStreamRecoverPartial(t *testing.T) {
 	}
 	// The un-committed third proposal was still consumed by the replay
 	// (spropose semantics), so the session keeps serving consistently.
-	if _, err := rec.Step(s.id); err != nil {
+	if _, _, err := rec.StepIdem(context.Background(), s.id, ""); err != nil {
 		t.Fatal(err)
 	}
 }

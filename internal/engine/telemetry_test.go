@@ -54,13 +54,11 @@ func get(t *testing.T, url, accept string) (*http.Response, []byte) {
 	return resp, body
 }
 
-// TestMetricsContentNegotiation pins both faces of /metrics: the
-// default Prometheus text exposition must parse and carry the
-// documented families, and the JSON view under Accept:
-// application/json must stay byte-compatible with the pre-telemetry
-// encoding of Engine.Metrics().
+// TestMetricsContentNegotiation pins /metrics to the Prometheus text
+// exposition: it must parse and carry the documented families, and
+// every Accept header gets the same text format.
 func TestMetricsContentNegotiation(t *testing.T) {
-	srv, e, _ := telemetryServer(t, 2)
+	srv, _, _ := telemetryServer(t, 2)
 
 	var created createSessionResponse
 	postJSON(t, srv.URL+"/v1/sessions", createSessionRequest{
@@ -70,41 +68,8 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		postJSON(t, srv.URL+"/v1/sessions/"+created.ID+"/step", struct{}{}, nil)
 	}
 
-	// JSON face: exact bytes of the historical writeJSON(Metrics())
-	// encoding — indented encoding/json with a trailing newline.
-	resp, jsonBody := get(t, srv.URL+"/metrics", "application/json")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("JSON /metrics status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("JSON /metrics content type %q", ct)
-	}
-	var want bytes.Buffer
-	enc := json.NewEncoder(&want)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(e.Metrics()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(jsonBody, want.Bytes()) {
-		t.Fatalf("JSON /metrics diverged from writeJSON(Engine.Metrics()):\ngot:\n%s\nwant:\n%s",
-			jsonBody, want.Bytes())
-	}
-	// Schema stability: the exact top-level key set of the JSON view.
-	var asMap map[string]any
-	if err := json.Unmarshal(jsonBody, &asMap); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{
-		"workers", "in_flight_evals", "waiting_evals",
-		"cache", "sessions", "sessions_total", "iterations_total",
-	} {
-		if _, ok := asMap[k]; !ok {
-			t.Fatalf("JSON /metrics lost key %q: %v", k, asMap)
-		}
-	}
-
-	// Prometheus face (the default): valid exposition with the engine,
-	// HTTP and telemetry families present.
+	// Valid exposition with the engine, HTTP and telemetry families
+	// present.
 	resp, text := get(t, srv.URL+"/metrics", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("text /metrics status %d", resp.StatusCode)
@@ -148,10 +113,13 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		t.Fatalf("expected labels missing: route=%t strategy=%t", sawRoute, sawStrategy)
 	}
 
-	// An explicit text Accept also selects the exposition.
-	resp, text2 := get(t, srv.URL+"/metrics", "text/plain")
-	if resp.StatusCode != http.StatusOK || !bytes.HasPrefix(text2, []byte("# HELP")) {
-		t.Fatalf("Accept: text/plain gave status %d, body %q...", resp.StatusCode, text2[:40])
+	// An explicit Accept, whatever it names, gets the same exposition.
+	for _, accept := range []string{"text/plain", "application/json"} {
+		resp, text2 := get(t, srv.URL+"/metrics", accept)
+		if resp.StatusCode != http.StatusOK || !bytes.HasPrefix(text2, []byte("# HELP")) ||
+			resp.Header.Get("Content-Type") != prometheusContentType {
+			t.Fatalf("Accept: %s gave status %d, body %q...", accept, resp.StatusCode, text2[:40])
+		}
 	}
 }
 
@@ -269,9 +237,9 @@ func TestObservationLogTelemetryInvariant(t *testing.T) {
 				ctx = obsv.ContextWith(ctx, sc)
 			}
 			if batch > 0 {
-				_, err = e.BatchStepCtx(ctx, s.id, batch)
+				_, _, err = e.BatchStepIdem(ctx, s.id, batch, "")
 			} else {
-				_, err = e.StepCtx(ctx, s.id)
+				_, _, err = e.StepIdem(ctx, s.id, "")
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -308,7 +276,7 @@ func TestObservationLogTelemetryInvariant(t *testing.T) {
 // disabledHooks exercises, once, every telemetry touchpoint a step
 // passes through when telemetry is off: the context probe, span
 // opens/closes through a nil SpanCtx, and nil-instrument updates.
-// Mirrors the per-step instrumentation in eval/StepCtx/journal.
+// Mirrors the per-step instrumentation in eval/advance/journal.
 func disabledHooks(ctx context.Context, sink *int) {
 	sc := obsv.FromContext(ctx)
 	if sc.Tracing() {
@@ -370,7 +338,7 @@ func TestDisabledTelemetryOverheadBound(t *testing.T) {
 	const steps = 8
 	start = time.Now()
 	for i := 0; i < steps; i++ {
-		if _, err := e.Step(s.id); err != nil {
+		if _, _, err := e.StepIdem(context.Background(), s.id, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -423,13 +391,13 @@ func BenchmarkStepTelemetry(b *testing.B) {
 				if tel != nil {
 					sc, end := tel.Trace.StartRequest(s.id, "bench")
 					ctx = obsv.ContextWith(ctx, sc)
-					if _, err := e.StepCtx(ctx, s.id); err != nil {
+					if _, _, err := e.StepIdem(ctx, s.id, ""); err != nil {
 						b.Fatal(err)
 					}
 					end()
 					continue
 				}
-				if _, err := e.StepCtx(ctx, s.id); err != nil {
+				if _, _, err := e.StepIdem(ctx, s.id, ""); err != nil {
 					b.Fatal(err)
 				}
 			}

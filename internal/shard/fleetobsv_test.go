@@ -222,7 +222,7 @@ func TestFleetEventsCausalChain(t *testing.T) {
 
 	// The zombie: the dead owner's engine is still alive in memory; its
 	// next commit ships at the old generation and the follower fences it.
-	if _, err := f.engines[victim].Step(id); err == nil ||
+	if _, _, err := f.engines[victim].StepIdem(context.Background(), id, ""); err == nil ||
 		!strings.Contains(err.Error(), "fenced out") {
 		t.Fatalf("zombie owner's commit: %v, want fenced out", err)
 	}

@@ -172,7 +172,7 @@ func TestSupervisorAutoPromote(t *testing.T) {
 	// The zombie: the owner process is still alive in memory (only its
 	// listener died). Its next commit ships to the promoted follower,
 	// is refused by the fence, and the session fails closed.
-	if _, err := f.engines[victim].Step(id); err == nil ||
+	if _, _, err := f.engines[victim].StepIdem(context.Background(), id, ""); err == nil ||
 		!strings.Contains(err.Error(), "fenced out") {
 		t.Fatalf("zombie owner's commit: %v, want fenced out", err)
 	}
