@@ -339,7 +339,7 @@ func BenchmarkFluidNetwork(b *testing.B) {
 		})
 		done := 0
 		for f := 0; f < 200; f++ {
-			net.Transfer(f%16, (f+5)%16, 1e7, func() { done++ })
+			net.Transfer(f%16, (f+5)%16, 1e7, des.Func(func() { done++ }), 0)
 		}
 		eng.Run()
 		if done != 200 {

@@ -159,27 +159,39 @@ func TestTaskCount(t *testing.T) {
 	}
 }
 
+// finishLog is an observer recording each task's completion time by id.
+type finishLog map[int]float64
+
+func (f finishLog) TaskStarted(*taskrt.Task, string, float64) {}
+func (f finishLog) TaskFinished(t *taskrt.Task, _ string, at float64) {
+	f[t.ID] = at
+}
+
 func TestBuildDAGTaskCountAndCompletion(t *testing.T) {
 	eng := des.NewEngine()
 	topo := simnet.Topology{NICBandwidth: 1e12, Latency: 0}
 	net := simnet.NewFluid(eng, 2, topo)
 	rt := taskrt.New(eng, []taskrt.NodeSpec{{CPUSpeed: 10}, {CPUSpeed: 10}}, net)
 	rt.TaskOverhead = 0
-	owner := func(i, j int) int { return j % 2 }
 	T := 6
-	potrfs := BuildDAG(rt, T, 1000, KernelCosts(10), owner, nil)
+	var b taskrt.Builder
+	potrfs := BuildDAG(&b, T, 1000, KernelCosts(10), 0, nil)
+	rt.Load(b.Build(), func(i, j int) int { return j % 2 })
 	if rt.NumTasks() != TaskCount(T) {
 		t.Fatalf("tasks = %d, want %d", rt.NumTasks(), TaskCount(T))
 	}
+	finished := finishLog{}
+	rt.SetObserver(finished)
 	mk := rt.Run()
 	if mk <= 0 {
 		t.Fatalf("makespan = %v", mk)
 	}
 	for k, p := range potrfs {
-		if !p.Done() {
+		at, done := finished[int(p)]
+		if !done {
 			t.Fatalf("potrf %d not executed", k)
 		}
-		if k > 0 && potrfs[k].Finished() < potrfs[k-1].Finished() {
+		if k > 0 && at < finished[int(potrfs[k-1])] {
 			t.Fatal("potrf panel order violated")
 		}
 	}
@@ -194,18 +206,20 @@ func TestBuildDAGRespectsGenerationProducers(t *testing.T) {
 	rt := taskrt.New(eng, []taskrt.NodeSpec{{CPUSpeed: 1, GPUSpeeds: []float64{1, 1, 1}}}, net)
 	rt.TaskOverhead = 0
 	T := 3
-	producers := make([][]*taskrt.Task, T)
+	var b taskrt.Builder
+	producers := make([][]taskrt.TaskID, T)
 	for i := range producers {
-		producers[i] = make([]*taskrt.Task, i+1)
+		producers[i] = make([]taskrt.TaskID, i+1)
 		for j := 0; j <= i; j++ {
 			cost := 1.0
 			if i == 0 && j == 0 {
 				cost = 1000
 			}
-			producers[i][j] = rt.NewTask("gen", "gen", cost, 0, true, 100)
+			producers[i][j] = b.Add(taskrt.NewLabel("gen"), "gen", cost, taskrt.Place{}, true, 100)
 		}
 	}
-	BuildDAG(rt, T, 0, KernelCosts(10), func(i, j int) int { return 0 }, producers)
+	BuildDAG(&b, T, 0, KernelCosts(10), 0, producers)
+	rt.Load(b.Build(), func(i, j int) int { return 0 })
 	mk := rt.Run()
 	if mk < 1000 {
 		t.Fatalf("makespan = %v: factorization did not wait for generation", mk)
@@ -224,8 +238,9 @@ func TestBuildDAGMoreNodesFasterWhenCommFree(t *testing.T) {
 		}
 		rt := taskrt.New(eng, specs, net)
 		rt.TaskOverhead = 0
-		BuildDAG(rt, 12, 100, KernelCosts(10),
-			func(i, j int) int { return j % nodes }, nil)
+		var b taskrt.Builder
+		BuildDAG(&b, 12, 100, KernelCosts(10), 0, nil)
+		rt.Load(b.Build(), func(i, j int) int { return j % nodes })
 		return rt.Run()
 	}
 	t1, t4 := run(1), run(4)

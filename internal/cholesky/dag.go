@@ -2,16 +2,14 @@
 // complementary forms, mirroring the role the Chameleon library plays for
 // ExaGeoStat:
 //
-//   - a task-graph builder (BuildDAG) that submits the POTRF/TRSM/SYRK/
-//     GEMM dependency structure to the simulated task runtime, and
+//   - a task-graph builder (BuildDAG) that declares the POTRF/TRSM/SYRK/
+//     GEMM dependency structure for the simulated task runtime, and
 //   - real numeric tile kernels plus a goroutine-parallel tiled executor
 //     (TiledCholesky) used by the actual GeoStatistics computations and
 //     as a correctness oracle for the DAG shape.
 package cholesky
 
 import (
-	"fmt"
-
 	"phasetune/internal/taskrt"
 )
 
@@ -36,62 +34,66 @@ func KernelCosts(tileSize int) Costs {
 	}
 }
 
-// BuildDAG submits the right-looking tiled Cholesky task graph over a
-// tiles x tiles lower-triangular block matrix to the runtime.
+// BuildDAG declares the right-looking tiled Cholesky task graph over a
+// tiles x tiles lower-triangular block matrix.
 //
-// owner maps each tile (i, j), i >= j, to its node (owner-computes).
-// producers, when non-nil, supplies the task that produces tile (i, j)
-// — the generation phase — so that factorization overlaps generation
-// through fine-grained dependencies exactly as in the paper's Figure 1.
-// tileBytes is the size of one tile for dependency transfers.
+// Every task runs on the owner of the tile (i, j), i >= j, it writes,
+// in the given owner set (owner-computes). producers, when non-nil,
+// supplies the task that produces tile (i, j) — the generation phase —
+// so that factorization overlaps generation through fine-grained
+// dependencies exactly as in the paper's Figure 1. tileBytes is the
+// size of one tile for dependency transfers.
 //
-// It returns the final POTRF task (the factorization's last panel root)
-// and the per-diagonal POTRF tasks (used by the solve/determinant phases).
-func BuildDAG(rt *taskrt.Runtime, tiles int, tileBytes float64, costs Costs,
-	owner func(i, j int) int, producers [][]*taskrt.Task) []*taskrt.Task {
+// It returns the per-diagonal POTRF tasks (the panel roots, used by the
+// solve/determinant phases).
+func BuildDAG(b *taskrt.Builder, tiles int, tileBytes float64, costs Costs,
+	owner taskrt.OwnerSet, producers [][]taskrt.TaskID) []taskrt.TaskID {
 
 	// lastWriter[i][j] tracks the task whose output is the current
 	// version of tile (i, j).
-	lastWriter := make([][]*taskrt.Task, tiles)
+	lastWriter := make([][]taskrt.TaskID, tiles)
 	for i := range lastWriter {
-		lastWriter[i] = make([]*taskrt.Task, i+1)
+		lastWriter[i] = make([]taskrt.TaskID, i+1)
+		for j := range lastWriter[i] {
+			lastWriter[i][j] = taskrt.NoTask
+		}
 		if producers != nil {
 			copy(lastWriter[i], producers[i])
 		}
 	}
 	prio := func(k, rank int) int64 { return int64(tiles-k)*4 + int64(rank) }
 
-	potrfs := make([]*taskrt.Task, tiles)
+	potrfs := make([]taskrt.TaskID, tiles)
+	trsms := make([]taskrt.TaskID, tiles)
 	for k := 0; k < tiles; k++ {
-		p := rt.NewTask(fmt.Sprintf("potrf(%d)", k), "potrf",
-			costs.POTRF, owner(k, k), false, prio(k, 3))
-		rt.AddDep(p, lastWriter[k][k], tileBytes)
+		p := b.Add(taskrt.NewLabel("potrf", k), "potrf",
+			costs.POTRF, owner.At(k, k), false, prio(k, 3))
+		b.Dep(p, lastWriter[k][k], tileBytes)
 		lastWriter[k][k] = p
 		potrfs[k] = p
 
-		trsms := make([]*taskrt.Task, tiles)
 		for i := k + 1; i < tiles; i++ {
-			t := rt.NewTask(fmt.Sprintf("trsm(%d,%d)", i, k), "trsm",
-				costs.TRSM, owner(i, k), false, prio(k, 2))
-			rt.AddDep(t, p, tileBytes)
-			rt.AddDep(t, lastWriter[i][k], tileBytes)
+			t := b.Add(taskrt.NewLabel("trsm", i, k), "trsm",
+				costs.TRSM, owner.At(i, k), false, prio(k, 2))
+			b.Dep(t, p, tileBytes)
+			b.Dep(t, lastWriter[i][k], tileBytes)
 			lastWriter[i][k] = t
 			trsms[i] = t
 		}
 		for i := k + 1; i < tiles; i++ {
 			for j := k + 1; j <= i; j++ {
-				var u *taskrt.Task
+				var u taskrt.TaskID
 				if i == j {
-					u = rt.NewTask(fmt.Sprintf("syrk(%d,%d)", i, k), "syrk",
-						costs.SYRK, owner(i, i), false, prio(k, 1))
-					rt.AddDep(u, trsms[i], tileBytes)
+					u = b.Add(taskrt.NewLabel("syrk", i, k), "syrk",
+						costs.SYRK, owner.At(i, i), false, prio(k, 1))
+					b.Dep(u, trsms[i], tileBytes)
 				} else {
-					u = rt.NewTask(fmt.Sprintf("gemm(%d,%d,%d)", i, j, k), "gemm",
-						costs.GEMM, owner(i, j), false, prio(k, 0))
-					rt.AddDep(u, trsms[i], tileBytes)
-					rt.AddDep(u, trsms[j], tileBytes)
+					u = b.Add(taskrt.NewLabel("gemm", i, j, k), "gemm",
+						costs.GEMM, owner.At(i, j), false, prio(k, 0))
+					b.Dep(u, trsms[i], tileBytes)
+					b.Dep(u, trsms[j], tileBytes)
 				}
-				rt.AddDep(u, lastWriter[i][j], tileBytes)
+				b.Dep(u, lastWriter[i][j], tileBytes)
 				lastWriter[i][j] = u
 			}
 		}

@@ -54,7 +54,7 @@ func TestCancel(t *testing.T) {
 	ev := e.Schedule(1, func() { fired = true })
 	e.Cancel(ev)
 	e.Cancel(ev) // double cancel is a no-op
-	e.Cancel(nil)
+	e.Cancel(Timer{})
 	e.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
@@ -67,7 +67,7 @@ func TestCancel(t *testing.T) {
 func TestCancelMiddleOfHeap(t *testing.T) {
 	e := NewEngine()
 	var order []float64
-	evs := make([]*Event, 0, 6)
+	evs := make([]Timer, 0, 6)
 	for _, at := range []float64{6, 1, 4, 2, 5, 3} {
 		at := at
 		evs = append(evs, e.Schedule(at, func() { order = append(order, at) }))

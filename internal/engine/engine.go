@@ -232,6 +232,17 @@ func resolveScenario(cfg SessionConfig) (platform.Scenario, error) {
 	return sc, nil
 }
 
+// checkTiles rejects a tile count the scenario's workload does not
+// have: a negative one, or one above the workload's own count (zero
+// selects that count). An iteration's task count grows with the cube of
+// the tile count, so an unchecked request could stall a worker.
+func checkTiles(sc platform.Scenario, tiles int) error {
+	if tiles < 0 || tiles > sc.Workload.Tiles {
+		return fmt.Errorf("engine: tiles %d outside [0, %d]", tiles, sc.Workload.Tiles)
+	}
+	return nil
+}
+
 // buildSession constructs a session's machinery — scenario, LP bound,
 // strategy, driver, evaluator, noise stream — without registering it or
 // touching the journal. CreateSession and Recover share it.
@@ -286,6 +297,13 @@ func (e *Engine) CreateSession(cfg SessionConfig) (*Session, error) {
 		if err := ValidateSessionID(cfg.ID); err != nil {
 			return nil, err
 		}
+	}
+	sc, err := resolveScenario(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkTiles(sc, cfg.Tiles); err != nil {
+		return nil, err
 	}
 	s, err := e.buildSession(cfg)
 	if err != nil {
@@ -377,6 +395,11 @@ func (e *Engine) Result(id string) (SessionResult, error) {
 	return s.result(), nil
 }
 
+// spanRecorders recycles the span buffers of observed evaluations
+// (tens of thousands of spans at paper-like sizes); SimEval copies what
+// the session keeps before the buffer goes back.
+var spanRecorders = sync.Pool{New: func() any { return trace.NewRecorder() }}
+
 // eval fetches the deterministic makespan for (evaluator scenario,
 // epoch, action) through the shared cache; a cold miss runs the DES
 // simulation under a pool slot, while waiters and hits pay nothing. ctx
@@ -402,10 +425,12 @@ func (e *Engine) eval(ctx context.Context, ev *harness.Evaluator, epoch, action 
 			endAdmit(nil)
 			endEval := sc.Span("des", "des.eval")
 			if sc.Tracing() {
-				rec := trace.NewRecorder()
+				rec := spanRecorders.Get().(*trace.Recorder)
+				rec.Reset()
 				v, verr = ev.EvaluateObserved(action, rec)
 				endEval(map[string]any{"action": action, "epoch": epoch, "makespan": v})
 				sc.SimEval(fmt.Sprintf("eval n=%d epoch=%d", action, epoch), rec.Spans())
+				spanRecorders.Put(rec)
 			} else {
 				v, verr = ev.Evaluate(action)
 				endEval(nil)
@@ -556,6 +581,9 @@ type SweepResult struct {
 func (e *Engine) SweepCtx(ctx context.Context, sc platform.Scenario, opts harness.SimOptions, so SweepOptions) (*SweepResult, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
+	}
+	if err := checkTiles(sc, opts.Tiles); err != nil {
+		return nil, err
 	}
 	ev := harness.NewEvaluator(sc, opts)
 	actions := ev.Actions()

@@ -2,8 +2,12 @@ package engine
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
+
+	"phasetune/internal/harness"
+	"phasetune/internal/platform"
 )
 
 // TestConcurrentSessionsShareCache runs several sessions over the same
@@ -164,6 +168,37 @@ func TestCreateSessionErrors(t *testing.T) {
 	}
 	if _, _, err := e.StepIdem(context.Background(), "missing", ""); err == nil {
 		t.Fatal("step on missing session must fail")
+	}
+}
+
+// TestTilesOutOfRange: a tile count below zero or above the scenario
+// workload's own count is refused at create and at sweep, before any
+// simulation; the bounds themselves are accepted.
+func TestTilesOutOfRange(t *testing.T) {
+	e := New(1)
+	ctx := context.Background()
+	b, _ := platform.ScenarioByKey("b")
+	c, _ := platform.ScenarioByKey("c")
+	for _, tc := range []struct {
+		sc    platform.Scenario
+		tiles int
+	}{{b, -5}, {b, -1}, {b, 102}, {b, 1000000}, {c, 129}} {
+		_, err := e.CreateSession(SessionConfig{ScenarioKey: tc.sc.Key, Tiles: tc.tiles})
+		if err == nil || !strings.Contains(err.Error(), "outside [") {
+			t.Fatalf("create %s tiles=%d: err %v, want out of range", tc.sc.Key, tc.tiles, err)
+		}
+		if _, err := e.SweepCtx(ctx, tc.sc, harness.SimOptions{Tiles: tc.tiles}, SweepOptions{}); err == nil ||
+			!strings.Contains(err.Error(), "outside [") {
+			t.Fatalf("sweep %s tiles=%d: err %v, want out of range", tc.sc.Key, tc.tiles, err)
+		}
+	}
+	for _, tiles := range []int{0, 4, 101} {
+		if _, err := e.CreateSession(SessionConfig{ScenarioKey: "b", Tiles: tiles}); err != nil {
+			t.Fatalf("create tiles=%d: %v", tiles, err)
+		}
+	}
+	if _, err := e.CreateSession(SessionConfig{ScenarioKey: "c", Tiles: 128}); err != nil {
+		t.Fatalf("create c tiles=128: %v", err)
 	}
 }
 

@@ -183,6 +183,25 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPTilesOutOfRange: both routes that take a tile count answer
+// 400 for one the scenario's workload does not have.
+func TestHTTPTilesOutOfRange(t *testing.T) {
+	srv := httptest.NewServer(NewServer(New(1)))
+	defer srv.Close()
+
+	for _, tiles := range []int{-5, 102, 1000000} {
+		var e map[string]string
+		if resp := postJSON(t, srv.URL+"/v1/sessions",
+			createSessionRequest{Scenario: "b", Tiles: tiles}, &e); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("create tiles=%d: status %d (%v), want 400", tiles, resp.StatusCode, e)
+		}
+		if resp := postJSON(t, srv.URL+"/v1/sweep",
+			sweepRequest{Scenario: "b", Tiles: tiles}, &e); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("sweep tiles=%d: status %d (%v), want 400", tiles, resp.StatusCode, e)
+		}
+	}
+}
+
 // TestHTTPConcurrentClients drives several remote sessions at once
 // through the real HTTP stack — the service-shaped version of the
 // shared-cache test, and a race-detector workout for the full path.

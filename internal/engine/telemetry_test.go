@@ -327,10 +327,13 @@ func TestDisabledTelemetryOverheadBound(t *testing.T) {
 		t.Fatalf("disabled hooks took an enabled branch (%d)", sink)
 	}
 
-	// Latency of real steps on a fresh engine (every eval a cache miss).
+	// Latency of real steps on a fresh engine (every eval a cache miss),
+	// at 12 tiles, the smallest size the benchmark workloads run. Since
+	// the iteration graph is built once per shape, a 4-tile step costs
+	// 30-55 µs, too little to stand for a real one.
 	e := New(1)
 	s, err := e.CreateSession(SessionConfig{
-		ScenarioKey: "b", Strategy: "DC", Seed: 7, Tiles: 4,
+		ScenarioKey: "b", Strategy: "DC", Seed: 7, Tiles: 12,
 	})
 	if err != nil {
 		t.Fatal(err)

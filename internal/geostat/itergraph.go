@@ -31,11 +31,33 @@ type IterationSpec struct {
 	FactSpeeds []float64
 }
 
-// BuildIterationGraph submits the five phases of one iteration to the
-// runtime: generation tasks (CPU-only, spread over the generation nodes),
-// the tiled Cholesky DAG (over the factorization nodes, fine-grained
-// dependencies letting the phases overlap), and the small solve /
-// determinant / dot-product chains.
+// Owner sets of the iteration graph: generation tiles follow the
+// generation distribution, everything else the factorization one.
+const (
+	genOwner taskrt.OwnerSet = iota
+	factOwner
+)
+
+// maxShapes bounds the built iteration graphs kept for reuse. A graph
+// depends only on its shape, and a tuning session keeps one shape, so
+// this is the number of sessions of distinct shapes that run without
+// rebuilding. The engine caps tiles at the scenario workload's own
+// count, which bounds the size of each.
+const maxShapes = 8
+
+type shape struct {
+	tiles, tileSize int
+	tileBytes       float64
+}
+
+var shapes = taskrt.NewGraphCache[shape](maxShapes)
+
+// BuildIterationGraph loads one iteration on the runtime: generation
+// tasks (CPU-only, spread over the generation nodes), the tiled Cholesky
+// DAG (over the factorization nodes, fine-grained dependencies letting
+// the phases overlap), and the small solve / determinant / dot-product
+// chains. The graph is built once per shape (tiles, tile size, tile
+// bytes); each call computes only where its tasks run.
 func BuildIterationGraph(rt *taskrt.Runtime, spec IterationSpec) error {
 	if spec.Tiles <= 0 || spec.TileSize <= 0 {
 		return fmt.Errorf("geostat: bad iteration spec %+v", spec)
@@ -43,59 +65,66 @@ func BuildIterationGraph(rt *taskrt.Runtime, spec IterationSpec) error {
 	if len(spec.GenSpeeds) == 0 || len(spec.FactSpeeds) == 0 {
 		return fmt.Errorf("geostat: empty node speed sets")
 	}
-	T := spec.Tiles
-	genDist := distribution.GenerationDist(T, spec.GenSpeeds)
-	factDist := distribution.WeightedGrid(T, spec.FactSpeeds)
+	key := shape{spec.Tiles, spec.TileSize, spec.TileBytes}
+	g := shapes.Get(key, func() *taskrt.Graph { return iterationGraph(key) })
+	genDist := distribution.GenerationDist(spec.Tiles, spec.GenSpeeds)
+	factDist := distribution.WeightedGrid(spec.Tiles, spec.FactSpeeds)
+	rt.Load(g, genDist.Owner, factDist.Owner)
+	return nil
+}
 
-	b := float64(spec.TileSize)
+// iterationGraph declares the five phases of one iteration.
+func iterationGraph(s shape) *taskrt.Graph {
+	T := s.tiles
+	b := float64(s.tileSize)
 	genFlops := b * b * GenFlopsPerElement
+	var gb taskrt.Builder
 
 	// Generation: one CPU-only task per lower-triangle tile. Priority
 	// follows the panel that first consumes the tile so early panels'
 	// inputs materialize first and factorization overlaps generation.
-	producers := make([][]*taskrt.Task, T)
+	producers := make([][]taskrt.TaskID, T)
 	for i := 0; i < T; i++ {
-		producers[i] = make([]*taskrt.Task, i+1)
+		producers[i] = make([]taskrt.TaskID, i+1)
 		for j := 0; j <= i; j++ {
 			prio := int64(T-j) * 4
-			producers[i][j] = rt.NewTask(
-				fmt.Sprintf("gen(%d,%d)", i, j), "gen",
-				genFlops, genDist.Owner(i, j), true, prio)
+			producers[i][j] = gb.Add(taskrt.NewLabel("gen", i, j), "gen",
+				genFlops, genOwner.At(i, j), true, prio)
 		}
 	}
 
-	potrfs := cholesky.BuildDAG(rt, T, spec.TileBytes,
-		cholesky.KernelCosts(spec.TileSize), factDist.Owner, producers)
+	potrfs := cholesky.BuildDAG(&gb, T, s.tileBytes,
+		cholesky.KernelCosts(s.tileSize), factOwner, producers)
 
 	// Solve: tiled forward/backward substitution approximated as a chain
 	// of per-diagonal tasks gated by the panel roots.
 	const g = 1e-9
 	vecBytes := b * 8
 	trsvFlops := 2 * b * b * g
-	var prev *taskrt.Task
+	prev := taskrt.NoTask
 	for k := 0; k < T; k++ {
-		s := rt.NewTask(fmt.Sprintf("solve(%d)", k), "solve",
-			trsvFlops, factDist.Owner(k, k), false, 2)
-		rt.AddDep(s, potrfs[k], spec.TileBytes)
-		rt.AddDep(s, prev, vecBytes)
-		prev = s
+		t := gb.Add(taskrt.NewLabel("solve", k), "solve",
+			trsvFlops, factOwner.At(k, k), false, 2)
+		gb.Dep(t, potrfs[k], s.tileBytes)
+		gb.Dep(t, prev, vecBytes)
+		prev = t
 	}
 	solveTail := prev
 
 	// Determinant: per-diagonal log-sums reduced along a chain.
-	var dprev *taskrt.Task
+	dprev := taskrt.NoTask
 	for k := 0; k < T; k++ {
-		d := rt.NewTask(fmt.Sprintf("det(%d)", k), "det",
-			b*g, factDist.Owner(k, k), false, 1)
-		rt.AddDep(d, potrfs[k], 0)
-		rt.AddDep(d, dprev, 8)
+		d := gb.Add(taskrt.NewLabel("det", k), "det",
+			b*g, factOwner.At(k, k), false, 1)
+		gb.Dep(d, potrfs[k], 0)
+		gb.Dep(d, dprev, 8)
 		dprev = d
 	}
 
 	// Dot product: consumes the solve result.
-	dot := rt.NewTask("dot", "dot", 2*b*float64(T)*g,
-		factDist.Owner(T-1, T-1), false, 0)
-	rt.AddDep(dot, solveTail, vecBytes)
-	rt.AddDep(dot, dprev, 8)
-	return nil
+	dot := gb.Add(taskrt.NewLabel("dot"), "dot", 2*b*float64(T)*g,
+		factOwner.At(T-1, T-1), false, 0)
+	gb.Dep(dot, solveTail, vecBytes)
+	gb.Dep(dot, dprev, 8)
+	return gb.Build()
 }

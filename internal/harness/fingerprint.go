@@ -43,7 +43,7 @@ func ScenarioFingerprint(sc platform.Scenario, opts SimOptions) string {
 // callers (the engine's worker pool): one immutable (scenario, options)
 // pair plus its precomputed fingerprint. Evaluate may be called from any
 // number of goroutines at once — SimulateIteration builds a fresh DES
-// engine, network and runtime per call and shares no mutable state —
+// engine, network and runtime per call and shares only immutable graphs —
 // provided Opts.Observer is nil (an observer would be shared across
 // concurrent runs). Callers that want per-run spans use
 // EvaluateObserved, which attaches a private observer to a copy of the

@@ -65,8 +65,9 @@ func NodeSpecs(p *platform.Platform) []taskrt.NodeSpec {
 // restricts it.
 //
 // SimulateIteration is reentrant: every call builds a fresh DES engine,
-// network and runtime and shares no mutable state, so concurrent calls
-// from different goroutines are safe as long as opts.Observer is nil or
+// network and runtime over an immutable iteration graph shared per
+// shape, and takes its run state from a pool, so concurrent calls from
+// different goroutines are safe as long as opts.Observer is nil or
 // itself safe for concurrent use. The engine's worker pool relies on
 // this (see Evaluator).
 func SimulateIteration(sc platform.Scenario, nFact int, opts SimOptions) (float64, error) {

@@ -34,7 +34,26 @@ type IterationSpec struct {
 	FactSpeeds []float64
 }
 
-// BuildIterationGraph submits assembly + LU + solve + residual phases.
+// Owner sets of the iteration graph: assembly tiles and the residual
+// follow the assembly distribution, the factorization and the solves the
+// factorization one.
+const (
+	asmOwner taskrt.OwnerSet = iota
+	factOwner
+)
+
+// maxShapes bounds the built iteration graphs kept for reuse.
+const maxShapes = 4
+
+type shape struct {
+	tiles, tileSize int
+	tileBytes       float64
+}
+
+var shapes = taskrt.NewGraphCache[shape](maxShapes)
+
+// BuildIterationGraph loads assembly + LU + solve + residual phases on
+// the runtime, building the graph once per shape.
 func BuildIterationGraph(rt *taskrt.Runtime, spec IterationSpec) error {
 	if spec.Tiles <= 0 || spec.TileSize <= 0 {
 		return fmt.Errorf("itersolve: bad iteration spec %+v", spec)
@@ -42,66 +61,66 @@ func BuildIterationGraph(rt *taskrt.Runtime, spec IterationSpec) error {
 	if len(spec.AsmSpeeds) == 0 || len(spec.FactSpeeds) == 0 {
 		return fmt.Errorf("itersolve: empty node speed sets")
 	}
-	T := spec.Tiles
-	asmDist := distribution.FullDist(T, spec.AsmSpeeds)
-	factDist := distribution.WeightedGrid(T, spec.FactSpeeds)
+	key := shape{spec.Tiles, spec.TileSize, spec.TileBytes}
+	g := shapes.Get(key, func() *taskrt.Graph { return iterationGraph(key) })
+	asmDist := distribution.FullDist(spec.Tiles, spec.AsmSpeeds)
 	// WeightedGrid is defined over any (i, j) pair: row and column
 	// patterns are independent, so the full grid is covered.
+	factDist := distribution.WeightedGrid(spec.Tiles, spec.FactSpeeds)
+	rt.Load(g, asmDist.Owner, factDist.Owner)
+	return nil
+}
 
-	b := float64(spec.TileSize)
+// iterationGraph declares the four phases of one solver iteration.
+func iterationGraph(s shape) *taskrt.Graph {
+	T := s.tiles
+	b := float64(s.tileSize)
 	asmFlops := b * b * AsmFlopsPerElement
-	producers := make([][]*taskrt.Task, T)
+	var gb taskrt.Builder
+	producers := make([][]taskrt.TaskID, T)
 	for i := 0; i < T; i++ {
-		producers[i] = make([]*taskrt.Task, T)
+		producers[i] = make([]taskrt.TaskID, T)
 		for j := 0; j < T; j++ {
 			prio := int64(T-min(i, j)) * 4
-			producers[i][j] = rt.NewTask(
-				fmt.Sprintf("asm(%d,%d)", i, j), "asm",
-				asmFlops, asmDist.Owner(i, j), true, prio)
+			producers[i][j] = gb.Add(taskrt.NewLabel("asm", i, j), "asm",
+				asmFlops, asmOwner.At(i, j), true, prio)
 		}
 	}
-	getrfs := lu.BuildDAG(rt, T, spec.TileBytes, lu.KernelCosts(spec.TileSize),
-		factDist.Owner, producers)
+	getrfs := lu.BuildDAG(&gb, T, s.tileBytes, lu.KernelCosts(s.tileSize),
+		factOwner, producers)
 
 	const g = 1e-9
 	vecBytes := b * 8
 	trsv := 2 * b * b * g
-	var fwd *taskrt.Task
+	fwd := taskrt.NoTask
 	for k := 0; k < T; k++ {
-		s := rt.NewTask(fmt.Sprintf("fwd(%d)", k), "solve",
-			trsv, factDist.Owner(k, k), false, 2)
-		rt.AddDep(s, getrfs[k], spec.TileBytes)
-		rt.AddDep(s, fwd, vecBytes)
-		fwd = s
+		t := gb.Add(taskrt.NewLabel("fwd", k), "solve",
+			trsv, factOwner.At(k, k), false, 2)
+		gb.Dep(t, getrfs[k], s.tileBytes)
+		gb.Dep(t, fwd, vecBytes)
+		fwd = t
 	}
-	var bwd *taskrt.Task = fwd
+	bwd := fwd
 	for k := T - 1; k >= 0; k-- {
-		s := rt.NewTask(fmt.Sprintf("bwd(%d)", k), "solve",
-			trsv, factDist.Owner(k, k), false, 2)
-		rt.AddDep(s, bwd, vecBytes)
-		bwd = s
+		t := gb.Add(taskrt.NewLabel("bwd", k), "solve",
+			trsv, factOwner.At(k, k), false, 2)
+		gb.Dep(t, bwd, vecBytes)
+		bwd = t
 	}
 	// Residual: one matvec task per block row against the assembled
 	// matrix, then a norm reduction.
-	var rprev *taskrt.Task
+	rprev := taskrt.NoTask
 	for i := 0; i < T; i++ {
-		r := rt.NewTask(fmt.Sprintf("resid(%d)", i), "resid",
-			2*b*b*float64(T)*g, asmDist.Owner(i, i), false, 1)
-		rt.AddDep(r, bwd, vecBytes)
-		rt.AddDep(r, producers[i][i], 0)
-		rt.AddDep(r, rprev, 8)
+		r := gb.Add(taskrt.NewLabel("resid", i), "resid",
+			2*b*b*float64(T)*g, asmOwner.At(i, i), false, 1)
+		gb.Dep(r, bwd, vecBytes)
+		gb.Dep(r, producers[i][i], 0)
+		gb.Dep(r, rprev, 8)
 		rprev = r
 	}
-	norm := rt.NewTask("norm", "norm", b*g, asmDist.Owner(0, 0), false, 0)
-	rt.AddDep(norm, rprev, 8)
-	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	norm := gb.Add(taskrt.NewLabel("norm"), "norm", b*g, asmOwner.At(0, 0), false, 0)
+	gb.Dep(norm, rprev, 8)
+	return gb.Build()
 }
 
 // PhaseTimings records the real (wall-clock) cost of the refinement

@@ -1,8 +1,6 @@
 package lu
 
 import (
-	"fmt"
-
 	"phasetune/internal/taskrt"
 )
 
@@ -24,55 +22,58 @@ func KernelCosts(tileSize int) Costs {
 	}
 }
 
-// BuildDAG submits the tiled LU task graph over a full tiles x tiles
-// block matrix to the simulated runtime. owner maps tile (i, j) (both
-// triangles) to its node; producers optionally supplies per-tile
-// producer tasks (the assembly phase). It returns the per-panel GETRF
-// tasks.
-func BuildDAG(rt *taskrt.Runtime, tiles int, tileBytes float64, costs Costs,
-	owner func(i, j int) int, producers [][]*taskrt.Task) []*taskrt.Task {
+// BuildDAG declares the tiled LU task graph over a full tiles x tiles
+// block matrix. Every task runs on the owner of the tile (i, j) (both
+// triangles) it writes, in the given owner set; producers optionally
+// supplies per-tile producer tasks (the assembly phase). It returns the
+// per-panel GETRF tasks.
+func BuildDAG(b *taskrt.Builder, tiles int, tileBytes float64, costs Costs,
+	owner taskrt.OwnerSet, producers [][]taskrt.TaskID) []taskrt.TaskID {
 
-	lastWriter := make([][]*taskrt.Task, tiles)
+	lastWriter := make([][]taskrt.TaskID, tiles)
 	for i := range lastWriter {
-		lastWriter[i] = make([]*taskrt.Task, tiles)
+		lastWriter[i] = make([]taskrt.TaskID, tiles)
+		for j := range lastWriter[i] {
+			lastWriter[i][j] = taskrt.NoTask
+		}
 		if producers != nil {
 			copy(lastWriter[i], producers[i])
 		}
 	}
 	prio := func(k, rank int) int64 { return int64(tiles-k)*4 + int64(rank) }
-	getrfs := make([]*taskrt.Task, tiles)
+	getrfs := make([]taskrt.TaskID, tiles)
+	rowT := make([]taskrt.TaskID, tiles)
+	colT := make([]taskrt.TaskID, tiles)
 	for k := 0; k < tiles; k++ {
-		p := rt.NewTask(fmt.Sprintf("getrf(%d)", k), "getrf",
-			costs.GETRF, owner(k, k), false, prio(k, 3))
-		rt.AddDep(p, lastWriter[k][k], tileBytes)
+		p := b.Add(taskrt.NewLabel("getrf", k), "getrf",
+			costs.GETRF, owner.At(k, k), false, prio(k, 3))
+		b.Dep(p, lastWriter[k][k], tileBytes)
 		lastWriter[k][k] = p
 		getrfs[k] = p
 
-		rowT := make([]*taskrt.Task, tiles)
-		colT := make([]*taskrt.Task, tiles)
 		for j := k + 1; j < tiles; j++ {
-			t := rt.NewTask(fmt.Sprintf("trsml(%d,%d)", k, j), "trsm",
-				costs.TRSM, owner(k, j), false, prio(k, 2))
-			rt.AddDep(t, p, tileBytes)
-			rt.AddDep(t, lastWriter[k][j], tileBytes)
+			t := b.Add(taskrt.NewLabel("trsml", k, j), "trsm",
+				costs.TRSM, owner.At(k, j), false, prio(k, 2))
+			b.Dep(t, p, tileBytes)
+			b.Dep(t, lastWriter[k][j], tileBytes)
 			lastWriter[k][j] = t
 			rowT[j] = t
 		}
 		for i := k + 1; i < tiles; i++ {
-			t := rt.NewTask(fmt.Sprintf("trsmu(%d,%d)", i, k), "trsm",
-				costs.TRSM, owner(i, k), false, prio(k, 2))
-			rt.AddDep(t, p, tileBytes)
-			rt.AddDep(t, lastWriter[i][k], tileBytes)
+			t := b.Add(taskrt.NewLabel("trsmu", i, k), "trsm",
+				costs.TRSM, owner.At(i, k), false, prio(k, 2))
+			b.Dep(t, p, tileBytes)
+			b.Dep(t, lastWriter[i][k], tileBytes)
 			lastWriter[i][k] = t
 			colT[i] = t
 		}
 		for i := k + 1; i < tiles; i++ {
 			for j := k + 1; j < tiles; j++ {
-				u := rt.NewTask(fmt.Sprintf("gemm(%d,%d,%d)", i, j, k), "gemm",
-					costs.GEMM, owner(i, j), false, prio(k, 0))
-				rt.AddDep(u, colT[i], tileBytes)
-				rt.AddDep(u, rowT[j], tileBytes)
-				rt.AddDep(u, lastWriter[i][j], tileBytes)
+				u := b.Add(taskrt.NewLabel("gemm", i, j, k), "gemm",
+					costs.GEMM, owner.At(i, j), false, prio(k, 0))
+				b.Dep(u, colT[i], tileBytes)
+				b.Dep(u, rowT[j], tileBytes)
+				b.Dep(u, lastWriter[i][j], tileBytes)
 				lastWriter[i][j] = u
 			}
 		}

@@ -137,23 +137,34 @@ func TestTaskCount(t *testing.T) {
 	}
 }
 
+// finishLog is an observer recording each task's completion time by id.
+type finishLog map[int]float64
+
+func (f finishLog) TaskStarted(*taskrt.Task, string, float64) {}
+func (f finishLog) TaskFinished(t *taskrt.Task, _ string, at float64) {
+	f[t.ID] = at
+}
+
 func TestBuildDAGExecutes(t *testing.T) {
 	eng := des.NewEngine()
 	net := simnet.NewFluid(eng, 2, simnet.Topology{NICBandwidth: 1e12})
 	rt := taskrt.New(eng, []taskrt.NodeSpec{{CPUSpeed: 10}, {CPUSpeed: 10}}, net)
 	rt.TaskOverhead = 0
 	T := 5
-	getrfs := BuildDAG(rt, T, 1000, KernelCosts(8),
-		func(i, j int) int { return (i + j) % 2 }, nil)
+	var b taskrt.Builder
+	getrfs := BuildDAG(&b, T, 1000, KernelCosts(8), 0, nil)
+	rt.Load(b.Build(), func(i, j int) int { return (i + j) % 2 })
 	if rt.NumTasks() != TaskCount(T) {
 		t.Fatalf("tasks = %d, want %d", rt.NumTasks(), TaskCount(T))
 	}
+	finished := finishLog{}
+	rt.SetObserver(finished)
 	mk := rt.Run()
 	if mk <= 0 {
 		t.Fatalf("makespan = %v", mk)
 	}
 	for k := 1; k < T; k++ {
-		if getrfs[k].Finished() < getrfs[k-1].Finished() {
+		if finished[int(getrfs[k])] < finished[int(getrfs[k-1])] {
 			t.Fatal("panel order violated")
 		}
 	}
@@ -165,18 +176,20 @@ func TestBuildDAGWithProducers(t *testing.T) {
 	rt := taskrt.New(eng, []taskrt.NodeSpec{{CPUSpeed: 1, GPUSpeeds: []float64{1}}}, net)
 	rt.TaskOverhead = 0
 	T := 3
-	producers := make([][]*taskrt.Task, T)
+	var b taskrt.Builder
+	producers := make([][]taskrt.TaskID, T)
 	for i := range producers {
-		producers[i] = make([]*taskrt.Task, T)
+		producers[i] = make([]taskrt.TaskID, T)
 		for j := range producers[i] {
 			cost := 1.0
 			if i == 0 && j == 0 {
 				cost = 500
 			}
-			producers[i][j] = rt.NewTask("asm", "asm", cost, 0, true, 50)
+			producers[i][j] = b.Add(taskrt.NewLabel("asm"), "asm", cost, taskrt.Place{}, true, 50)
 		}
 	}
-	BuildDAG(rt, T, 0, KernelCosts(8), func(i, j int) int { return 0 }, producers)
+	BuildDAG(&b, T, 0, KernelCosts(8), 0, producers)
+	rt.Load(b.Build(), func(i, j int) int { return 0 })
 	if mk := rt.Run(); mk < 500 {
 		t.Fatalf("factorization did not wait for assembly: %v", mk)
 	}

@@ -105,9 +105,14 @@ func newHistogram(bounds []float64) *Histogram {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
+	if h != nil {
+		h.observe(v)
 	}
+}
+
+// observe is Observe's non-nil path, kept out of line so the nil check
+// inlines into callers.
+func (h *Histogram) observe(v float64) {
 	// Smallest bound >= v; len(bounds) selects the +Inf bucket.
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)

@@ -18,8 +18,11 @@ const (
 	simPIDBase = 100
 )
 
-// defaultMaxEvents bounds the per-session event buffer; past it new
-// events are counted as dropped rather than recorded.
+// defaultMaxEvents bounds each of a session's two event budgets, one
+// for wall-clock request spans and one for sim-time task events; past a
+// budget new events are counted as dropped rather than recorded. The
+// budgets are separate so that an evaluation's thousands of task events
+// never crowd out the request spans recorded after it.
 const defaultMaxEvents = 20000
 
 // TraceRecorder accumulates Chrome trace events per session. All
@@ -46,7 +49,9 @@ type traceRef struct {
 
 type sessionTrace struct {
 	events  []trace.ChromeEvent
-	dropped int
+	wall    int // wall-clock events kept, at most maxPer
+	sim     int // sim-time events kept, at most maxPer
+	dropped int // events past either budget
 	nextTID int // wall-clock request tracks on servicePID
 	nextPID int // sim-time eval processes above simPIDBase
 }
@@ -108,17 +113,17 @@ func (r *TraceRecorder) session(id string) *sessionTrace {
 	return st
 }
 
-func (r *TraceRecorder) add(id string, evs ...trace.ChromeEvent) {
+// add records one wall-clock event against the session's wall budget.
+func (r *TraceRecorder) add(id string, ev trace.ChromeEvent) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := r.session(id)
-	for _, ev := range evs {
-		if len(st.events) >= r.maxPer {
-			st.dropped++
-			continue
-		}
-		st.events = append(st.events, ev)
+	if st.wall >= r.maxPer {
+		st.dropped++
+		return
 	}
+	st.wall++
+	st.events = append(st.events, ev)
 }
 
 // micros converts an absolute clock reading to microseconds since the
@@ -231,6 +236,12 @@ func (sc *SpanCtx) Span(cat, name string) func(args map[string]any) {
 	if sc == nil {
 		return noopEnd
 	}
+	return sc.span(cat, name)
+}
+
+// span is Span's enabled path, kept out of line so the nil check
+// inlines into callers.
+func (sc *SpanCtx) span(cat, name string) func(args map[string]any) {
 	start := sc.rec.now()
 	return func(args map[string]any) {
 		end := sc.rec.now()
@@ -248,14 +259,18 @@ func (sc *SpanCtx) Span(cat, name string) func(args map[string]any) {
 }
 
 // SimEval attaches one DES evaluation's sim-time task spans to the
-// session trace as its own process track, named after the evaluation.
+// session trace as its own process track, named after the evaluation:
+// a process_name event, then trace.ChromeEvents of the spans.
 // Timestamps inside are simulated seconds (rendered as trace-event
 // microseconds), deliberately on a different pid than the wall-clock
-// spans.
+// spans. Only the events the session's sim budget still has room for
+// are built; the rest are counted as dropped.
 func (sc *SpanCtx) SimEval(name string, spans []trace.Span) {
 	if sc == nil || len(spans) == 0 {
 		return
 	}
+	units := trace.Units(spans)
+	total := 1 + len(units) + len(spans)
 	sc.rec.mu.Lock()
 	st := sc.rec.session(sc.session)
 	pid := simPIDBase + st.nextPID
@@ -263,16 +278,24 @@ func (sc *SpanCtx) SimEval(name string, spans []trace.Span) {
 	if sc.ref != nil {
 		sc.ref.simPIDs = append(sc.ref.simPIDs, pid)
 	}
+	keep := min(total, sc.rec.maxPer-st.sim)
+	st.sim += keep
+	st.dropped += total - keep
 	sc.rec.mu.Unlock()
-	evs := make([]trace.ChromeEvent, 0, len(spans)+4)
+	if keep == 0 {
+		return
+	}
+	evs := make([]trace.ChromeEvent, 0, keep)
 	evs = append(evs, trace.ChromeEvent{
 		Name: "process_name",
 		Ph:   "M",
 		PID:  pid,
 		Args: map[string]any{"name": "sim: " + name},
 	})
-	evs = append(evs, trace.ChromeEvents(spans, pid)...)
-	sc.rec.add(sc.session, evs...)
+	evs = append(evs, trace.ChromeEventsPrefix(spans, units, pid, keep-1)...)
+	sc.rec.mu.Lock()
+	st.events = append(st.events, evs...)
+	sc.rec.mu.Unlock()
 }
 
 // ctxKey is the context key for a *SpanCtx.

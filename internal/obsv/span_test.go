@@ -3,6 +3,8 @@ package obsv
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -155,6 +157,98 @@ func TestEventCapAndDroppedAccounting(t *testing.T) {
 	}
 	if doc.OtherData["droppedEvents"] != float64(13) {
 		t.Fatalf("droppedEvents = %v, want 13", doc.OtherData["droppedEvents"])
+	}
+}
+
+// simSpans returns n task spans over three units with repeated start
+// times, so the conversion's (ts, tid, name) order has ties to break.
+func simSpans(n int) []trace.Span {
+	units := []string{"n1.gpu0", "n0.cpu1", "n0.cpu0"}
+	spans := make([]trace.Span, n)
+	for i := range spans {
+		start := float64(i/4) * 0.5
+		spans[i] = trace.Span{
+			Label: fmt.Sprintf("t%d", (i*7)%n), Kind: "w", Node: i % 2,
+			Unit: units[i%3], Flops: float64(i), Start: start, End: start + 0.25,
+		}
+	}
+	return spans
+}
+
+// TestSimEvalKeepsTruncatedConversion: a session's sim events are
+// exactly its evaluations' full conversions, concatenated and cut at the
+// budget, and droppedEvents counts the rest.
+func TestSimEvalKeepsTruncatedConversion(t *testing.T) {
+	for _, budget := range []int{0, 1, 3, 10, 40, 53, 200} {
+		r := NewTraceRecorder(tick())
+		r.maxPer = budget
+		sc, _ := r.StartRequest("s", "POST /step")
+		var want []trace.ChromeEvent
+		pid := simPIDBase
+		for e, n := range []int{30, 0, 17} {
+			spans := simSpans(n)
+			sc.SimEval(fmt.Sprintf("eval %d", e), spans)
+			if n == 0 {
+				continue // an empty evaluation records nothing
+			}
+			want = append(want, trace.ChromeEvent{
+				Name: "process_name", Ph: "M", PID: pid,
+				Args: map[string]any{"name": fmt.Sprintf("sim: eval %d", e)},
+			})
+			want = append(want, trace.ChromeEvents(spans, pid)...)
+			pid++
+		}
+		all := len(want)
+		want = want[:min(budget, all)]
+		st := r.sessions["s"]
+		if len(st.events) != len(want) || (len(want) > 0 && !reflect.DeepEqual(st.events, want)) {
+			t.Fatalf("budget %d: kept events differ from truncated conversion:\ngot  %v\nwant %v",
+				budget, st.events, want)
+		}
+		if st.dropped != all-len(want) {
+			t.Fatalf("budget %d: dropped %d, want %d", budget, st.dropped, all-len(want))
+		}
+	}
+}
+
+// TestSimEventsHaveTheirOwnBudget: an evaluation that overflows the sim
+// budget leaves the request spans recorded after it, the root span
+// included, untouched.
+func TestSimEventsHaveTheirOwnBudget(t *testing.T) {
+	r := NewTraceRecorder(tick())
+	r.maxPer = 8
+	sc, endReq := r.StartRequest("s", "POST /step")
+	sc.SimEval("eval", simSpans(20)) // 1 + 3 units + 20 spans = 24 events
+	sc.Span("journal", "journal.append")(nil)
+	endReq()
+	data, ok := r.Export("s")
+	if !ok {
+		t.Fatal("no export")
+	}
+	var doc struct {
+		TraceEvents []trace.ChromeEvent `json:"traceEvents"`
+		OtherData   map[string]any      `json:"otherData"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	sim := 0
+	for _, ev := range doc.TraceEvents {
+		if ev.PID >= simPIDBase {
+			sim++
+		} else if ev.Ph == "X" {
+			names = append(names, ev.Name)
+		}
+	}
+	if len(names) != 2 || names[0] != "POST /step" || names[1] != "journal.append" {
+		t.Fatalf("request spans after an overflowing evaluation = %v, want [POST /step journal.append]", names)
+	}
+	if sim != 8 {
+		t.Fatalf("%d sim events kept, want the budget of 8", sim)
+	}
+	if doc.OtherData["droppedEvents"] != float64(16) {
+		t.Fatalf("droppedEvents = %v, want 16", doc.OtherData["droppedEvents"])
 	}
 }
 

@@ -14,6 +14,17 @@ type Fast struct {
 	upCnt   []int
 	downCnt []int
 	bbCnt   int
+	// flights holds the transfers in progress, indexed by the slot their
+	// completion event carries; free lists the reusable slots.
+	flights []flight
+	free    []int
+}
+
+// flight is one transfer in progress on the Fast network.
+type flight struct {
+	src, dst int
+	done     des.Handler
+	arg      int
 }
 
 // NewFast builds a frozen-rate network over n nodes.
@@ -27,9 +38,9 @@ func NewFast(eng *des.Engine, n int, topo Topology) *Fast {
 }
 
 // Transfer implements Network.
-func (f *Fast) Transfer(src, dst int, bytes float64, done func()) {
+func (f *Fast) Transfer(src, dst int, bytes float64, done des.Handler, arg int) {
 	if src == dst {
-		f.eng.After(localCopyLatency, done)
+		f.eng.PostAfter(localCopyLatency, done, arg)
 		return
 	}
 	f.upCnt[src]++
@@ -45,10 +56,31 @@ func (f *Fast) Transfer(src, dst int, bytes float64, done func()) {
 		}
 	}
 	dur := f.topo.Latency + bytes/rate
-	f.eng.After(dur, func() {
-		f.upCnt[src]--
-		f.downCnt[dst]--
-		f.bbCnt--
-		done()
-	})
+	var slot int
+	if n := len(f.free); n > 0 {
+		slot = f.free[n-1]
+		f.free = f.free[:n-1]
+	} else {
+		slot = len(f.flights)
+		f.flights = append(f.flights, flight{})
+	}
+	f.flights[slot] = flight{src: src, dst: dst, done: done, arg: arg}
+	f.eng.PostAfter(dur, (*fastArrival)(f), slot)
+}
+
+// fastArrival is the Fast network as the handler of its own transfer
+// completions.
+type fastArrival Fast
+
+// Fire releases the path of the transfer in slot and fires its
+// completion.
+func (a *fastArrival) Fire(slot int) {
+	f := (*Fast)(a)
+	fl := f.flights[slot]
+	f.flights[slot] = flight{}
+	f.free = append(f.free, slot)
+	f.upCnt[fl.src]--
+	f.downCnt[fl.dst]--
+	f.bbCnt--
+	fl.done.Fire(fl.arg)
 }

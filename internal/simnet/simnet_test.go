@@ -17,7 +17,7 @@ func TestFluidSingleFlowBottleneck(t *testing.T) {
 	eng := des.NewEngine()
 	net := NewFluid(eng, 2, topo(100, 1000, 0.5))
 	var doneAt float64 = -1
-	net.Transfer(0, 1, 200, func() { doneAt = eng.Now() })
+	net.Transfer(0, 1, 200, des.Func(func() { doneAt = eng.Now() }), 0)
 	eng.Run()
 	// latency 0.5 + 200 bytes at NIC 100 B/s = 2.5 s.
 	if !approx(doneAt, 2.5, 1e-9) {
@@ -29,7 +29,7 @@ func TestFluidBackboneBottleneck(t *testing.T) {
 	eng := des.NewEngine()
 	net := NewFluid(eng, 2, topo(1000, 50, 0))
 	var doneAt float64
-	net.Transfer(0, 1, 100, func() { doneAt = eng.Now() })
+	net.Transfer(0, 1, 100, des.Func(func() { doneAt = eng.Now() }), 0)
 	eng.Run()
 	if !approx(doneAt, 2, 1e-9) {
 		t.Fatalf("doneAt = %v, want 2 (backbone limited)", doneAt)
@@ -41,8 +41,8 @@ func TestFluidSharedSourceNIC(t *testing.T) {
 	eng := des.NewEngine()
 	net := NewFluid(eng, 3, topo(100, 0, 0))
 	var t1, t2 float64
-	net.Transfer(0, 1, 100, func() { t1 = eng.Now() })
-	net.Transfer(0, 2, 100, func() { t2 = eng.Now() })
+	net.Transfer(0, 1, 100, des.Func(func() { t1 = eng.Now() }), 0)
+	net.Transfer(0, 2, 100, des.Func(func() { t2 = eng.Now() }), 0)
 	eng.Run()
 	if !approx(t1, 2, 1e-9) || !approx(t2, 2, 1e-9) {
 		t.Fatalf("t1=%v t2=%v, want 2", t1, t2)
@@ -59,9 +59,9 @@ func TestFluidMaxMinUnevenShares(t *testing.T) {
 	eng := des.NewEngine()
 	net := NewFluid(eng, 4, topo(100, 0, 0))
 	var ta, tb, tc float64
-	net.Transfer(0, 1, 100, func() { ta = eng.Now() })
-	net.Transfer(0, 2, 100, func() { tb = eng.Now() })
-	net.Transfer(3, 2, 100, func() { tc = eng.Now() })
+	net.Transfer(0, 1, 100, des.Func(func() { ta = eng.Now() }), 0)
+	net.Transfer(0, 2, 100, des.Func(func() { tb = eng.Now() }), 0)
+	net.Transfer(3, 2, 100, des.Func(func() { tc = eng.Now() }), 0)
 	eng.Run()
 	if !approx(ta, 2, 1e-6) || !approx(tb, 2, 1e-6) {
 		t.Fatalf("ta=%v tb=%v, want 2", ta, tb)
@@ -79,8 +79,8 @@ func TestFluidRateIncreasesWhenCompetitorFinishes(t *testing.T) {
 	eng := des.NewEngine()
 	net := NewFluid(eng, 3, topo(100, 0, 0))
 	var ta, tb float64
-	net.Transfer(0, 1, 200, func() { ta = eng.Now() })
-	net.Transfer(0, 2, 100, func() { tb = eng.Now() })
+	net.Transfer(0, 1, 200, des.Func(func() { ta = eng.Now() }), 0)
+	net.Transfer(0, 2, 100, des.Func(func() { tb = eng.Now() }), 0)
 	eng.Run()
 	if !approx(tb, 2, 1e-6) {
 		t.Fatalf("tb = %v, want 2", tb)
@@ -98,9 +98,9 @@ func TestFluidLateArrivalSlowsExisting(t *testing.T) {
 	eng := des.NewEngine()
 	net := NewFluid(eng, 3, topo(100, 0, 0))
 	var ta, tb float64
-	net.Transfer(0, 1, 200, func() { ta = eng.Now() })
+	net.Transfer(0, 1, 200, des.Func(func() { ta = eng.Now() }), 0)
 	eng.Schedule(1, func() {
-		net.Transfer(0, 2, 100, func() { tb = eng.Now() })
+		net.Transfer(0, 2, 100, des.Func(func() { tb = eng.Now() }), 0)
 	})
 	eng.Run()
 	if !approx(ta, 3, 1e-6) || !approx(tb, 3, 1e-6) {
@@ -112,7 +112,7 @@ func TestFluidLocalTransferInstant(t *testing.T) {
 	eng := des.NewEngine()
 	net := NewFluid(eng, 2, topo(1, 1, 10))
 	var doneAt float64 = -1
-	net.Transfer(1, 1, 1e9, func() { doneAt = eng.Now() })
+	net.Transfer(1, 1, 1e9, des.Func(func() { doneAt = eng.Now() }), 0)
 	eng.Run()
 	if doneAt < 0 || doneAt > 1e-3 {
 		t.Fatalf("local transfer took %v", doneAt)
@@ -126,10 +126,10 @@ func TestFluidManyFlowsBackboneSaturation(t *testing.T) {
 	finished := 0
 	var last float64
 	for i := 0; i < 10; i++ {
-		net.Transfer(i, 10+i, 100, func() {
+		net.Transfer(i, 10+i, 100, des.Func(func() {
 			finished++
 			last = eng.Now()
-		})
+		}), 0)
 	}
 	eng.Run()
 	if finished != 10 {
@@ -144,7 +144,7 @@ func TestFluidZeroByteTransferCompletes(t *testing.T) {
 	eng := des.NewEngine()
 	net := NewFluid(eng, 2, topo(100, 0, 0.25))
 	var doneAt float64 = -1
-	net.Transfer(0, 1, 0, func() { doneAt = eng.Now() })
+	net.Transfer(0, 1, 0, des.Func(func() { doneAt = eng.Now() }), 0)
 	eng.Run()
 	if !approx(doneAt, 0.25, 1e-9) {
 		t.Fatalf("doneAt = %v, want latency 0.25", doneAt)
@@ -156,13 +156,13 @@ func TestFastSingleFlowMatchesFluid(t *testing.T) {
 		engA := des.NewEngine()
 		fluid := NewFluid(engA, 2, tp)
 		var ta float64
-		fluid.Transfer(0, 1, 100, func() { ta = engA.Now() })
+		fluid.Transfer(0, 1, 100, des.Func(func() { ta = engA.Now() }), 0)
 		engA.Run()
 
 		engB := des.NewEngine()
 		fast := NewFast(engB, 2, tp)
 		var tb float64
-		fast.Transfer(0, 1, 100, func() { tb = engB.Now() })
+		fast.Transfer(0, 1, 100, des.Func(func() { tb = engB.Now() }), 0)
 		engB.Run()
 
 		if !approx(ta, tb, 1e-9) {
@@ -175,8 +175,8 @@ func TestFastContentionSlowsTransfers(t *testing.T) {
 	eng := des.NewEngine()
 	net := NewFast(eng, 3, topo(100, 0, 0))
 	var ta, tb float64
-	net.Transfer(0, 1, 100, func() { ta = eng.Now() })
-	net.Transfer(0, 2, 100, func() { tb = eng.Now() })
+	net.Transfer(0, 1, 100, des.Func(func() { ta = eng.Now() }), 0)
+	net.Transfer(0, 2, 100, des.Func(func() { tb = eng.Now() }), 0)
 	eng.Run()
 	// First flow sees an empty NIC (rate 100 -> 1s); the second sees two
 	// flows (rate 50 -> 2s). Frozen-rate is an approximation: it brackets
@@ -191,7 +191,7 @@ func TestFastCountersReturnToZero(t *testing.T) {
 	net := NewFast(eng, 4, topo(100, 100, 0))
 	done := 0
 	for i := 0; i < 6; i++ {
-		net.Transfer(i%3, 3, 50, func() { done++ })
+		net.Transfer(i%3, 3, 50, des.Func(func() { done++ }), 0)
 	}
 	eng.Run()
 	if done != 6 {
@@ -215,7 +215,7 @@ func TestFastCountersReturnToZero(t *testing.T) {
 func TestFluidActiveFlowsAccounting(t *testing.T) {
 	eng := des.NewEngine()
 	net := NewFluid(eng, 2, topo(100, 0, 0))
-	net.Transfer(0, 1, 100, func() {})
+	net.Transfer(0, 1, 100, des.Func(func() {}), 0)
 	if net.ActiveFlows() != 0 {
 		t.Fatal("flow should not be active before the engine runs")
 	}

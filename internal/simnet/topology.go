@@ -15,6 +15,8 @@
 // descriptions (per-node Ethernet/InfiniBand NICs behind a site backbone).
 package simnet
 
+import "phasetune/internal/des"
+
 // Topology describes a site network.
 type Topology struct {
 	// NICBandwidth is each node's full-duplex NIC bandwidth in bytes/s.
@@ -28,10 +30,10 @@ type Topology struct {
 
 // Network is the transfer interface used by the task runtime.
 type Network interface {
-	// Transfer moves bytes from node src to node dst, invoking done at
-	// completion (in simulated time). Transfers with src == dst complete
-	// after only the local copy latency.
-	Transfer(src, dst int, bytes float64, done func())
+	// Transfer moves bytes from node src to node dst, firing done with
+	// arg at completion (in simulated time). Transfers with src == dst
+	// complete after only the local copy latency.
+	Transfer(src, dst int, bytes float64, done des.Handler, arg int)
 }
 
 // localCopyLatency approximates an intra-node data copy: effectively free

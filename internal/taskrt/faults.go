@@ -2,6 +2,8 @@ package taskrt
 
 import (
 	"fmt"
+
+	"phasetune/internal/des"
 )
 
 // This file implements fault injection for the runtime: node crashes
@@ -79,31 +81,31 @@ func (r *Runtime) apply(inj injection) {
 // tasks keep their accumulated progress and their remaining work is
 // rescaled by the speed ratio.
 func (r *Runtime) setSpeedFactor(node int, factor float64) {
-	ns := r.nodes[node]
+	ns := &r.nodes[node]
 	//lint:allow floatsafe factors are exact fault-plan constants; the early-out wants bitwise sameness, not closeness
 	if ns.dead || factor == ns.factor {
 		return
 	}
 	old := ns.factor
 	ns.factor = factor
-	for _, u := range ns.units {
-		if u.cur == nil || u.speed <= 0 {
+	for ui := ns.lo; ui < ns.hi; ui++ {
+		u := &r.units[ui]
+		if u.cur < 0 || u.speed <= 0 {
 			continue
 		}
 		rem := u.ev.Time() - r.eng.Now()
 		if rem < 0 {
 			rem = 0
 		}
-		t, uu := u.cur, u
 		r.eng.Cancel(u.ev)
-		u.ev = r.eng.After(rem*old/factor, func() { r.finish(t, uu) })
+		u.ev = r.eng.PostAfter(rem*old/factor, (*completion)(r), ui)
 	}
 }
 
 // crash kills a node: abort, remap, roll back the lost data partition,
 // rebuild the dependency state and keep going on the survivors.
 func (r *Runtime) crash(node int) {
-	ns := r.nodes[node]
+	ns := &r.nodes[node]
 	if ns.dead {
 		return
 	}
@@ -120,33 +122,35 @@ func (r *Runtime) crash(node int) {
 	if len(surv) == 0 {
 		panic("taskrt: every node crashed; nothing left to recover on")
 	}
+	s, g := r.st, r.g
 	// Owner-computes remap: the dead node's partition is dealt round-
 	// robin (by task ID, hence deterministically) over the survivors;
 	// CPU-only work goes to survivors that still have CPU units.
-	remap := func(t *Task) int {
+	remap := func(t int) int32 {
 		pool := surv
-		if t.CPUOnly && len(survCPU) > 0 {
+		if g.tasks[t].cpuOnly && len(survCPU) > 0 {
 			pool = survCPU
 		}
-		return pool[t.ID%len(pool)]
+		return int32(pool[t%len(pool)])
 	}
 
 	// Abort work in flight on the dead node.
-	for _, u := range ns.units {
-		if u.cur == nil {
+	for ui := ns.lo; ui < ns.hi; ui++ {
+		u := &r.units[ui]
+		if u.cur < 0 {
 			continue
 		}
 		r.eng.Cancel(u.ev)
-		u.cur.running = false
-		u.cur, u.ev = nil, nil
-		u.busy = false
+		s.flags[u.cur] &^= fRunning
+		u.cur, u.ev = -1, des.Timer{}
+		r.setBusy(u, false)
 		r.recovered++
 	}
 
 	// Re-home every unfinished task owned by a dead node.
-	for _, t := range r.tasks {
-		if !t.done && r.nodes[t.Node].dead {
-			t.Node = remap(t)
+	for t := range s.node {
+		if s.flags[t]&fDone == 0 && r.nodes[s.node[t]].dead {
+			s.node[t] = remap(t)
 		}
 	}
 
@@ -157,13 +161,12 @@ func (r *Runtime) crash(node int) {
 	// a fixpoint.
 	for changed := true; changed; {
 		changed = false
-		for _, q := range r.tasks {
-			if !q.done || !r.nodes[q.Node].dead || !r.outputNeeded(q) {
+		for q := range s.node {
+			if s.flags[q]&fDone == 0 || !r.nodes[s.node[q]].dead || !r.outputNeeded(int32(q)) {
 				continue
 			}
-			q.done = false
-			q.running = false
-			q.Node = remap(q)
+			s.flags[q] &^= fDone | fRunning
+			s.node[q] = remap(q)
 			r.nPending++
 			r.recovered++
 			changed = true
@@ -176,12 +179,13 @@ func (r *Runtime) crash(node int) {
 // outputNeeded reports whether a completed task's output bytes are still
 // required by an unfinished consumer that cannot read them locally or
 // from a cached remote copy.
-func (r *Runtime) outputNeeded(q *Task) bool {
-	for _, e := range q.succs {
-		if e.to.done || e.bytes <= 0 {
+func (r *Runtime) outputNeeded(q int32) bool {
+	g, s := r.g, r.st
+	for _, e := range g.succ[g.succOff[q]:g.succOff[q+1]] {
+		if s.flags[e.task]&fDone != 0 || e.bytes <= 0 {
 			continue
 		}
-		if !r.dataAt(q, e.to.Node) {
+		if !r.dataAt(q, s.node[e.task]) {
 			return true
 		}
 	}
@@ -191,66 +195,76 @@ func (r *Runtime) outputNeeded(q *Task) bool {
 // dataAt reports whether q's output is present on node: either q ran
 // there, or a transfer already delivered it (the MSI cache copy survives
 // even if q is later rolled back).
-func (r *Runtime) dataAt(q *Task, node int) bool {
-	if q.done && q.Node == node {
+func (r *Runtime) dataAt(q, node int32) bool {
+	s := r.st
+	if s.flags[q]&fDone != 0 && s.node[q] == node {
 		return true
 	}
-	cs := r.comms[commKey{producer: q.ID, dest: node}]
-	return cs != nil && !cs.void && cs.arrived
+	ci := s.findComm(q, node)
+	return ci >= 0 && s.comms[ci].arrived
 }
 
 // rebuild reconstructs the dependency counters, ready queues and
 // transfer fabric after a crash changed task placement, then redispatches
 // the survivors.
 func (r *Runtime) rebuild() {
+	g, s := r.g, r.st
 	// Invalidate transfers a fault made meaningless: data heading to a
 	// dead node, or in flight from a producer that was rolled back.
-	for key, cs := range r.comms {
-		if r.nodes[key.dest].dead || (!cs.arrived && !r.tasks[key.producer].done) {
+	for ci := range s.comms {
+		cs := &s.comms[ci]
+		if cs.void {
+			continue
+		}
+		if r.nodes[cs.dest].dead || (!cs.arrived && s.flags[cs.producer]&fDone == 0) {
 			cs.void = true
-			delete(r.comms, key)
 			continue
 		}
 		if !cs.arrived {
-			cs.waiters = nil // re-collected below
+			cs.wHead, cs.wTail = -1, -1 // re-collected below
+		}
+	}
+	for t := range s.commHead {
+		s.commHead[t] = -1
+	}
+	for ci := range s.comms {
+		if cs := &s.comms[ci]; !cs.void {
+			cs.next = s.commHead[cs.producer]
+			s.commHead[cs.producer] = int32(ci)
 		}
 	}
 	// Reset the ready queues; they are repopulated from scratch.
-	for _, ns := range r.nodes {
-		for _, t := range ns.anyQ {
-			t.qIndex = -1
-		}
-		for _, t := range ns.cpuOnlyQ {
-			t.qIndex = -1
-		}
-		ns.anyQ = nil
-		ns.cpuOnlyQ = nil
+	for i := range s.queues {
+		s.queues[i] = s.queues[i][:0]
 	}
-	// Recount outstanding dependencies from the reverse edges and
+	// Recount outstanding dependencies from the predecessor links and
 	// restart the data movements re-homed consumers still need.
-	for _, c := range r.tasks {
-		if c.done || c.running {
+	for c := range s.node {
+		if s.flags[c]&(fDone|fRunning) != 0 {
 			continue
 		}
-		c.nDeps = 0
-		c.pendingDeps = map[int]int{}
-		for _, pe := range c.prods {
-			q := pe.from
-			if q.done && (pe.bytes <= 0 || r.dataAt(q, c.Node)) {
+		s.nDeps[c] = 0
+		s.flags[c] |= fTracked
+		for e := g.predOff[c]; e < g.predOff[c+1]; e++ {
+			pe := g.pred[e]
+			q := pe.task
+			qDone := s.flags[q]&fDone != 0
+			s.open[e] = false
+			if qDone && (pe.bytes <= 0 || r.dataAt(q, s.node[c])) {
 				continue
 			}
-			c.nDeps++
-			c.pendingDeps[q.ID]++
-			if q.done && pe.bytes > 0 {
-				r.fetch(q, c, pe.bytes)
+			s.nDeps[c]++
+			s.open[e] = true
+			if qDone && pe.bytes > 0 {
+				r.fetch(q, int32(c), pe.bytes)
 			}
 		}
-		if c.nDeps == 0 {
-			r.push(c)
+		if s.nDeps[c] == 0 {
+			r.push(int32(c))
 		}
 	}
-	for i, ns := range r.nodes {
-		if !ns.dead {
+	for i := range r.nodes {
+		if !r.nodes[i].dead {
 			r.dispatch(i)
 		}
 	}
@@ -258,15 +272,15 @@ func (r *Runtime) rebuild() {
 
 // fetch joins or starts the transfer of q's (already produced) output to
 // c's node.
-func (r *Runtime) fetch(q, c *Task, bytes float64) {
-	key := commKey{producer: q.ID, dest: c.Node}
-	if cs, ok := r.comms[key]; ok {
+func (r *Runtime) fetch(q, c int32, bytes float64) {
+	s := r.st
+	dest := s.node[c]
+	if ci := s.findComm(q, dest); ci >= 0 {
 		// Still in flight from before the fault (arrived copies were
 		// counted as satisfied and never reach here).
-		cs.waiters = append(cs.waiters, c)
+		s.addWaiter(ci, c)
 		return
 	}
-	cs := &commState{waiters: []*Task{c}}
-	r.comms[key] = cs
-	r.net.Transfer(q.Node, c.Node, bytes, r.arrivalFn(cs, c.Node, q.ID))
+	ci := s.newComm(q, dest, c)
+	r.net.Transfer(int(s.node[q]), int(dest), bytes, (*arrival)(r), ci)
 }

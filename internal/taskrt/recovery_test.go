@@ -108,7 +108,7 @@ func TestRecoveryUnderRandomFaultPlans(t *testing.T) {
 		mk := rt.Run()
 
 		// Every task completes exactly once from the DAG's perspective.
-		for _, task := range rt.tasks {
+		for _, task := range rt.handles {
 			if !task.Done() || task.Finished() < task.Started() {
 				t.Logf("seed %d: task %d done=%v", seed, task.ID, task.Done())
 				return false

@@ -28,6 +28,13 @@ type ChromeEvent struct {
 // unit name → tid), a thread_name metadata event per track, and events
 // ordered by (ts, tid, name) so the export is deterministic.
 func ChromeEvents(spans []Span, pid int) []ChromeEvent {
+	units := Units(spans)
+	return ChromeEventsPrefix(spans, units, pid, len(units)+len(spans))
+}
+
+// Units returns the distinct execution units of spans, sorted: the
+// thread tracks ChromeEvents lays the spans on.
+func Units(spans []Span) []string {
 	units := make([]string, 0, 8)
 	seen := map[string]bool{}
 	for _, s := range spans {
@@ -37,44 +44,70 @@ func ChromeEvents(spans []Span, pid int) []ChromeEvent {
 		}
 	}
 	sort.Strings(units)
+	return units
+}
+
+// ChromeEventsPrefix returns the first n events of
+// ChromeEvents(spans, pid), where units is Units(spans), and builds only
+// those: a consumer with room for part of a trace converts only the
+// part it keeps.
+func ChromeEventsPrefix(spans []Span, units []string, pid, n int) []ChromeEvent {
+	n = min(n, len(units)+len(spans))
+	if n <= 0 {
+		return nil
+	}
+	evs := make([]ChromeEvent, 0, n)
 	tids := make(map[string]int, len(units))
-	evs := make([]ChromeEvent, 0, len(spans)+len(units))
 	for i, u := range units {
 		tids[u] = i
-		evs = append(evs, ChromeEvent{
-			Name: "thread_name",
-			Ph:   "M",
-			PID:  pid,
-			TID:  i,
-			Args: map[string]any{"name": u},
-		})
+		if len(evs) < n {
+			evs = append(evs, ChromeEvent{
+				Name: "thread_name",
+				Ph:   "M",
+				PID:  pid,
+				TID:  i,
+				Args: map[string]any{"name": u},
+			})
+		}
 	}
-	body := make([]ChromeEvent, 0, len(spans))
-	for _, s := range spans {
-		body = append(body, ChromeEvent{
+	if len(evs) == n {
+		return evs
+	}
+	// Order span indices by (ts, tid, name), stably, then convert the
+	// head.
+	ts := make([]float64, len(spans))
+	tid := make([]int, len(spans))
+	order := make([]int, len(spans))
+	for i, s := range spans {
+		ts[i], tid[i], order[i] = s.Start*1e6, tids[s.Unit], i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		i, j := order[a], order[b]
+		if ts[i] < ts[j] {
+			return true
+		}
+		if ts[j] < ts[i] {
+			return false
+		}
+		if tid[i] != tid[j] {
+			return tid[i] < tid[j]
+		}
+		return spans[i].Label < spans[j].Label
+	})
+	for _, i := range order[:n-len(evs)] {
+		s := spans[i]
+		evs = append(evs, ChromeEvent{
 			Name: s.Label,
 			Cat:  s.Kind,
 			Ph:   "X",
-			TS:   s.Start * 1e6,
+			TS:   ts[i],
 			Dur:  (s.End - s.Start) * 1e6,
 			PID:  pid,
-			TID:  tids[s.Unit],
+			TID:  tid[i],
 			Args: map[string]any{"node": s.Node, "unit": s.Unit, "flops": s.Flops},
 		})
 	}
-	sort.SliceStable(body, func(i, j int) bool {
-		if body[i].TS < body[j].TS {
-			return true
-		}
-		if body[j].TS < body[i].TS {
-			return false
-		}
-		if body[i].TID != body[j].TID {
-			return body[i].TID < body[j].TID
-		}
-		return body[i].Name < body[j].Name
-	})
-	return append(evs, body...)
+	return evs
 }
 
 // WriteChromeTrace writes the spans as a standalone Chrome trace-event

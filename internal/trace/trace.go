@@ -57,6 +57,9 @@ func (r *Recorder) TaskFinished(t *taskrt.Task, unit string, at float64) {
 // Spans returns the recorded spans (shared slice; treat as read-only).
 func (r *Recorder) Spans() []Span { return r.spans }
 
+// Reset empties the recorder, keeping its storage for the next run.
+func (r *Recorder) Reset() { r.spans = r.spans[:0] }
+
 // Makespan returns the last recorded end time.
 func (r *Recorder) Makespan() float64 {
 	m := 0.0
