@@ -341,7 +341,7 @@ func TestChaosKillRecover(t *testing.T) {
 
 func chaosRound(t *testing.T, bin string, workers int, ref []engine.SessionResult) {
 	dir := t.TempDir()
-	args := []string{"-workers", fmt.Sprint(workers), "-journal-dir", dir, "-snapshot-every", "4"}
+	args := []string{"-workers", fmt.Sprint(workers), "-journal-dir", dir}
 	p1 := startServe(t, bin, args...)
 
 	// Create the sessions sequentially so IDs map deterministically.
@@ -452,8 +452,8 @@ func chaosRound(t *testing.T, bin string, workers int, ref []engine.SessionResul
 		sameFinal(t, "final "+id, chaosResult(t, p2.base, id), ref[i])
 	}
 
-	// Graceful shutdown: SIGTERM drains and flushes snapshots, so a
-	// third recovery replays empty journal tails and still agrees.
+	// Graceful shutdown: SIGTERM drains and closes the journals, and a
+	// third recovery still agrees.
 	if err := p2.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
@@ -481,13 +481,13 @@ func chaosRound(t *testing.T, bin string, workers int, ref []engine.SessionResul
 		sameFinal(t, "post-drain "+id, chaosResult(t, p3.base, id), ref[i])
 	}
 
-	// The journal directory holds exactly the per-session files.
+	// The journal directory holds exactly the per-session journals.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ".journal") && !strings.HasSuffix(e.Name(), ".snap.json") {
+		if !strings.HasSuffix(e.Name(), ".journal") {
 			t.Fatalf("unexpected file in journal dir: %s", e.Name())
 		}
 	}
@@ -573,7 +573,7 @@ func TestChaosClientIdempotentReplay(t *testing.T) {
 
 func chaosClientRound(t *testing.T, bin string, workers int, ref []engine.SessionResult) {
 	dir := t.TempDir()
-	args := []string{"-workers", fmt.Sprint(workers), "-journal-dir", dir, "-snapshot-every", "4"}
+	args := []string{"-workers", fmt.Sprint(workers), "-journal-dir", dir}
 	p1 := startServe(t, bin, args...)
 
 	proxy, err := chaosnet.New(chaosnet.Config{

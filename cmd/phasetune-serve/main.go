@@ -28,7 +28,9 @@
 // restarting with -recover replays the journals and every session
 // continues bit-for-bit where it left off. SIGTERM/SIGINT trigger a
 // graceful shutdown: /readyz flips to 503, in-flight requests drain
-// (bounded by -drain-timeout), journals are snapshotted and closed.
+// (bounded by -drain-timeout), journals are closed. Snapshot files an
+// earlier version left in -journal-dir are read on -recover, never
+// written.
 //
 // -selfcheck starts the server on a loopback port and drives the whole
 // lifecycle — health endpoints, a session, graceful shutdown, recovery
@@ -66,7 +68,6 @@ type config struct {
 	addr         string
 	workers      int
 	journalDir   string
-	snapEvery    int
 	recover      bool
 	maxInFlight  int
 	maxBody      int64
@@ -84,7 +85,6 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	flag.IntVar(&cfg.workers, "workers", 0, "concurrent evaluation bound (0 = GOMAXPROCS)")
 	flag.StringVar(&cfg.journalDir, "journal-dir", "", "directory for per-session write-ahead journals (empty = no durability)")
-	flag.IntVar(&cfg.snapEvery, "snapshot-every", 0, "journal ops between snapshot rotations (0 = default)")
 	flag.BoolVar(&cfg.recover, "recover", false, "replay journals in -journal-dir and resume every session before serving")
 	flag.IntVar(&cfg.maxInFlight, "max-inflight", 0, "admission high-water mark for evaluation requests; beyond it the server answers 429 (0 = 4x workers)")
 	flag.Int64Var(&cfg.maxBody, "max-body", 0, "request body size limit in bytes (0 = 1 MiB)")
@@ -123,10 +123,9 @@ func run(cfg config) error {
 	}
 	tel.Events = evlog
 	eng := engine.NewWithOptions(engine.Options{
-		Workers:       cfg.workers,
-		JournalDir:    cfg.journalDir,
-		SnapshotEvery: cfg.snapEvery,
-		Telemetry:     tel,
+		Workers:    cfg.workers,
+		JournalDir: cfg.journalDir,
+		Telemetry:  tel,
 	})
 	srv := engine.NewServerWithOptions(eng, engine.ServerOptions{
 		MaxInFlight:  cfg.maxInFlight,
@@ -186,8 +185,8 @@ func run(cfg config) error {
 			return fmt.Errorf("recover: %w", err)
 		}
 		for _, info := range infos {
-			fmt.Printf("recovered session %s: %d iterations, epoch %d (%d journal ops replayed)\n",
-				info.ID, info.Iterations, info.Epoch, info.ReplayedTail)
+			fmt.Printf("recovered session %s: %d iterations, epoch %d\n",
+				info.ID, info.Iterations, info.Epoch)
 		}
 		fmt.Printf("recovered %d session(s) from %s\n", len(infos), cfg.journalDir)
 		srv.SetReady()
@@ -204,7 +203,7 @@ func run(cfg config) error {
 
 	// Graceful shutdown: stop advertising readiness, drain in-flight
 	// requests (each commits or aborts in its journal), then close the
-	// engine so every journal ends on a fresh snapshot.
+	// engine's journals.
 	fmt.Println("phasetune-serve: draining...")
 	srv.SetDraining(true)
 	drainCtx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
@@ -256,31 +255,25 @@ func wirePeers(cfg config, eng *engine.Engine, srv *engine.Server) *shard.PeerSe
 	return ps
 }
 
-// fleetMember names one worker of the replicated fleet: the name is
-// the routing identity on the consistent-hash ring, the addr is where
-// journal records ship.
-type fleetMember struct {
-	Name string `json:"name"`
-	Addr string `json:"addr"`
-}
-
 // fleetConfig is the replication topology POSTed to /v1/replica/fleet:
-// which ring member this process is, and the full membership. Every
-// member must receive the same membership (with its own self) for
-// owner/follower chains to agree fleet-wide.
+// which ring member this process is, and the full membership (each
+// member's name is its identity on the consistent-hash ring, its addr
+// is where journal records ship). Every member must receive the same
+// membership (with its own self) for owner/follower chains to agree
+// fleet-wide.
 type fleetConfig struct {
 	Self     string        `json:"self"`
 	Replicas int           `json:"replicas"` // virtual nodes per member (0 = ring default)
-	Members  []fleetMember `json:"members"`
+	Members  []shard.Shard `json:"members"`
 }
 
 // wireReplicaFleet mounts the replication topology routes. The fleet
 // config names the same membership the shard router hashes over, so
-// this worker derives each session's follower — the next distinct ring
-// member clockwise after itself — without any coordination with the
-// router: both sides compute the identical chain from (membership,
-// session id). Repointing the fleet rewires live sessions; their next
-// commit performs a full resync to the new follower.
+// this worker derives each session's follower (shard.Ring.Follower)
+// without any coordination with the router: both sides compute the
+// identical chain from (membership, session id). Repointing the fleet
+// rewires live sessions; their next commit performs a full resync to
+// the new follower.
 func wireReplicaFleet(eng *engine.Engine, srv *engine.Server) {
 	var mu sync.Mutex
 	var cur fleetConfig
@@ -330,28 +323,14 @@ func wireReplicaFleet(eng *engine.Engine, srv *engine.Server) {
 			srv.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		n := len(names)
 		eng.SetReplicaPlanner(func(id string) (string, bool) {
-			// The full chain for the session: owner first, then the
-			// distinct members clockwise. The follower is the member after
-			// *this process's* position — correct both when it is the
-			// owner and when it was promoted partway down the chain.
-			chain := ring.LookupN(id, n)
-			for i, name := range chain {
-				if name == self {
-					next := chain[(i+1)%len(chain)]
-					if next == self {
-						return "", false // single-member fleet: nowhere to replicate
-					}
-					return addrOf[next], true
-				}
-			}
-			return "", false
+			next, ok := ring.Follower(id, self)
+			return addrOf[next], ok
 		})
 		mu.Lock()
 		cur = req
 		mu.Unlock()
-		fmt.Printf("  replica fleet: self=%s members=%d\n", self, n)
+		fmt.Printf("  replica fleet: self=%s members=%d\n", self, len(names))
 		srv.WriteJSON(w, http.StatusOK, req)
 	})
 }
@@ -646,8 +625,8 @@ func runSelfcheck(cfg config) error {
 	if err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
-	if len(infos) != 1 || infos[0].ReplayedTail != 0 {
-		return fmt.Errorf("recover after graceful shutdown: %+v (want 1 session, empty tail)", infos)
+	if len(infos) != 1 {
+		return fmt.Errorf("recover after graceful shutdown: %+v (want 1 session)", infos)
 	}
 	after, err := eng2.Result(created.ID)
 	if err != nil {

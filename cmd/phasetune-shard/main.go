@@ -258,17 +258,8 @@ func runSelfcheck(cfg config) error {
 	for i, eng := range []*engine.Engine{engA, engB} {
 		self := names[i]
 		eng.SetReplicaPlanner(func(id string) (string, bool) {
-			chain := replRing.LookupN(id, len(names))
-			for j, name := range chain {
-				if name == self {
-					next := chain[(j+1)%len(chain)]
-					if next == self {
-						return "", false
-					}
-					return addrOf[next], true
-				}
-			}
-			return "", false
+			next, ok := replRing.Follower(id, self)
+			return addrOf[next], ok
 		})
 	}
 

@@ -26,8 +26,7 @@ type Engine struct {
 	pool  *Pool
 	cache *Cache
 
-	journalDir string // "" disables durability
-	snapEvery  int
+	journalDir string          // "" disables durability
 	tel        *obsv.Telemetry // nil disables metrics and tracing
 	closed     atomic.Bool
 	sweepIdem  sweepIdemStore // engine-wide idempotency registry for sweeps
@@ -60,11 +59,8 @@ type Options struct {
 	Workers int
 	// JournalDir, when non-empty, enables session durability: every
 	// committed operation is fsync'd to <dir>/<id>.journal before the
-	// caller sees its result, and snapshots rotate atomically.
+	// caller sees its result.
 	JournalDir string
-	// SnapshotEvery is the number of journaled operations between
-	// snapshot rotations (<= 0 selects the default, 32).
-	SnapshotEvery int
 	// Telemetry, when non-nil, turns on metrics and span recording
 	// across the pool, cache, journals and sessions. Nil is the
 	// zero-cost disabled path.
@@ -83,7 +79,6 @@ func NewWithOptions(opts Options) *Engine {
 		pool:       NewPool(opts.Workers),
 		cache:      NewCache(),
 		journalDir: opts.JournalDir,
-		snapEvery:  opts.SnapshotEvery,
 		tel:        opts.Telemetry,
 		sessions:   map[string]*Session{},
 		replClient: &http.Client{Timeout: replicaShipTimeout},
@@ -122,11 +117,11 @@ func (e *Engine) Telemetry() *obsv.Telemetry { return e.tel }
 // ErrClosed is returned by every operation after Close.
 var ErrClosed = errors.New("engine: closed")
 
-// Close flushes and closes every session journal (final snapshot
-// rotation included) and rejects all further operations. It is the
-// second half of graceful shutdown: the HTTP server drains in-flight
-// requests first, then Close makes the on-disk state recover with an
-// empty journal tail.
+// Close closes every session journal and rejects all further
+// operations. It is the second half of graceful shutdown: the HTTP
+// server drains in-flight requests first, so every operation has
+// committed or aborted in its journal, and each record was fsync'd as
+// it was appended, so there is nothing left to flush.
 func (e *Engine) Close() error {
 	if e.closed.Swap(true) {
 		return nil
@@ -342,7 +337,7 @@ func (e *Engine) CreateSession(cfg SessionConfig) (*Session, error) {
 			Tiles:       cfg.Tiles,
 			Exact:       cfg.Exact,
 			GenNodes:    cfg.GenNodes,
-		}, e.snapEvery, 1, e.tel)
+		}, 1, e.tel)
 		if err != nil {
 			e.mu.Lock()
 			delete(e.sessions, s.id)

@@ -16,16 +16,16 @@ import (
 
 // The durability layer: every committed session operation is appended
 // to a per-session write-ahead journal (one JSON record per line,
-// fsync'd before the caller sees the result), and every snapEvery
-// operations the journal is compacted into an atomically-rotated
-// snapshot. Because sessions are bit-for-bit deterministic — the
-// property PR 2 established and the observation-log regression test
-// locks in — recovery is snapshot-load plus redo replay of the journal
-// tail: re-issuing the recorded Next/Observe sequence against a fresh
-// strategy reconstructs the exact in-memory state, and the recorded
-// observations double as an integrity check (a replayed observation
-// that does not reproduce bit-identically means the journal and the
-// binary disagree).
+// fsync'd before the caller sees the result), and that append-only
+// file is the session's whole durable history. Because sessions are
+// bit-for-bit deterministic — the property the observation-log
+// regression test locks in — recovery is redo replay: re-issuing the
+// recorded Next/Observe sequence against a fresh strategy reconstructs
+// the exact in-memory state, and the recorded observations double as
+// an integrity check (a replayed observation that does not reproduce
+// bit-identically means the journal and the binary disagree).
+// GP-discontinuous refits on the whole observation history, so replay
+// needs every record and no compaction could drop one.
 //
 // Record grammar (field presence by type):
 //
@@ -81,6 +81,10 @@ import (
 // Torn tails are expected: a crash mid-append leaves a partial final
 // line, which recovery drops (the operation never committed). A
 // malformed record anywhere else is corruption and fails recovery.
+//
+// Earlier binaries also compacted the journal into <id>.snap.json and
+// truncated it. Those snapshot files are still read (see
+// loadSessionState) but never written.
 type journalRecord struct {
 	T       string         `json:"t"`
 	V       int            `json:"v,omitempty"`
@@ -127,12 +131,11 @@ func (c journalConfig) sessionConfig() SessionConfig {
 	}
 }
 
-// snapshotFile is the atomically-rotated compaction of a journal: the
-// session config plus the full operation history through Seq. Replay
-// cost is linear in session length either way (the strategy state is
-// opaque, so recovery re-issues the whole operation sequence); what the
-// snapshot bounds is the journal file the next recovery must parse and
-// the window a torn tail can touch.
+// snapshotFile is the compaction of a journal that earlier binaries
+// wrote beside it: the session config plus the full operation history
+// through Seq, after which they truncated the journal. A data directory
+// they left holds that history nowhere else, so recovery still reads
+// it; nothing writes one any more.
 type snapshotFile struct {
 	ID     string          `json:"id"`
 	Config journalConfig   `json:"config"`
@@ -141,36 +144,30 @@ type snapshotFile struct {
 	Ops    []journalRecord `json:"ops"`
 }
 
-// journal owns one session's durability files. All methods are called
+// journal owns one session's journal file. All methods are called
 // under the owning session's mutex, so the journal itself needs no
 // lock.
 type journal struct {
-	dir       string
-	id        string
-	every     int
-	cfg       journalConfig
-	f         *os.File
-	seq       int64
-	gen       uint64          // fencing token stamped on every appended record
-	ops       []journalRecord // full op history, snapshot source
-	sinceSnap int
-	tel       *obsv.Telemetry // nil disables append/rotation accounting
+	id  string
+	cfg journalConfig
+	f   *os.File
+	seq int64
+	gen uint64          // fencing token stamped on every appended record
+	ops []journalRecord // full op history, shipped whole on a follower resync
+	tel *obsv.Telemetry // nil disables append accounting
 }
-
-const defaultSnapshotEvery = 32
 
 func journalPath(dir, id string) string  { return filepath.Join(dir, id+".journal") }
 func snapshotPath(dir, id string) string { return filepath.Join(dir, id+".snap.json") }
 
 // newJournal starts a fresh journal for a new session: the file is
 // created (truncating any stale leftover under the same ID), the create
-// record is appended and both the file and its directory are synced
-// before the session is considered durable. gen seeds the fencing
-// token stamped on every record (fresh sessions start at 1).
-func newJournal(dir, id string, cfg journalConfig, every int, gen uint64, tel *obsv.Telemetry) (*journal, error) {
-	if every <= 0 {
-		every = defaultSnapshotEvery
-	}
+// record is appended, a snapshot an earlier binary left under the same
+// ID is removed (recovery would read it ahead of the new journal), and
+// the directory is synced before the session is considered durable.
+// gen seeds the fencing token stamped on every record (fresh sessions
+// start at 1).
+func newJournal(dir, id string, cfg journalConfig, gen uint64, tel *obsv.Telemetry) (*journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("engine: journal dir: %w", err)
 	}
@@ -178,10 +175,14 @@ func newJournal(dir, id string, cfg journalConfig, every int, gen uint64, tel *o
 	if err != nil {
 		return nil, fmt.Errorf("engine: open journal: %w", err)
 	}
-	j := &journal{dir: dir, id: id, every: every, cfg: cfg, f: f, gen: gen, tel: tel}
+	j := &journal{id: id, cfg: cfg, f: f, gen: gen, tel: tel}
 	if err := j.writeRecord(j.createRecord()); err != nil {
 		_ = f.Close()
 		return nil, err
+	}
+	if err := os.Remove(snapshotPath(dir, id)); err != nil && !os.IsNotExist(err) {
+		_ = f.Close()
+		return nil, fmt.Errorf("engine: drop stale snapshot for %s: %w", id, err)
 	}
 	if err := fsutil.SyncDir(dir); err != nil {
 		_ = f.Close()
@@ -214,7 +215,7 @@ func (j *journal) writeRecord(rec journalRecord) error {
 }
 
 // append journals one committed operation, assigning it the next
-// sequence number, and rotates the snapshot when due.
+// sequence number.
 func (j *journal) append(rec journalRecord) error {
 	rec.Seq = j.seq + 1
 	rec.Gen = j.gen
@@ -230,54 +231,16 @@ func (j *journal) append(rec journalRecord) error {
 	}
 	j.seq++
 	j.ops = append(j.ops, rec)
-	j.sinceSnap++
-	if j.sinceSnap >= j.every {
-		return j.rotate()
-	}
 	return nil
 }
 
-// rotate compacts the op history into the snapshot file (atomic
-// write-rename) and truncates the live journal. A crash between the two
-// steps leaves journal records with seq <= snapshot seq, which recovery
-// skips — the rotation is idempotent by sequence number.
-func (j *journal) rotate() error {
-	snap := snapshotFile{ID: j.id, Config: j.cfg, Seq: j.seq, Gen: j.gen, Ops: j.ops}
-	data, err := json.MarshalIndent(snap, "", " ")
-	if err != nil {
-		return fmt.Errorf("engine: encode snapshot %s: %w", j.id, err)
-	}
-	if err := fsutil.WriteFileAtomic(snapshotPath(j.dir, j.id), append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	if err := j.f.Truncate(0); err != nil {
-		return fmt.Errorf("engine: truncate journal %s: %w", j.id, err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("engine: fsync journal %s: %w", j.id, err)
-	}
-	j.sinceSnap = 0
-	if j.tel != nil {
-		j.tel.SnapshotRotations.Inc()
-	}
-	return nil
-}
-
-// close flushes outstanding state into a final snapshot and closes the
-// journal file. Called on graceful shutdown; after close the on-disk
-// state recovers with zero journal tail to replay beyond the snapshot.
+// close closes the journal file. Every record is already fsync'd, so
+// there is nothing to flush.
 func (j *journal) close() error {
-	var snapErr error
-	if j.sinceSnap > 0 {
-		snapErr = j.rotate()
-	}
 	if err := j.f.Close(); err != nil {
-		if snapErr != nil {
-			return snapErr
-		}
 		return fmt.Errorf("engine: close journal %s: %w", j.id, err)
 	}
-	return snapErr
+	return nil
 }
 
 // sessionState is one session's durable state as read back from disk.
@@ -290,13 +253,13 @@ type sessionState struct {
 	// snapshot and journal records; zero for v1 journals, which recover
 	// as generation 1.
 	gen uint64
-	// tail counts ops read from the live journal (not yet in the
-	// snapshot); it seeds sinceSnap when the journal reopens.
-	tail int
 }
 
-// loadSessionState reads a session's snapshot (if any) and journal
-// tail, tolerating a torn final journal line.
+// loadSessionState reads a session's journal, tolerating a torn final
+// line. A snapshot file left by an earlier binary comes first: it holds
+// the history that binary truncated from the journal, so the journal
+// then starts after it (or repeats its last records, when that binary
+// crashed between writing the snapshot and truncating).
 func loadSessionState(dir, id string) (*sessionState, error) {
 	st := &sessionState{id: id}
 	haveConfig := false
@@ -362,12 +325,11 @@ func loadSessionState(dir, id string) (*sessionState, error) {
 				haveConfig = true
 			}
 		case rec.Seq <= st.seq:
-			// Already captured by the snapshot (crash between snapshot
-			// rotation and journal truncation).
+			// Already captured by the snapshot (an earlier binary crashed
+			// between writing it and truncating the journal).
 		case rec.Seq == st.seq+1:
 			st.ops = append(st.ops, rec)
 			st.seq = rec.Seq
-			st.tail++
 		default:
 			return nil, fmt.Errorf("engine: journal gap for %s: have seq %d, record %d",
 				id, st.seq, rec.Seq)
@@ -381,10 +343,7 @@ func loadSessionState(dir, id string) (*sessionState, error) {
 
 // reopenJournal attaches a recovered session back to its on-disk
 // journal for continued appends.
-func reopenJournal(dir string, st *sessionState, every int, tel *obsv.Telemetry) (*journal, error) {
-	if every <= 0 {
-		every = defaultSnapshotEvery
-	}
+func reopenJournal(dir string, st *sessionState, tel *obsv.Telemetry) (*journal, error) {
 	f, err := os.OpenFile(journalPath(dir, st.id), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("engine: reopen journal %s: %w", st.id, err)
@@ -393,10 +352,7 @@ func reopenJournal(dir string, st *sessionState, every int, tel *obsv.Telemetry)
 	if gen == 0 {
 		gen = 1 // v1 journals predate fencing; recover as generation 1
 	}
-	return &journal{
-		dir: dir, id: st.id, every: every, cfg: st.cfg, f: f,
-		seq: st.seq, gen: gen, ops: st.ops, sinceSnap: st.tail, tel: tel,
-	}, nil
+	return &journal{id: st.id, cfg: st.cfg, f: f, seq: st.seq, gen: gen, ops: st.ops, tel: tel}, nil
 }
 
 // listSessionIDs scans a journal directory for session IDs, in stable
@@ -433,39 +389,6 @@ func listSessionIDs(dir string) ([]string, error) {
 		return ids[i] < ids[j]
 	})
 	return ids, nil
-}
-
-// removeSnapshotTemps deletes the temp files that a crash inside a
-// snapshot rotation leaves behind. The rotation never took effect, so
-// the temp held nothing committed. Only the exact name
-// fsutil.WriteFileAtomic gives the temp of a listed session's snapshot
-// matches: <id>.snap.json.tmp-<digits>, where os.CreateTemp's random
-// suffix is a decimal uint32. A session id may itself contain ".tmp-",
-// but a session's own files end in .journal or .snap.json, so none of
-// them can match.
-func removeSnapshotTemps(dir string, ids []string) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return fmt.Errorf("engine: read journal dir: %w", err)
-	}
-	snaps := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		snaps[id+".snap.json"] = true
-	}
-	for _, e := range entries {
-		name := e.Name()
-		i := strings.LastIndex(name, ".tmp-")
-		if i < 0 || !snaps[name[:i]] {
-			continue
-		}
-		if _, err := strconv.ParseUint(name[i+len(".tmp-"):], 10, 32); err != nil {
-			continue
-		}
-		if err := os.Remove(filepath.Join(dir, name)); err != nil {
-			return fmt.Errorf("engine: remove stale snapshot temp: %w", err)
-		}
-	}
-	return nil
 }
 
 // sessionNum extracts the numeric part of an engine-assigned session ID

@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -70,7 +70,7 @@ func sameResult(t *testing.T, tag string, a, b SessionResult) {
 // bit-for-bit the trajectory the uninterrupted session produces.
 func TestRecoverBitIdentical(t *testing.T) {
 	dir := t.TempDir()
-	live := NewWithOptions(Options{Workers: 4, JournalDir: dir, SnapshotEvery: 4})
+	live := NewWithOptions(Options{Workers: 4, JournalDir: dir})
 	s, err := live.CreateSession(SessionConfig{
 		ScenarioKey: "b", Strategy: "GP-discontinuous", Seed: 42, Tiles: 4,
 	})
@@ -80,7 +80,7 @@ func TestRecoverBitIdentical(t *testing.T) {
 	before := stepScript(t, live, s.id)
 
 	// "Crash": no Close, no flush. Recover from disk alone.
-	rec := NewWithOptions(Options{Workers: 2, JournalDir: dir, SnapshotEvery: 4})
+	rec := NewWithOptions(Options{Workers: 2, JournalDir: dir})
 	infos, err := rec.Recover()
 	if err != nil {
 		t.Fatal(err)
@@ -125,8 +125,8 @@ func TestRecoverBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRecoverAfterGracefulClose: Close flushes a final snapshot, so
-// recovery replays a zero-length journal tail.
+// TestRecoverAfterGracefulClose: a session closed by Engine.Close
+// recovers exactly.
 func TestRecoverAfterGracefulClose(t *testing.T) {
 	dir := t.TempDir()
 	e := NewWithOptions(Options{Workers: 2, JournalDir: dir})
@@ -147,8 +147,8 @@ func TestRecoverAfterGracefulClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(infos) != 1 || infos[0].ReplayedTail != 0 {
-		t.Fatalf("after graceful close the journal tail must be empty: %+v", infos)
+	if len(infos) != 1 {
+		t.Fatalf("after graceful close: %+v", infos)
 	}
 	after, err := rec.Result(s.id)
 	if err != nil {
@@ -162,7 +162,7 @@ func TestRecoverAfterGracefulClose(t *testing.T) {
 // before it.
 func TestRecoverTornTail(t *testing.T) {
 	dir := t.TempDir()
-	e := NewWithOptions(Options{Workers: 2, JournalDir: dir, SnapshotEvery: 100})
+	e := NewWithOptions(Options{Workers: 2, JournalDir: dir})
 	s, err := e.CreateSession(SessionConfig{ScenarioKey: "b", Strategy: "DC", Seed: 3, Tiles: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -200,13 +200,11 @@ func TestRecoverTornTail(t *testing.T) {
 	sameResult(t, "torn tail", before, after)
 }
 
-// TestRecoverRemovesSnapshotTemps: a crash mid-rotation leaves the
-// snapshot's temp file behind, and recovery removes it. Client-assigned
-// ids may themselves contain ".tmp-"; such a session keeps its journal
-// and snapshot.
-func TestRecoverRemovesSnapshotTemps(t *testing.T) {
+// TestRecoverTempLikeIDs: client-assigned ids may themselves contain
+// ".tmp-" or ".snap.json"; such sessions recover like any other.
+func TestRecoverTempLikeIDs(t *testing.T) {
 	dir := t.TempDir()
-	e := NewWithOptions(Options{Workers: 2, JournalDir: dir, SnapshotEvery: 2})
+	e := NewWithOptions(Options{Workers: 2, JournalDir: dir})
 	ids := []string{"x", "x.tmp-1", "x.snap.json.tmp-1"}
 	before := map[string]SessionResult{}
 	for _, id := range ids {
@@ -223,9 +221,6 @@ func TestRecoverRemovesSnapshotTemps(t *testing.T) {
 			t.Fatal(err)
 		}
 		before[id] = r
-		if err := os.WriteFile(snapshotPath(dir, id)+".tmp-42", []byte("{"), 0o644); err != nil {
-			t.Fatal(err)
-		}
 	}
 
 	rec := NewWithOptions(Options{Workers: 2, JournalDir: dir})
@@ -243,29 +238,13 @@ func TestRecoverRemovesSnapshotTemps(t *testing.T) {
 		}
 		sameResult(t, id, before[id], after)
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range entries {
-		names = append(names, e.Name())
-	}
-	var want []string
-	for _, id := range ids {
-		want = append(want, filepath.Base(journalPath(dir, id)), filepath.Base(snapshotPath(dir, id)))
-	}
-	sort.Strings(want)
-	if strings.Join(names, " ") != strings.Join(want, " ") {
-		t.Fatalf("journal dir after recovery:\n got %v\nwant %v", names, want)
-	}
 }
 
 // TestRecoverCorruptMiddle: a malformed record that is not the tail is
 // corruption, not a torn append — recovery must refuse.
 func TestRecoverCorruptMiddle(t *testing.T) {
 	dir := t.TempDir()
-	e := NewWithOptions(Options{Workers: 2, JournalDir: dir, SnapshotEvery: 100})
+	e := NewWithOptions(Options{Workers: 2, JournalDir: dir})
 	s, err := e.CreateSession(SessionConfig{ScenarioKey: "b", Strategy: "DC", Seed: 3, Tiles: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -311,8 +290,7 @@ func saturatePool(t *testing.T, e *Engine) (release func()) {
 	return func() { close(block); wg.Wait() }
 }
 
-// journalRecords reads a session's live journal file (no snapshot
-// rotation may have happened) as decoded records.
+// journalRecords reads a session's journal file as decoded records.
 func journalRecords(t *testing.T, dir, id string) []journalRecord {
 	t.Helper()
 	data, err := os.ReadFile(journalPath(dir, id))
@@ -358,7 +336,7 @@ func TestRecoverAbortedStep(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			live := NewWithOptions(Options{Workers: 1, JournalDir: dir, SnapshotEvery: 100})
+			live := NewWithOptions(Options{Workers: 1, JournalDir: dir})
 			s, err := live.CreateSession(SessionConfig{
 				ScenarioKey: "b", Strategy: "GP-discontinuous", Seed: 11, Tiles: 4,
 			})
@@ -440,7 +418,7 @@ func TestRecoverAbortedStep(t *testing.T) {
 // evaluation computes and which shares it depends on goroutine timing.
 func TestJournalGolden(t *testing.T) {
 	dir := t.TempDir()
-	e := NewWithOptions(Options{Workers: 1, JournalDir: dir, SnapshotEvery: 100})
+	e := NewWithOptions(Options{Workers: 1, JournalDir: dir})
 	s, err := e.CreateSession(SessionConfig{
 		ScenarioKey: "b", Strategy: "GP-discontinuous", Seed: 7, Tiles: 4,
 	})
@@ -495,50 +473,163 @@ func TestJournalGolden(t *testing.T) {
 	}
 }
 
-// TestSnapshotRotation: the journal is compacted every SnapshotEvery
-// ops — the snapshot exists, the live journal holds at most the tail,
-// and recovery still reproduces the session exactly.
-func TestSnapshotRotation(t *testing.T) {
-	dir := t.TempDir()
-	e := NewWithOptions(Options{Workers: 2, JournalDir: dir, SnapshotEvery: 2})
-	s, err := e.CreateSession(SessionConfig{ScenarioKey: "b", Strategy: "DC", Seed: 5, Tiles: 4})
+// TestJournalLegacySnapshots recovers a data directory written by a
+// binary that still compacted each journal into <id>.snap.json every
+// two ops and truncated it. testdata/legacy holds three sessions:
+//   - s1 closed gracefully: a snapshot and an empty journal;
+//   - s2 abandoned after two rotations: a snapshot and a one-op tail;
+//   - s3 crashed between writing its snapshot and truncating its
+//     journal, then recovered and stepped once by that binary: a
+//     journal that repeats the snapshot's ops before its tail.
+//
+// testdata/legacy_expected.json holds each session's epoch, actions and
+// duration bits as that binary recorded them. Recovery must reproduce
+// them, and after one more step per session a second recovery must
+// match the live continuation. The snapshot files are read, never
+// rewritten, and no other file appears.
+func TestJournalLegacySnapshots(t *testing.T) {
+	var want map[string]struct {
+		Epoch         int      `json:"epoch"`
+		Actions       []int    `json:"actions"`
+		DurationsBits []uint64 `json:"durations_bits"`
+	}
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy_expected.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		if _, _, err := e.StepIdem(context.Background(), s.id, ""); err != nil {
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	src := filepath.Join("testdata", "legacy")
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	fixture := map[string][]byte{}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
 			t.Fatal(err)
 		}
+		fixture[e.Name()] = b
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	live := NewWithOptions(Options{Workers: 1, JournalDir: dir})
+	infos, err := live.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != len(want) {
+		t.Fatalf("recovered %+v, want %d sessions", infos, len(want))
+	}
+	for _, info := range infos {
+		w := want[info.ID]
+		res, err := live.Result(info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Epoch != w.Epoch || len(res.Actions) != len(w.Actions) {
+			t.Fatalf("%s: epoch %d, %d iterations; want epoch %d, %d iterations",
+				info.ID, res.Epoch, len(res.Actions), w.Epoch, len(w.Actions))
+		}
+		for i, a := range w.Actions {
+			if res.Actions[i] != a || math.Float64bits(res.Durations[i]) != w.DurationsBits[i] {
+				t.Fatalf("%s iter %d: (%d, %#x), recorded (%d, %#x)", info.ID, i,
+					res.Actions[i], math.Float64bits(res.Durations[i]), a, w.DurationsBits[i])
+			}
+		}
+	}
+	ctx := context.Background()
+	if _, replayed, err := live.BatchStepIdem(ctx, "s1", 3, "legacy-batch"); err != nil || !replayed {
+		t.Fatalf("keyed batch from the snapshot: replayed=%t, err %v", replayed, err)
+	}
+
+	for _, info := range infos {
+		if _, _, err := live.StepIdem(ctx, info.ID, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := NewWithOptions(Options{Workers: 1, JournalDir: dir})
+	if _, err := rec.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	for _, info := range infos {
+		liveRes, err := live.Result(info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recRes, err := rec.Result(info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, info.ID+" continued", liveRes, recRes)
+	}
+
+	after, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != len(fixture) {
+		t.Fatalf("journal dir holds %d files, fixture %d", len(after), len(fixture))
+	}
+	for name, b := range fixture {
+		if !strings.HasSuffix(name, ".snap.json") {
+			continue
+		}
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, b) {
+			t.Fatalf("%s was rewritten", name)
+		}
+	}
+}
+
+// TestJournalFreshSessionDropsLegacySnapshot: an engine started
+// without recovery on a legacy data directory mints s1 again. The new
+// session's journal is its whole history, so the snapshot the earlier
+// binary left for the old s1 must not shadow it at the next recovery.
+func TestJournalFreshSessionDropsLegacySnapshot(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"s1.journal", "s1.snap.json"} {
+		b, err := os.ReadFile(filepath.Join("testdata", "legacy", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := NewWithOptions(Options{Workers: 1, JournalDir: dir})
+	s, err := e.CreateSession(SessionConfig{ScenarioKey: "e", Strategy: "DC", Seed: 5, Tiles: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.id != "s1" {
+		t.Fatalf("fresh engine minted %s, want s1", s.id)
+	}
+	if _, _, err := e.StepIdem(context.Background(), s.id, ""); err != nil {
+		t.Fatal(err)
 	}
 	before, err := e.Result(s.id)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if _, err := os.Stat(snapshotPath(dir, s.id)); err != nil {
-		t.Fatalf("snapshot missing after rotation: %v", err)
-	}
-	data, err := os.ReadFile(journalPath(dir, s.id))
-	if err != nil {
+	rec := NewWithOptions(Options{Workers: 1, JournalDir: dir})
+	if _, err := rec.Recover(); err != nil {
 		t.Fatal(err)
-	}
-	if n := strings.Count(string(data), "\n"); n >= 5 {
-		t.Fatalf("journal not truncated by rotation: %d records", n)
-	}
-
-	rec := NewWithOptions(Options{Workers: 2, JournalDir: dir})
-	infos, err := rec.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(infos) != 1 || infos[0].ReplayedTail != 1 {
-		t.Fatalf("want a 1-op tail after 5 ops at cadence 2: %+v", infos)
 	}
 	after, err := rec.Result(s.id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, "rotated", before, after)
+	sameResult(t, "fresh s1", before, after)
 }
 
 // TestRecoverRequirements: recovery needs journaling and an empty

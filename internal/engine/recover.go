@@ -20,17 +20,14 @@ type RecoveredSession struct {
 	ID         string `json:"id"`
 	Iterations int    `json:"iterations"`
 	Epoch      int    `json:"epoch"`
-	// ReplayedTail is the number of journal-tail operations replayed
-	// beyond the snapshot — the work the last crash left un-compacted.
-	ReplayedTail int `json:"replayed_tail"`
 }
 
 // Recover restores every session found in the engine's journal
-// directory: for each ID it loads the snapshot, replays the journal
-// tail through a fresh strategy (snapshot ops first, then tail ops),
-// re-primes the shared evaluation cache with the journaled
-// deterministic makespans, and reattaches the journal for continued
-// appends. A recovered session continues bit-identically with a session
+// directory: for each ID it reads the journal (after the snapshot an
+// earlier binary may have left), replays every operation through a
+// fresh strategy, re-primes the shared evaluation cache with the
+// journaled deterministic makespans, and reattaches the journal for
+// continued appends. A recovered session continues bit-identically with a session
 // that was never interrupted — the replay re-issues the exact recorded
 // Next/lie/Observe sequence, and each replayed observation is checked
 // bit-for-bit against the journal (a mismatch means the journal and the
@@ -53,9 +50,6 @@ func (e *Engine) Recover() ([]RecoveredSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := removeSnapshotTemps(e.journalDir, ids); err != nil {
-		return nil, err
-	}
 	var out []RecoveredSession
 	for _, id := range ids {
 		st, err := loadSessionState(e.journalDir, id)
@@ -70,7 +64,7 @@ func (e *Engine) Recover() ([]RecoveredSession, error) {
 		if err := e.replaySession(s, st.ops); err != nil {
 			return nil, fmt.Errorf("engine: replay session %s: %w", id, err)
 		}
-		jl, err := reopenJournal(e.journalDir, st, e.snapEvery, e.tel)
+		jl, err := reopenJournal(e.journalDir, st, e.tel)
 		if err != nil {
 			return nil, err
 		}
@@ -87,12 +81,7 @@ func (e *Engine) Recover() ([]RecoveredSession, error) {
 			e.nextID = n
 		}
 		e.mu.Unlock()
-		out = append(out, RecoveredSession{
-			ID:           id,
-			Iterations:   len(s.actions),
-			Epoch:        s.epoch,
-			ReplayedTail: st.tail,
-		})
+		out = append(out, RecoveredSession{ID: id, Iterations: len(s.actions), Epoch: s.epoch})
 	}
 	return out, nil
 }

@@ -538,8 +538,9 @@ func (e *Engine) PromoteReplica(ctx context.Context, id string, minGen uint64) (
 		return PromotedSession{}, fmt.Errorf("engine: fsync replica %s: %w", id, err)
 	}
 	_ = f.Close()
-	// Clear any stale local remnants of a previous incarnation: the
-	// replica is the authoritative history now.
+	// Clear any stale local remnant of a previous incarnation (a
+	// snapshot file an earlier binary wrote): the replica is the
+	// authoritative history now.
 	if err := os.Remove(snapshotPath(e.journalDir, id)); err != nil && !os.IsNotExist(err) {
 		return PromotedSession{}, fmt.Errorf("engine: drop stale snapshot for %s: %w", id, err)
 	}
@@ -562,7 +563,7 @@ func (e *Engine) PromoteReplica(ctx context.Context, id string, minGen uint64) (
 	if err := e.replaySession(s, st.ops); err != nil {
 		return PromotedSession{}, fmt.Errorf("engine: replay session %s: %w", id, err)
 	}
-	jl, err := reopenJournal(e.journalDir, st, e.snapEvery, e.tel)
+	jl, err := reopenJournal(e.journalDir, st, e.tel)
 	if err != nil {
 		return PromotedSession{}, err
 	}

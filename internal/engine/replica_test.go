@@ -296,7 +296,7 @@ func TestAppendReplicaValidation(t *testing.T) {
 // fields existed (v1) recover unchanged, as generation 1.
 func TestJournalV1Compat(t *testing.T) {
 	dir := t.TempDir()
-	live := NewWithOptions(Options{Workers: 2, JournalDir: dir, SnapshotEvery: 100})
+	live := NewWithOptions(Options{Workers: 2, JournalDir: dir})
 	s, err := live.CreateSession(SessionConfig{
 		ScenarioKey: "b", Strategy: "GP-discontinuous", Seed: 42, Tiles: 4,
 	})
@@ -321,7 +321,7 @@ func TestJournalV1Compat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec := NewWithOptions(Options{Workers: 1, JournalDir: dir, SnapshotEvery: 100})
+	rec := NewWithOptions(Options{Workers: 1, JournalDir: dir})
 	defer rec.Close()
 	if _, err := rec.Recover(); err != nil {
 		t.Fatalf("v1 journal must recover: %v", err)
@@ -340,7 +340,7 @@ func TestJournalV1Compat(t *testing.T) {
 // recovery instead of being misread.
 func TestJournalVersionGate(t *testing.T) {
 	dir := t.TempDir()
-	live := NewWithOptions(Options{Workers: 1, JournalDir: dir, SnapshotEvery: 100})
+	live := NewWithOptions(Options{Workers: 1, JournalDir: dir})
 	s, err := live.CreateSession(SessionConfig{ScenarioKey: "b", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -357,7 +357,7 @@ func TestJournalVersionGate(t *testing.T) {
 	if err := os.WriteFile(path, []byte(future), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rec := NewWithOptions(Options{Workers: 1, JournalDir: dir, SnapshotEvery: 100})
+	rec := NewWithOptions(Options{Workers: 1, JournalDir: dir})
 	defer rec.Close()
 	if _, err := rec.Recover(); err == nil || !strings.Contains(err.Error(), "format v99") {
 		t.Fatalf("future-version journal: %v, want a version refusal", err)

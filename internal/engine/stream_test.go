@@ -188,7 +188,7 @@ func TestStreamRecoverBitIdentical(t *testing.T) {
 // serving.
 func TestStreamRecoverPartial(t *testing.T) {
 	dir := t.TempDir()
-	live := NewWithOptions(Options{Workers: 2, JournalDir: dir, SnapshotEvery: 1 << 20})
+	live := NewWithOptions(Options{Workers: 2, JournalDir: dir})
 	s, err := live.CreateSession(SessionConfig{ScenarioKey: "b", Strategy: "GP-discontinuous", Seed: 3, Tiles: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestStreamRecoverPartial(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec := NewWithOptions(Options{Workers: 2, JournalDir: dir, SnapshotEvery: 1 << 20})
+	rec := NewWithOptions(Options{Workers: 2, JournalDir: dir})
 	if _, err := rec.Recover(); err != nil {
 		t.Fatal(err)
 	}

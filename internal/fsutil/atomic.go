@@ -1,7 +1,8 @@
 // Package fsutil provides the crash-safe filesystem primitives shared
 // by everything in this repository that persists state: atomic
-// write-rename with fsync (curve files, engine snapshots) and directory
-// syncing (journal rotation). The contract is the classic one — after
+// write-rename with fsync (curve files, session traces, benchmark
+// records) and directory syncing (journal creation, replica promotion,
+// the event log file). The contract is the classic one — after
 // WriteFileAtomic returns nil, a crash at any point leaves either the
 // old file or the new file at path, never a torn mix, and the new
 // content survives power loss once the call returns.

@@ -46,7 +46,6 @@ type Telemetry struct {
 	PeerMisses          *Counter   // peer lookups that found nothing (computed locally)
 	PeerShares          *Counter   // completed values served to shard peers via /v1/cache/peek
 	JournalAppend       *Histogram // seconds per fsync'd journal append
-	SnapshotRotations   *Counter
 	RecoverySessions    *Counter
 	RecoveryReplayedOps *Counter
 
@@ -91,8 +90,6 @@ func NewTelemetry(nowNanos func() int64) *Telemetry {
 			"completed evaluations served to shard peers via /v1/cache/peek", nil),
 		JournalAppend: reg.Histogram("phasetune_journal_append_seconds",
 			"wall-clock seconds per journal append including the fsync", DurationBuckets, nil),
-		SnapshotRotations: reg.Counter("phasetune_journal_snapshot_rotations_total",
-			"journal compactions into an atomically-rotated snapshot", nil),
 		RecoverySessions: reg.Counter("phasetune_recovery_sessions_total",
 			"sessions restored from their write-ahead journals", nil),
 		RecoveryReplayedOps: reg.Counter("phasetune_recovery_replayed_ops_total",

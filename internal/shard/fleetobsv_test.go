@@ -60,17 +60,8 @@ func newObsvFleet(t *testing.T, n int) *replFleet {
 	for i, e := range f.engines {
 		self := f.names[i]
 		e.SetReplicaPlanner(func(id string) (string, bool) {
-			chain := ring.LookupN(id, n)
-			for j, name := range chain {
-				if name == self {
-					next := chain[(j+1)%len(chain)]
-					if next == self {
-						return "", false
-					}
-					return addrOf[next], true
-				}
-			}
-			return "", false
+			next, ok := ring.Follower(id, self)
+			return addrOf[next], ok
 		})
 	}
 	rt, err := New(Options{

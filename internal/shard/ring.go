@@ -169,6 +169,23 @@ func (r *Ring) LookupN(key string, n int) []string {
 	return out
 }
 
+// Follower returns the member that holds self's replica of key: the
+// next distinct member after self on key's chain (LookupN order),
+// wrapping from the last member back to the owner. It reports false
+// when self is not a member or is the only one. Workers wire their
+// replication from this rule, so self may sit anywhere on the chain:
+// the owner ships to the second member, and a follower promoted into
+// ownership ships to the member after it.
+func (r *Ring) Follower(key, self string) (string, bool) {
+	chain := r.LookupN(key, len(r.names))
+	for i, name := range chain {
+		if name == self && len(chain) > 1 {
+			return chain[(i+1)%len(chain)], true
+		}
+	}
+	return "", false
+}
+
 // Names returns the ring's members in sorted order. The slice is shared
 // — callers must not mutate it.
 func (r *Ring) Names() []string { return r.names }

@@ -92,3 +92,45 @@ func TestRingValidation(t *testing.T) {
 		t.Fatalf("empty ring returned %q", got)
 	}
 }
+
+// TestRingFollower pins the follower rule every worker's replication
+// planner uses: the member after self on the key's chain, wrapping
+// from the last member to the owner. The owner's follower is the
+// second member of the chain, the one the supervisor promotes first.
+func TestRingFollower(t *testing.T) {
+	three, err := NewRing([]string{"w0", "w1", "w2"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := NewRing([]string{"w0"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "sess-7"
+	chain := three.LookupN(key, 3)
+	for _, tc := range []struct {
+		name string
+		ring *Ring
+		self string
+		want string
+		ok   bool
+	}{
+		{"owner maps to the next member", three, chain[0], chain[1], true},
+		{"middle member maps to the last", three, chain[1], chain[2], true},
+		{"last member wraps to the owner", three, chain[2], chain[0], true},
+		{"single member has no follower", one, "w0", "", false},
+		{"absent self has none", three, "w9", "", false},
+	} {
+		if got, ok := tc.ring.Follower(key, tc.self); got != tc.want || ok != tc.ok {
+			t.Errorf("%s: Follower(%q, %q) = (%q, %t), want (%q, %t)",
+				tc.name, key, tc.self, got, ok, tc.want, tc.ok)
+		}
+	}
+	for i := 0; i < 500; i++ {
+		id := fmt.Sprintf("s%d", i)
+		got, ok := three.Follower(id, three.Lookup(id))
+		if want := three.LookupN(id, 2)[1]; !ok || got != want {
+			t.Fatalf("%s: owner's follower (%q, %t), chain says %q", id, got, ok, want)
+		}
+	}
+}

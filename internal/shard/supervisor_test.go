@@ -15,9 +15,8 @@ import (
 )
 
 // replFleet is a supervised router over n journaled workers whose
-// replica planners mirror what phasetune-serve wires from a fleet
-// config: each session's follower is the next distinct ring member
-// after the worker itself.
+// replica planners are what phasetune-serve wires from a fleet config:
+// Ring.Follower from the worker's own name.
 type replFleet struct {
 	router  *Router
 	front   *httptest.Server
@@ -51,17 +50,8 @@ func newReplFleet(t *testing.T, n int) *replFleet {
 	for i, e := range f.engines {
 		self := f.names[i]
 		e.SetReplicaPlanner(func(id string) (string, bool) {
-			chain := ring.LookupN(id, n)
-			for j, name := range chain {
-				if name == self {
-					next := chain[(j+1)%len(chain)]
-					if next == self {
-						return "", false
-					}
-					return addrOf[next], true
-				}
-			}
-			return "", false
+			next, ok := ring.Follower(id, self)
+			return addrOf[next], ok
 		})
 	}
 	rt, err := New(Options{Shards: shards, Seed: 7, HealthInterval: time.Hour, Supervise: true})

@@ -231,7 +231,7 @@ func shardChaosRound(t *testing.T, serveBin, routerBin string, shards int, ref [
 
 	// The fleet: every worker journals to its own directory, so a kill
 	// loses a process but never committed state.
-	workerArgs := []string{"-workers", "2", "-snapshot-every", "4"}
+	workerArgs := []string{"-workers", "2"}
 	names := make([]string, shards)
 	dirs := make([]string, shards)
 	workers := make([]*serveProc, shards)
@@ -604,7 +604,7 @@ func shardAutoFailoverRound(t *testing.T, serveBin, routerBin string, engineWork
 	})
 
 	const fleetSize = 3
-	workerArgs := []string{"-workers", strconv.Itoa(engineWorkers), "-snapshot-every", "4"}
+	workerArgs := []string{"-workers", strconv.Itoa(engineWorkers)}
 	names := make([]string, fleetSize)
 	dirs := make([]string, fleetSize)
 	bases := make([]string, fleetSize)
@@ -856,7 +856,7 @@ func TestShardChaosPartitionPromote(t *testing.T) {
 	}
 	follower := ring.LookupN(id, fleetSize)[1]
 
-	workerArgs := []string{"-workers", "2", "-snapshot-every", "4"}
+	workerArgs := []string{"-workers", "2"}
 	dirs := make([]string, fleetSize)
 	bases := make([]string, fleetSize)
 	workers := make([]*serveProc, fleetSize)
