@@ -348,29 +348,74 @@ func BenchmarkFluidNetwork(b *testing.B) {
 	}
 }
 
+// BenchmarkGPFitPredict times one GP fit plus its predictions in two
+// shapes: 60 distinct inputs with 15 predictions, and the shape of a
+// late GP-discontinuous proposal on the long-tune benchmark workload,
+// 190 history entries on 60 distinct actions (replicates and
+// constant-liar lies) with predictions at 70 allowed actions.
 func BenchmarkGPFitPredict(b *testing.B) {
-	rng := stats.NewRNG(2)
-	var xs [][]float64
-	var ys []float64
-	for i := 0; i < 60; i++ {
-		xs = append(xs, []float64{float64(i)})
-		ys = append(ys, 10+rng.Normal(0, 1))
-	}
-	model := gp.Model{
-		Kernel: gp.Exponential{Alpha: 1, Theta: 1},
-		Noise:  0.25,
-		Basis:  []gp.BasisFunc{gp.ConstantBasis(), gp.LinearBasis(0)},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fit, err := model.FitModel(xs, ys)
-		if err != nil {
-			b.Fatal(err)
+	b.Run("distinct-60", func(b *testing.B) {
+		rng := stats.NewRNG(2)
+		var xs [][]float64
+		var ys []float64
+		for i := 0; i < 60; i++ {
+			xs = append(xs, []float64{float64(i)})
+			ys = append(ys, 10+rng.Normal(0, 1))
 		}
-		for n := 0; n < 60; n += 4 {
-			fit.Predict([]float64{float64(n)})
+		model := gp.Model{
+			Kernel: gp.Exponential{Alpha: 1, Theta: 1},
+			Noise:  0.25,
+			Basis:  []gp.BasisFunc{gp.ConstantBasis(), gp.LinearBasis(0)},
 		}
-	}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fit, err := model.FitModel(xs, ys)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for n := 0; n < 60; n += 4 {
+				fit.Predict([]float64{float64(n)})
+			}
+		}
+	})
+	b.Run("long-tune", func(b *testing.B) {
+		rng := stats.NewRNG(2)
+		var xs [][]float64
+		var ys []float64
+		for i := 0; i < 190; i++ {
+			// Every one of the 60 actions at least once, then repeats.
+			a := i
+			if i >= 60 {
+				a = rng.Intn(60)
+			}
+			xs = append(xs, []float64{float64(5 + a)})
+			ys = append(ys, 10+0.05*float64(a)+rng.Normal(0, 0.5))
+		}
+		inGroup := func(lo, hi float64) gp.BasisFunc {
+			return gp.IndicatorBasis(func(x []float64) bool { return x[0] > lo && x[0] <= hi })
+		}
+		model := gp.Model{
+			Kernel: gp.Exponential{Alpha: 1, Theta: 1},
+			Noise:  gp.EstimateNoise(xs, ys, 0.25),
+			Basis: []gp.BasisFunc{gp.ConstantBasis(), gp.LinearBasis(0),
+				inGroup(25, 50), inGroup(50, 75)},
+		}
+		preds := make([][]float64, 70)
+		for i := range preds {
+			preds[i] = []float64{float64(5 + i)}
+		}
+		mean := make([]float64, len(preds))
+		sd := make([]float64, len(preds))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fit, err := model.FitModel(xs, ys)
+			if err != nil {
+				b.Fatal(err)
+			}
+			fit.PredictAll(preds, mean, sd)
+		}
+	})
 }
 
 func BenchmarkDistributionGrid(b *testing.B) {

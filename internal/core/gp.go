@@ -104,8 +104,8 @@ type GPStrategy struct {
 	boundSet  bool
 
 	lastFit      time.Duration // wall-clock cost of the latest Next()
-	lastMean     map[int]float64
-	lastSD       map[int]float64
+	lastMean     []float64     // posterior at each allowed action
+	lastSD       []float64
 	lastAlpha    float64
 	lastTheta    float64
 	pendingInit  bool
@@ -149,12 +149,11 @@ func (g *GPStrategy) Allowed() []int { return append([]int(nil), g.allowed...) }
 // Posterior returns the latest fitted mean and standard deviation for an
 // action (valid after the first model-based Next).
 func (g *GPStrategy) Posterior(action int) (mean, sd float64, ok bool) {
-	if g.lastMean == nil {
+	if g.lastMean == nil || !g.isAllowed(action) {
 		return 0, 0, false
 	}
-	m, okm := g.lastMean[action]
-	s, oks := g.lastSD[action]
-	return m, s, okm && oks
+	i := sort.SearchInts(g.allowed, action)
+	return g.lastMean[i], g.lastSD[i], true
 }
 
 // Hyperparameters returns the latest (alpha, theta).
@@ -287,12 +286,11 @@ func (g *GPStrategy) modelSelect() int {
 	if g.opt.Window > 0 && len(g.hist.xs) > g.opt.Window {
 		lo = len(g.hist.xs) - g.opt.Window
 	}
-	xs := make([][]float64, len(g.hist.xs)-lo)
-	ys := make([]float64, len(g.hist.ys)-lo)
+	xs := inputs(g.hist.xs[lo:])
+	ys := make([]float64, len(xs))
 	useTrendBaseline := g.variant == VariantDiscontinuous &&
 		!g.opt.DisableTrend && g.ctx.LP != nil
 	for i := range xs {
-		xs[i] = []float64{g.hist.xs[lo+i]}
 		ys[i] = g.hist.ys[lo+i]
 		if useTrendBaseline {
 			ys[i] -= g.ctx.LP(int(g.hist.xs[lo+i]))
@@ -364,16 +362,19 @@ func (g *GPStrategy) modelSelect() int {
 		}
 	}
 
-	g.lastMean = make(map[int]float64, len(g.allowed))
-	g.lastSD = make(map[int]float64, len(g.allowed))
+	actions := make([]float64, len(g.allowed))
+	for i, n := range g.allowed {
+		actions[i] = float64(n)
+	}
+	g.lastMean = make([]float64, len(g.allowed))
+	g.lastSD = make([]float64, len(g.allowed))
+	fit.PredictAll(inputs(actions), g.lastMean, g.lastSD)
 	best, bestScore := g.allowed[0], math.Inf(1)
-	for _, n := range g.allowed {
-		m, sd := fit.Predict([]float64{float64(n)})
+	for i, n := range g.allowed {
 		if useTrendBaseline {
-			m += g.ctx.LP(n)
+			g.lastMean[i] += g.ctx.LP(n)
 		}
-		g.lastMean[n] = m
-		g.lastSD[n] = sd
+		m, sd := g.lastMean[i], g.lastSD[i]
 		// All acquisitions are folded into a score to minimize.
 		var score float64
 		switch g.opt.Acq {
@@ -389,6 +390,15 @@ func (g *GPStrategy) modelSelect() int {
 		}
 	}
 	return best
+}
+
+// inputs views 1-D values as GP inputs without copying them.
+func inputs(vs []float64) [][]float64 {
+	xs := make([][]float64, len(vs))
+	for i := range vs {
+		xs[i] = vs[i : i+1 : i+1]
+	}
+	return xs
 }
 
 // expectedImprovement returns E[max(fMin - f(x), 0)] under the posterior.

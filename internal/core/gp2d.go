@@ -116,11 +116,17 @@ func (g *GP2D) modelSelect() Action2D {
 	beta := 2 * math.Log(float64(len(g.actions))*float64(t*t)*
 		math.Pi*math.Pi/(6*g.opt.Delta))
 	sb := math.Sqrt(beta)
+	xs := make([][]float64, len(g.actions))
+	for i, a := range g.actions {
+		xs[i] = []float64{float64(a.Gen), float64(a.Fact)}
+	}
+	mean := make([]float64, len(xs))
+	sd := make([]float64, len(xs))
+	fit.PredictAll(xs, mean, sd)
 	best := g.actions[0]
 	bestScore := math.Inf(1)
-	for _, a := range g.actions {
-		m, sd := fit.Predict([]float64{float64(a.Gen), float64(a.Fact)})
-		if score := m - sb*sd; score < bestScore {
+	for i, a := range g.actions {
+		if score := mean[i] - sb*sd[i]; score < bestScore {
 			best, bestScore = a, score
 		}
 	}

@@ -25,6 +25,7 @@ import (
 type Engine struct {
 	pool  *Pool
 	cache *Cache
+	lp    lpMemo
 
 	journalDir string          // "" disables durability
 	tel        *obsv.Telemetry // nil disables metrics and tracing
@@ -247,7 +248,10 @@ func (e *Engine) buildSession(cfg SessionConfig) (*Session, error) {
 		return nil, err
 	}
 	opts := harness.SimOptions{Tiles: cfg.Tiles, Exact: cfg.Exact, GenNodes: cfg.GenNodes}
-	lpf, err := harness.LPBound(sc, opts)
+	ev := harness.NewEvaluator(sc, opts)
+	lpf, err := e.lp.bound(ev.Fingerprint(), func() (func(int) float64, error) {
+		return harness.LPBound(sc, opts)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +270,7 @@ func (e *Engine) buildSession(cfg SessionConfig) (*Session, error) {
 	}
 	s := &Session{
 		driver: NewDriver(strat),
-		ev:     harness.NewEvaluator(sc, opts),
+		ev:     ev,
 		seed:   cfg.Seed,
 		noise:  stats.NewRNG(cfg.Seed),
 	}

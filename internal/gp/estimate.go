@@ -11,12 +11,14 @@ import (
 // EstimateNoise implements the paper's pooled-replicate estimator of the
 // observation noise sigma_N^2: over the set S of inputs measured more than
 // once, sum (y - ybar(x))^2 / (sum_x n(x) - |S|). It returns fallback when
-// no input has replicates.
+// no input has replicates. The groups are summed in first-occurrence
+// order of their inputs, so the estimate is a pure function of the
+// history: summed in map order, its last bits varied from call to call.
 func EstimateNoise(xs [][]float64, ys []float64, fallback float64) float64 {
-	groups := map[string][]float64{}
-	for i, x := range xs {
-		k := keyOf(x)
-		groups[k] = append(groups[k], ys[i])
+	ids, uniq := groupInputs(xs)
+	groups := make([][]float64, len(uniq))
+	for i, g := range ids {
+		groups[g] = append(groups[g], ys[i])
 	}
 	ss := 0.0
 	dof := 0
@@ -37,15 +39,41 @@ func EstimateNoise(xs [][]float64, ys []float64, fallback float64) float64 {
 	return ss / float64(dof)
 }
 
+// groupInputs numbers the distinct inputs of xs in first-occurrence
+// order: xs[i] equals uniq[ids[i]]. Inputs are equal when their keys
+// are (coordinate by coordinate, +0 and -0 alike), so any function of
+// the distance between two inputs, a kernel included, takes one value
+// across a group.
+func groupInputs(xs [][]float64) (ids []int, uniq [][]float64) {
+	index := make(map[string]int, len(xs))
+	ids = make([]int, len(xs))
+	var key []byte
+	for i, x := range xs {
+		key = appendKey(key[:0], x)
+		g, ok := index[string(key)]
+		if !ok {
+			g = len(uniq)
+			index[string(key)] = g
+			uniq = append(uniq, x)
+		}
+		ids[i] = g
+	}
+	return ids, uniq
+}
+
 func keyOf(x []float64) string {
-	// Inputs in this repository are small integer-valued vectors; a plain
-	// textual key is exact and allocation-cheap at this scale.
-	b := make([]byte, 0, 16)
+	return string(appendKey(make([]byte, 0, 16), x))
+}
+
+// appendKey appends x's grouping key to b. Inputs in this repository
+// are small integer-valued vectors; a plain textual key is exact for
+// them.
+func appendKey(b []byte, x []float64) []byte {
 	for _, v := range x {
 		b = appendFloat(b, v)
 		b = append(b, '|')
 	}
-	return string(b)
+	return b
 }
 
 func appendFloat(b []byte, v float64) []byte {
@@ -69,6 +97,9 @@ func appendFloat(b []byte, v float64) []byte {
 		}
 		return append(b, tmp[i:]...)
 	}
+	// The marker keeps raw bits that happen to spell digits apart from
+	// an integer's key.
+	b = append(b, 'b')
 	bits := math.Float64bits(v)
 	for s := 56; s >= 0; s -= 8 {
 		b = append(b, byte(bits>>uint(s)))

@@ -243,6 +243,28 @@ func TestEstimateNoisePooled(t *testing.T) {
 	}
 }
 
+// TestEstimateNoiseDeterministic pins the estimate to one value per
+// history: the pooled sum of squares is a float accumulation, so
+// summing the replicate groups in map order made its last bits vary
+// from call to call, and with them every GP posterior built on it.
+func TestEstimateNoiseDeterministic(t *testing.T) {
+	// The shape of a long tuning session: 190 entries on 60 inputs,
+	// most of them replicated.
+	rng := stats.NewRNG(7)
+	xs := make([][]float64, 190)
+	ys := make([]float64, len(xs))
+	for i := range xs {
+		xs[i] = []float64{float64(10 + rng.Intn(60))}
+		ys[i] = 40 + rng.Normal(0, 0.5)
+	}
+	want := math.Float64bits(EstimateNoise(xs, ys, 0.25))
+	for i := 0; i < 2000; i++ {
+		if got := math.Float64bits(EstimateNoise(xs, ys, 0.25)); got != want {
+			t.Fatalf("call %d: noise bits %#x, first call %#x", i, got, want)
+		}
+	}
+}
+
 func TestEstimateNoiseFallback(t *testing.T) {
 	if got := EstimateNoise(X1(1, 2, 3), []float64{1, 2, 3}, 0.5); got != 0.5 {
 		t.Fatalf("fallback = %v", got)

@@ -44,16 +44,17 @@ type Model struct {
 
 // Fit is a conditioned Gaussian process ready for prediction.
 type Fit struct {
-	model   Model
-	x       [][]float64
-	chol    *linalg.Matrix // Cholesky factor of K + noise*I
-	gamma   []float64      // GLS trend coefficients
-	resid   []float64      // K^-1 (y - F gamma)
-	fginv   *linalg.Matrix // (F^T K^-1 F)^-1, nil without trend
-	kinvF   *linalg.Matrix // K^-1 F, nil without trend
-	logLik  float64
-	nObs    int
-	nuggets float64
+	model  Model
+	uniq   [][]float64    // distinct conditioning inputs, first occurrence first
+	ids    []int          // observation i was taken at uniq[ids[i]]
+	chol   *linalg.Matrix // Cholesky factor L of K + noise*I
+	cholT  *linalg.Matrix // L^T, row-major, for the back substitutions
+	gamma  []float64      // GLS trend coefficients
+	resid  []float64      // K^-1 (y - F gamma)
+	fginv  *linalg.Matrix // (F^T K^-1 F)^-1, nil without trend
+	kinvFT *linalg.Matrix // (K^-1 F)^T, one row per basis function; nil without trend
+	logLik float64
+	nObs   int
 }
 
 // ErrNoData reports a fit attempted with no observations.
@@ -62,7 +63,9 @@ var ErrNoData = errors.New("gp: no observations")
 // jitterFrac stabilizes the covariance Cholesky for near-duplicate points.
 const jitterFrac = 1e-10
 
-// FitModel conditions the GP on observations (xs[i], ys[i]).
+// FitModel conditions the GP on observations (xs[i], ys[i]). The
+// kernel is evaluated once per pair of distinct inputs: replicated
+// inputs share their covariances.
 func (m Model) FitModel(xs [][]float64, ys []float64) (*Fit, error) {
 	n := len(xs)
 	if n == 0 {
@@ -78,36 +81,60 @@ func (m Model) FitModel(xs [][]float64, ys []float64) (*Fit, error) {
 		return nil, fmt.Errorf("gp: negative noise variance %v", m.Noise)
 	}
 	jitter := jitterFrac * (m.Kernel.Variance() + 1)
+	ids, uniq := groupInputs(xs)
+	nu := len(uniq)
+	cov := make([]float64, nu*nu)
+	for a := 0; a < nu; a++ {
+		for b := 0; b <= a; b++ {
+			v := m.Kernel.Cov(Distance(uniq[a], uniq[b]))
+			cov[a*nu+b] = v
+			cov[b*nu+a] = v
+		}
+	}
+	// Cholesky reads only the lower triangle.
 	k := linalg.NewMatrix(n, n)
 	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			v := m.Kernel.Cov(Distance(xs[i], xs[j]))
-			if i == j {
-				v += m.Noise + jitter
-			}
-			k.Set(i, j, v)
-			k.Set(j, i, v)
+		ci := cov[ids[i]*nu : (ids[i]+1)*nu]
+		row := k.Data[i*n : i*n+i+1]
+		for j := range row {
+			row[j] = ci[ids[j]]
 		}
+		row[i] += m.Noise + jitter
 	}
 	chol, err := linalg.Cholesky(k)
 	if err != nil {
 		return nil, fmt.Errorf("gp: covariance not positive definite: %w", err)
 	}
 
-	f := &Fit{model: m, x: deepCopy(xs), chol: chol, nObs: n, nuggets: jitter}
+	// The back substitutions read L^T by rows. K is spent, so its
+	// storage takes the copy.
+	cholT := k
+	for i := 0; i < n; i++ {
+		row := cholT.Data[i*n : (i+1)*n]
+		for j := range row {
+			row[j] = chol.Data[j*n+i]
+		}
+	}
+	f := &Fit{model: m, uniq: deepCopy(uniq), ids: ids, chol: chol, cholT: cholT, nObs: n}
 
 	p := len(m.Basis)
 	resid := append([]float64(nil), ys...)
 	if p > 0 {
-		// Trend design matrix F (n x p).
-		F := linalg.NewMatrix(n, p)
-		for i := 0; i < n; i++ {
-			for j := 0; j < p; j++ {
-				F.Set(i, j, m.Basis[j](xs[i]))
+		// Trend design matrix, transposed: row j holds basis j at every
+		// input. One block solve yields K^-1 F and K^-1 y.
+		ft := linalg.NewMatrix(p, n)
+		for i, x := range xs {
+			for j, g := range m.Basis {
+				ft.Set(j, i, g(x))
 			}
 		}
-		kinvF := linalg.CholSolveMatrix(chol, F)
-		ftKinvF := linalg.Mul(F.T(), kinvF) // p x p
+		sol := linalg.NewMatrix(p+1, n)
+		copy(sol.Data, ft.Data)
+		copy(sol.Data[p*n:], ys)
+		linalg.CholSolveRows(chol, cholT, sol)
+		kinvFT := &linalg.Matrix{Rows: p, Cols: n, Data: sol.Data[:p*n]}
+		kinvY := sol.Data[p*n:]
+		ftKinvF := linalg.Mul(ft, kinvFT.T()) // p x p
 		// Ridge-stabilize in case dummy columns are collinear with the
 		// observed design (few points early in the exploration).
 		for d := 0; d < p; d++ {
@@ -117,19 +144,19 @@ func (m Model) FitModel(xs [][]float64, ys []float64) (*Fit, error) {
 		if err != nil {
 			return nil, fmt.Errorf("gp: trend normal equations singular: %w", err)
 		}
-		kinvY := linalg.CholSolve(chol, ys)
-		fty := linalg.MulVec(F.T(), kinvY)
+		fty := linalg.MulVec(ft, kinvY)
 		gamma := linalg.MulVec(fginv, fty)
 		// Residual y - F gamma.
-		fg := linalg.MulVec(F, gamma)
+		fg := linalg.MulVec(ft.T(), gamma)
 		for i := range resid {
 			resid[i] -= fg[i]
 		}
 		f.gamma = gamma
 		f.fginv = fginv
-		f.kinvF = kinvF
+		f.kinvFT = kinvFT
 	}
-	f.resid = linalg.CholSolve(chol, resid)
+	f.resid = append([]float64(nil), resid...)
+	linalg.CholSolveRows(chol, cholT, &linalg.Matrix{Rows: 1, Cols: n, Data: f.resid})
 
 	// Log marginal likelihood (up to the GLS plug-in for the trend).
 	quad := 0.0
@@ -144,37 +171,72 @@ func (m Model) FitModel(xs [][]float64, ys []float64) (*Fit, error) {
 // Predict returns the kriging mean and standard deviation of the latent
 // function f at x (noise-free prediction).
 func (f *Fit) Predict(x []float64) (mean, sd float64) {
-	n := f.nObs
-	kstar := make([]float64, n)
-	for i := 0; i < n; i++ {
-		kstar[i] = f.model.Kernel.Cov(Distance(x, f.x[i]))
-	}
-	mean = linalg.Dot(kstar, f.resid)
-	kinvK := linalg.CholSolve(f.chol, kstar)
-	variance := f.model.Kernel.Variance() - linalg.Dot(kstar, kinvK)
+	var m, s [1]float64
+	f.PredictAll([][]float64{x}, m[:], s[:])
+	return m[0], s[0]
+}
 
-	if p := len(f.model.Basis); p > 0 {
-		fx := make([]float64, p)
-		for j := 0; j < p; j++ {
-			fx[j] = f.model.Basis[j](x)
+// PredictAll writes the kriging mean and standard deviation of the
+// latent function f at every input xs[r] into mean[r] and sd[r]. All
+// inputs share one block triangular solve, and nothing is allocated
+// per input; every result is bit-identical to predicting its input
+// alone.
+func (f *Fit) PredictAll(xs [][]float64, mean, sd []float64) {
+	if len(mean) != len(xs) || len(sd) != len(xs) {
+		panic("gp: PredictAll output length mismatch")
+	}
+	n, nu, p := f.nObs, len(f.uniq), len(f.model.Basis)
+	// Row r of kstar holds the covariances between xs[r] and every
+	// observation: the kernel runs once per distinct input.
+	kstar := linalg.NewMatrix(len(xs), n)
+	kd := make([]float64, nu)
+	for r, x := range xs {
+		for u, xu := range f.uniq {
+			kd[u] = f.model.Kernel.Cov(Distance(x, xu))
 		}
-		mean += linalg.Dot(fx, f.gamma)
-		// Universal kriging variance inflation:
-		// u = f(x) - F^T K^-1 k*, add u^T (F^T K^-1 F)^-1 u.
-		u := make([]float64, p)
-		for j := 0; j < p; j++ {
-			s := fx[j]
-			for i := 0; i < n; i++ {
-				s -= f.kinvF.At(i, j) * kstar[i]
+		row := kstar.Data[r*n : (r+1)*n]
+		for i, id := range f.ids {
+			row[i] = kd[id]
+		}
+	}
+	kinvK := kstar.Clone()
+	linalg.CholSolveRows(f.chol, f.cholT, kinvK)
+
+	scratch := make([]float64, 3*p)
+	fx, u, fu := scratch[:p], scratch[p:2*p], scratch[2*p:]
+	for r, x := range xs {
+		ks := kstar.Data[r*n : (r+1)*n]
+		m := linalg.Dot(ks, f.resid)
+		variance := f.model.Kernel.Variance() - linalg.Dot(ks, kinvK.Data[r*n:(r+1)*n])
+		if p > 0 {
+			for j, g := range f.model.Basis {
+				fx[j] = g(x)
 			}
-			u[j] = s
+			m += linalg.Dot(fx, f.gamma)
+			// Universal kriging variance inflation:
+			// u = f(x) - F^T K^-1 k*, add u^T (F^T K^-1 F)^-1 u.
+			for j := range u {
+				s := fx[j]
+				for i, w := range f.kinvFT.Data[j*n : (j+1)*n] {
+					s -= w * ks[i]
+				}
+				u[j] = s
+			}
+			// fu = (F^T K^-1 F)^-1 u, summed as MulVec sums.
+			for j := range fu {
+				s := 0.0
+				for i, w := range f.fginv.Data[j*p : (j+1)*p] {
+					s += w * u[i]
+				}
+				fu[j] = s
+			}
+			variance += linalg.Dot(u, fu)
 		}
-		variance += linalg.Dot(u, linalg.MulVec(f.fginv, u))
+		if variance < 0 {
+			variance = 0
+		}
+		mean[r], sd[r] = m, math.Sqrt(variance)
 	}
-	if variance < 0 {
-		variance = 0
-	}
-	return mean, math.Sqrt(variance)
 }
 
 // LogLikelihood returns the log marginal likelihood of the fit.
@@ -189,10 +251,17 @@ func (f *Fit) TrendCoefficients() []float64 {
 // NumObservations returns the number of conditioning points.
 func (f *Fit) NumObservations() int { return f.nObs }
 
+// deepCopy copies xs into one backing array.
 func deepCopy(xs [][]float64) [][]float64 {
+	size := 0
+	for _, x := range xs {
+		size += len(x)
+	}
+	flat := make([]float64, 0, size)
 	out := make([][]float64, len(xs))
 	for i, x := range xs {
-		out[i] = append([]float64(nil), x...)
+		flat = append(flat, x...)
+		out[i] = flat[len(flat)-len(x) : len(flat) : len(flat)]
 	}
 	return out
 }

@@ -107,12 +107,19 @@ func TestNumObservations(t *testing.T) {
 
 func TestKeyOfNonIntegerInputs(t *testing.T) {
 	// Non-integral coordinates exercise the bit-packing path of the
-	// replicate grouping key; distinct values must not collide.
-	xs := [][]float64{{1.5}, {1.5}, {2.25}, {-3.5}, {-3.5}}
-	ys := []float64{1, 2, 5, 7, 9}
+	// replicate grouping key; distinct values must not collide, not even
+	// with an integer whose digits their raw bytes spell.
+	digits := math.Float64frombits(0x3132333435363738) // bytes "12345678"
+	xs := [][]float64{{1.5}, {1.5}, {2.25}, {-3.5}, {-3.5}, {12345678}, {digits}, {digits}}
+	ys := []float64{1, 2, 5, 7, 9, 3, 4, 6}
 	groups := Replicates(xs, ys)
-	if len(groups) != 2 {
+	if len(groups) != 3 {
 		t.Fatalf("groups = %v", groups)
+	}
+	for _, g := range groups {
+		if len(g) != 2 {
+			t.Fatalf("groups = %v", groups)
+		}
 	}
 	noise := EstimateNoise(xs, ys, -1)
 	if noise <= 0 {

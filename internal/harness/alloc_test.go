@@ -3,7 +3,9 @@ package harness
 import (
 	"testing"
 
+	"phasetune/internal/core"
 	"phasetune/internal/platform"
+	"phasetune/internal/stats"
 	"phasetune/internal/trace"
 )
 
@@ -42,5 +44,67 @@ func TestSimulateIterationAllocBound(t *testing.T) {
 	}
 	if observed > observedEvalAllocs {
 		t.Errorf("observed evaluation: %.0f allocs, bound %d", observed, observedEvalAllocs)
+	}
+}
+
+// lateProposalAllocs bounds one GP-discontinuous proposal late in a
+// long-tune-shaped session: 192 history entries, constant-liar lies
+// included, and 74 allowed actions. The proposal allocates about 400
+// times on linux/amd64 with Go 1.24, none of them per predicted action.
+// Before predictions shared one block solve, every predicted action
+// allocated about seven slices, about 1,340 allocations in all.
+const lateProposalAllocs = 600
+
+// TestLateProposalAllocBound keeps a late GP proposal's allocations
+// independent of the number of actions it predicts.
+func TestLateProposalAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	sc, _ := platform.ScenarioByKey("n")
+	opts := SimOptions{Tiles: 12}
+	lpf, err := LPBound(sc, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sims := map[int]float64{}
+	for a := sc.MinNodes; a <= sc.Platform.N(); a++ {
+		if sims[a], err = SimulateIteration(sc, a, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := core.NewGPDiscontinuous(core.Context{
+		N: sc.Platform.N(), Min: sc.MinNodes, GroupSizes: sc.Platform.GroupSizes(), LP: lpf,
+	}, core.GPOptions{})
+	// 120 observations committed as step, step, batch of 4, batch of 4,
+	// each batch proposal but the last followed by its exact makespan
+	// as the constant-liar lie.
+	noise := stats.NewRNG(1)
+	entries := 0
+	for n := 0; n < 120; {
+		for _, k := range []int{1, 1, 4, 4} {
+			if n == 120 {
+				break
+			}
+			actions := make([]int, k)
+			for i := range actions {
+				actions[i] = s.Next()
+				if i < k-1 {
+					s.Observe(actions[i], sims[actions[i]])
+					entries++
+				}
+			}
+			for _, a := range actions {
+				s.Observe(a, sims[a]+noise.Normal(0, NoiseSD))
+				entries++
+			}
+			n += k
+		}
+	}
+	allocs := testing.AllocsPerRun(5, func() { s.Next() })
+	t.Logf("allocs per proposal at %d history entries and %d allowed actions: %.0f",
+		entries, len(s.Allowed()), allocs)
+	if allocs > lateProposalAllocs {
+		t.Errorf("late proposal: %.0f allocs, bound %d", allocs, lateProposalAllocs)
 	}
 }

@@ -9,6 +9,7 @@ package determinism
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strconv"
 	"strings"
@@ -32,8 +33,10 @@ const Name = "determinism"
 //     site;
 //   - ranging over a map when the loop body leaks the iteration order
 //     into an order-sensitive sink (append to an outer slice with no
-//     subsequent sort, a channel send, or a Write/Push/Schedule/
-//     Observe/Record/print call) — Go randomizes map order per
+//     subsequent sort, a channel send, a Write/Push/Schedule/
+//     Observe/Record/print call, or a compound assignment +=, -=, *=,
+//     /= to a float variable declared outside the loop, since float
+//     arithmetic is not associative) — Go randomizes map order per
 //     iteration, so the output differs run to run;
 //   - importing phasetune/internal/obsv/wallclock, the module's only
 //     sanctioned wall-clock read: simulation packages take telemetry as
@@ -193,6 +196,11 @@ func checkMapRange(pass *analysis.Pass, file *ast.File, rng *ast.RangeStmt) {
 	}
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if name, ok := outerFloatAccumulation(pass, n, rng); ok {
+				pass.Reportf(n.Pos(),
+					"float %s to %s inside map iteration: floating-point arithmetic is not associative, so the result depends on the randomized map order; accumulate over a slice or sorted keys", n.Tok, name)
+			}
 		case *ast.SendStmt:
 			pass.Reportf(n.Pos(),
 				"channel send inside map iteration: receiver observes Go's randomized map order")
@@ -209,6 +217,63 @@ func checkMapRange(pass *analysis.Pass, file *ast.File, rng *ast.RangeStmt) {
 		}
 		return true
 	})
+}
+
+// outerFloatAccumulation reports whether as is a compound assignment
+// (+=, -=, *=, /=) to a floating-point variable, or a field, declared
+// outside the range statement, returning the target's name. Integer
+// counters are exact in any order and stay silent, as do accumulators
+// declared inside the loop body; indexed targets (per-key sums) are
+// not judged.
+func outerFloatAccumulation(pass *analysis.Pass, as *ast.AssignStmt, rng *ast.RangeStmt) (string, bool) {
+	switch as.Tok {
+	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+	default:
+		return "", false
+	}
+	if len(as.Lhs) != 1 {
+		return "", false
+	}
+	lhs := as.Lhs[0]
+	t := pass.TypesInfo.TypeOf(lhs)
+	if t == nil {
+		return "", false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	if !ok || b.Info()&(types.IsFloat|types.IsComplex) == 0 {
+		return "", false
+	}
+	id := rootIdent(lhs)
+	if id == nil {
+		return "", false
+	}
+	obj := pass.TypesInfo.Uses[id]
+	if obj == nil {
+		return "", false
+	}
+	if obj.Pos() >= rng.Pos() && obj.Pos() < rng.End() {
+		return "", false
+	}
+	return types.ExprString(lhs), true
+}
+
+// rootIdent returns the variable at the base of a selector chain
+// (s.acc.total yields s), or nil when the base is not an identifier.
+func rootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
 }
 
 // sinkCall reports whether call is a method or fmt call named like an

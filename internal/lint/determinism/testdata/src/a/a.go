@@ -96,3 +96,50 @@ func insertionSortInts(xs []int) {
 		}
 	}
 }
+
+type acc struct{ total float64 }
+
+// Float addition is not associative: a sum taken in map order differs
+// in its last bits from run to run.
+func floatSumOverMap(m map[string][]float64, a *acc) (float64, float64) {
+	ss := 0.0
+	prod := 1.0
+	for _, obs := range m {
+		for _, y := range obs {
+			ss += y * y // want `float \+= to ss inside map iteration`
+		}
+		prod *= float64(len(obs)) // want `float \*= to prod inside map iteration`
+		a.total -= obs[0]         // want `float -= to a\.total inside map iteration`
+	}
+	return ss, prod
+}
+
+func mapAccumulationSafe(m map[string][]float64) (float64, int) {
+	// An integer counter is exact in any order.
+	dof := 0
+	for _, obs := range m {
+		dof += len(obs) - 1
+	}
+	// An accumulator declared inside the loop body restarts every
+	// iteration.
+	for _, obs := range m {
+		local := 0.0
+		for _, y := range obs {
+			local += y
+		}
+		_ = local
+	}
+	// Summing over sorted keys fixes the order.
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	total := 0.0
+	for _, k := range keys {
+		for _, y := range m[k] {
+			total += y
+		}
+	}
+	return total, dof
+}
