@@ -1,7 +1,6 @@
 package phasetune_test
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -10,12 +9,9 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"testing"
 	"time"
 
@@ -23,6 +19,7 @@ import (
 	"phasetune/internal/client"
 	"phasetune/internal/engine"
 	"phasetune/internal/faults"
+	"phasetune/internal/fleet"
 )
 
 // The chaos acceptance test: run journaled tuning sessions against a
@@ -109,97 +106,15 @@ func referenceResults(t *testing.T) []engine.SessionResult {
 	return out
 }
 
-// serveProc is a running phasetune-serve process.
-type serveProc struct {
-	cmd     *exec.Cmd
-	base    string
-	out     *bytes.Buffer // guarded by mu
-	mu      sync.Mutex
-	scanned chan struct{} // closed once the stdout scanner drained the pipe
-}
-
-func (p *serveProc) output() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.out.String()
-}
-
-// startServe launches a phasetune-serve binary and parses the resolved
-// listen address from its banner line.
-func startServe(t *testing.T, bin string, args ...string) *serveProc {
-	t.Helper()
-	return startProc(t, bin, "phasetune-serve listening on ", args...)
-}
-
-// startProc launches a phasetune server binary — worker or shard
-// router — on a kernel-assigned port, parses the resolved address from
-// the given banner prefix, and hands the process over only once
-// /readyz answers 200.
-func startProc(t *testing.T, bin, banner string, args ...string) *serveProc {
-	t.Helper()
-	cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = cmd.Stdout
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	p := &serveProc{cmd: cmd, out: &bytes.Buffer{}, scanned: make(chan struct{})}
-	sc := bufio.NewScanner(stdout)
-	deadline := time.After(20 * time.Second)
-	addrCh := make(chan string, 1)
-	go func() {
-		defer close(p.scanned)
-		for sc.Scan() {
-			line := sc.Text()
-			p.mu.Lock()
-			p.out.WriteString(line + "\n")
-			p.mu.Unlock()
-			if rest, ok := strings.CutPrefix(line, banner); ok {
-				addrCh <- strings.Fields(rest)[0]
-			}
-		}
-	}()
-	select {
-	case addr := <-addrCh:
-		p.base = "http://" + addr
-	case <-deadline:
-		_ = cmd.Process.Kill()
-		t.Fatalf("server did not report a listen address; output:\n%s", p.output())
-	}
-	// The listener comes up before journal recovery finishes: under
-	// -recover the server answers 503 "starting" until every session is
-	// replayed. Hand the process over only once /readyz says 200.
-	ready := time.Now().Add(30 * time.Second)
-	for {
-		resp, err := http.Get(p.base + "/readyz")
-		if err == nil {
-			code := resp.StatusCode
-			resp.Body.Close()
-			if code == http.StatusOK {
-				break
-			}
-		}
-		if time.Now().After(ready) {
-			_ = cmd.Process.Kill()
-			t.Fatalf("server never became ready; output:\n%s", p.output())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	return p
-}
-
 // waitOutput polls the process output for substr. Recovery progress is
 // printed after the listen line, so assertions on it must poll rather
 // than read once.
-func waitOutput(t *testing.T, p *serveProc, substr string) {
+func waitOutput(t *testing.T, p *fleet.Proc, substr string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for !strings.Contains(p.output(), substr) {
+	for !strings.Contains(p.Output(), substr) {
 		if time.Now().After(deadline) {
-			t.Fatalf("output never contained %q:\n%s", substr, p.output())
+			t.Fatalf("output never contained %q:\n%s", substr, p.Output())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -324,11 +239,9 @@ func TestChaosKillRecover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	bin := filepath.Join(t.TempDir(), "phasetune-serve")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/phasetune-serve")
-	build.Dir = "."
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building server: %v\n%s", err, out)
+	bin, _, err := fleet.Build(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
 	ref := referenceResults(t)
 
@@ -342,7 +255,11 @@ func TestChaosKillRecover(t *testing.T) {
 func chaosRound(t *testing.T, bin string, workers int, ref []engine.SessionResult) {
 	dir := t.TempDir()
 	args := []string{"-workers", fmt.Sprint(workers), "-journal-dir", dir}
-	p1 := startServe(t, bin, args...)
+	p1, err := fleet.Start(bin, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p1.Kill()
 
 	// Create the sessions sequentially so IDs map deterministically.
 	ids := make([]string, len(chaosSessions))
@@ -356,7 +273,7 @@ func chaosRound(t *testing.T, bin string, workers int, ref []engine.SessionResul
 		var created struct {
 			ID string `json:"id"`
 		}
-		status, err := chaosPost(p1.base, "/v1/sessions", body, &created)
+		status, err := chaosPost(p1.URL, "/v1/sessions", body, &created)
 		if err != nil || status != http.StatusCreated {
 			t.Fatalf("create session %d: status %d, err %v", i, status, err)
 		}
@@ -373,7 +290,7 @@ func chaosRound(t *testing.T, bin string, workers int, ref []engine.SessionResul
 	var killOnce sync.Once
 	kill := func() {
 		killOnce.Do(func() {
-			_ = p1.cmd.Process.Kill()
+			p1.Kill()
 			close(killed)
 		})
 	}
@@ -385,7 +302,7 @@ func chaosRound(t *testing.T, bin string, workers int, ref []engine.SessionResul
 			defer wg.Done()
 			for _, op := range chaosScript {
 				for {
-					n, err := runOp(p1.base, id, op)
+					n, err := runOp(p1.URL, id, op)
 					if err != nil {
 						return // server is gone
 					}
@@ -403,18 +320,20 @@ func chaosRound(t *testing.T, bin string, workers int, ref []engine.SessionResul
 	}
 	<-killed
 	wg.Wait()
-	<-p1.scanned // drain the pipe before Wait may close it
-	_ = p1.cmd.Wait()
 
 	// Restart with -recover: every session resumes at an op boundary,
 	// covering at least everything a client saw acknowledged, and its
 	// trajectory prefix is bit-identical to the uninterrupted reference.
-	p2 := startServe(t, bin, append(args, "-recover")...)
+	p2, err := fleet.Start(bin, append(args, "-recover")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Kill()
 	waitOutput(t, p2, fmt.Sprintf("recovered %d session(s)", len(ids)))
 	states := scriptStates()
 	resume := make([]int, len(ids)) // ops already durable, per session
 	for i, id := range ids {
-		res := chaosResult(t, p2.base, id)
+		res := chaosResult(t, p2.URL, id)
 		pos := -1
 		for j, st := range states {
 			if res.Iterations == st[0] && res.Epoch == st[1] {
@@ -439,7 +358,7 @@ func chaosRound(t *testing.T, bin string, workers int, ref []engine.SessionResul
 	for i, id := range ids {
 		for _, op := range chaosScript[resume[i]:] {
 			for {
-				n, err := runOp(p2.base, id, op)
+				n, err := runOp(p2.URL, id, op)
 				if err != nil {
 					t.Fatalf("completing %s after recovery: %v", id, err)
 				}
@@ -449,36 +368,25 @@ func chaosRound(t *testing.T, bin string, workers int, ref []engine.SessionResul
 				break
 			}
 		}
-		sameFinal(t, "final "+id, chaosResult(t, p2.base, id), ref[i])
+		sameFinal(t, "final "+id, chaosResult(t, p2.URL, id), ref[i])
 	}
 
 	// Graceful shutdown: SIGTERM drains and closes the journals, and a
 	// third recovery still agrees.
-	if err := p2.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
+	if err := p2.Terminate(); err != nil {
+		t.Fatalf("graceful shutdown: %v\n%s", err, p2.Output())
 	}
-	// The scanner hits EOF when the process exits; waiting on it first
-	// both bounds the shutdown and drains the pipe before Wait.
-	select {
-	case <-p2.scanned:
-	case <-time.After(30 * time.Second):
-		_ = p2.cmd.Process.Kill()
-		t.Fatalf("server did not exit on SIGTERM; output:\n%s", p2.output())
-	}
-	if err := p2.cmd.Wait(); err != nil {
-		t.Fatalf("graceful shutdown exit: %v\n%s", err, p2.output())
-	}
-	if !strings.Contains(p2.output(), "shutdown complete") {
-		t.Fatalf("no shutdown message; output:\n%s", p2.output())
+	if !strings.Contains(p2.Output(), "shutdown complete") {
+		t.Fatalf("no shutdown message; output:\n%s", p2.Output())
 	}
 
-	p3 := startServe(t, bin, append(args, "-recover")...)
-	defer func() {
-		_ = p3.cmd.Process.Kill()
-		_ = p3.cmd.Wait()
-	}()
+	p3, err := fleet.Start(bin, append(args, "-recover")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p3.Kill()
 	for i, id := range ids {
-		sameFinal(t, "post-drain "+id, chaosResult(t, p3.base, id), ref[i])
+		sameFinal(t, "post-drain "+id, chaosResult(t, p3.URL, id), ref[i])
 	}
 
 	// The journal directory holds exactly the per-session journals.
@@ -556,11 +464,9 @@ func TestChaosClientIdempotentReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	bin := filepath.Join(t.TempDir(), "phasetune-serve")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/phasetune-serve")
-	build.Dir = "."
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building server: %v\n%s", err, out)
+	bin, _, err := fleet.Build(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
 	ref := referenceResults(t)
 
@@ -574,11 +480,15 @@ func TestChaosClientIdempotentReplay(t *testing.T) {
 func chaosClientRound(t *testing.T, bin string, workers int, ref []engine.SessionResult) {
 	dir := t.TempDir()
 	args := []string{"-workers", fmt.Sprint(workers), "-journal-dir", dir}
-	p1 := startServe(t, bin, args...)
+	p1, err := fleet.Start(bin, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p1.Kill()
 
 	proxy, err := chaosnet.New(chaosnet.Config{
 		Listen: "127.0.0.1:0",
-		Target: strings.TrimPrefix(p1.base, "http://"),
+		Target: strings.TrimPrefix(p1.URL, "http://"),
 		Plan:   chaosIdemPlan(),
 		Seed:   11,
 	})
@@ -632,7 +542,7 @@ func chaosClientRound(t *testing.T, bin string, workers int, ref []engine.Sessio
 	// The probe commits a keyed batch before the crash, straight at the
 	// server; after recovery the same key must replay the same bytes.
 	const probeKey = "chaos-replay-probe"
-	st, body1, replayed, err := postKeyedBatch(p1.base, probe.Info.ID, probeKey)
+	st, body1, replayed, err := postKeyedBatch(p1.URL, probe.Info.ID, probeKey)
 	if err != nil || st != http.StatusOK {
 		t.Fatalf("probe keyed batch: status %d, err %v", st, err)
 	}
@@ -650,7 +560,7 @@ func chaosClientRound(t *testing.T, bin string, workers int, ref []engine.Sessio
 	var killOnce sync.Once
 	kill := func() {
 		killOnce.Do(func() {
-			_ = p1.cmd.Process.Kill()
+			p1.Kill()
 			close(killed)
 		})
 	}
@@ -688,18 +598,16 @@ func chaosClientRound(t *testing.T, bin string, workers int, ref []engine.Sessio
 	}
 
 	<-killed
-	<-p1.scanned
-	_ = p1.cmd.Wait()
 
 	// Restart with recovery on a fresh port and repoint the proxy; the
 	// clients' in-flight retries converge on the recovered server.
-	p2 := startServe(t, bin, append(args, "-recover")...)
-	defer func() {
-		_ = p2.cmd.Process.Kill()
-		_ = p2.cmd.Wait()
-	}()
+	p2, err := fleet.Start(bin, append(args, "-recover")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Kill()
 	waitOutput(t, p2, fmt.Sprintf("recovered %d session(s)", len(sessions)+1))
-	proxy.SetTarget(strings.TrimPrefix(p2.base, "http://"))
+	proxy.SetTarget(strings.TrimPrefix(p2.URL, "http://"))
 
 	wg.Wait()
 	for _, err := range opErrs {
@@ -727,7 +635,7 @@ func chaosClientRound(t *testing.T, bin string, workers int, ref []engine.Sessio
 
 	// Same key, same bytes, across the crash: the journaled result is
 	// replayed bit-for-bit and the batch is not applied twice.
-	st2, body2, replayed2, err := postKeyedBatch(p2.base, probe.Info.ID, probeKey)
+	st2, body2, replayed2, err := postKeyedBatch(p2.URL, probe.Info.ID, probeKey)
 	if err != nil || st2 != http.StatusOK {
 		t.Fatalf("probe keyed batch after recovery: status %d, err %v", st2, err)
 	}
@@ -743,7 +651,7 @@ func chaosClientRound(t *testing.T, bin string, workers int, ref []engine.Sessio
 	if err := json.Unmarshal(body1, &probeBatch); err != nil {
 		t.Fatalf("decoding probe batch body: %v", err)
 	}
-	probeRes := chaosResult(t, p2.base, probe.Info.ID)
+	probeRes := chaosResult(t, p2.URL, probe.Info.ID)
 	if probeRes.Iterations != len(probeBatch.Steps) || probeRes.Epoch != 0 {
 		t.Fatalf("probe session at (%d iters, epoch %d) after a %d-step keyed batch: double-applied",
 			probeRes.Iterations, probeRes.Epoch, len(probeBatch.Steps))

@@ -55,8 +55,6 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -65,7 +63,6 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"os/exec"
 	"runtime"
 	"sort"
 	"strings"
@@ -77,6 +74,7 @@ import (
 	"phasetune/internal/client"
 	"phasetune/internal/engine"
 	"phasetune/internal/faults"
+	"phasetune/internal/fleet"
 	"phasetune/internal/fsutil"
 	"phasetune/internal/harness"
 	"phasetune/internal/obsv/obsvtest"
@@ -121,10 +119,8 @@ type config struct {
 
 	verifySessions int
 
-	out           string
-	label         string
-	baselineLabel string
-	minSpeedup    float64
+	out   string
+	label string
 
 	sloP50       time.Duration
 	sloP99       time.Duration
@@ -166,8 +162,6 @@ func main() {
 	flag.IntVar(&cfg.verifySessions, "verify-sessions", 0, "replay the first N session scripts on an in-process reference engine and require bit-identical trajectories")
 	flag.StringVar(&cfg.out, "out", "BENCH_service.json", "benchmark record file to append to (empty = stdout only)")
 	flag.StringVar(&cfg.label, "label", "", "record label (defaults to a config summary)")
-	flag.StringVar(&cfg.baselineLabel, "baseline-label", "", "compare sessions/s against the latest record in -out with this label")
-	flag.Float64Var(&cfg.minSpeedup, "min-speedup", 0, "fail if sessions/s divided by the -baseline-label record's is below this (0 = no gate)")
 	flag.DurationVar(&cfg.sloP50, "slo-p50", 0, "fail if p50 op latency exceeds this (0 = no gate)")
 	flag.DurationVar(&cfg.sloP99, "slo-p99", 0, "fail if p99 op latency exceeds this (0 = no gate)")
 	flag.DurationVar(&cfg.sloP999, "slo-p999", 0, "fail if p99.9 op latency exceeds this (0 = no gate)")
@@ -180,244 +174,14 @@ func main() {
 	}
 }
 
-// serveProc is a spawned child server (worker or router).
-type serveProc struct {
-	cmd  *exec.Cmd
-	addr string
-}
-
-// spawnProc starts a server binary and parses the resolved listen
-// address from the banner line starting with the given prefix.
-func spawnProc(bin, banner string, args ...string) (*serveProc, error) {
-	cmd := exec.Command(bin, args...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("start %s: %w", bin, err)
-	}
-	sc := bufio.NewScanner(stdout)
-	addrCh := make(chan string, 1)
-	go func() {
-		for sc.Scan() {
-			line := sc.Text()
-			if rest, ok := strings.CutPrefix(line, banner); ok {
-				fields := strings.Fields(rest)
-				if len(fields) > 0 {
-					select {
-					case addrCh <- fields[0]:
-					default:
-					}
-				}
-			}
-		}
-	}()
-	select {
-	case addr := <-addrCh:
-		return &serveProc{cmd: cmd, addr: addr}, nil
-	case <-time.After(30 * time.Second):
-		_ = cmd.Process.Kill()
-		return nil, fmt.Errorf("%s never announced its address", bin)
-	}
-}
-
-// spawnWorker starts one phasetune-serve with the run's provisioning
-// flags; dir, when non-empty, is its private journal directory.
-func spawnWorker(cfg config, dir string, recoverJournals bool) (*serveProc, error) {
-	args := []string{"-addr", "127.0.0.1:0", "-workers", fmt.Sprint(cfg.workers)}
+// workerArgs are the provisioning flags every spawned phasetune-serve
+// gets.
+func workerArgs(cfg config) []string {
+	args := []string{"-workers", fmt.Sprint(cfg.workers)}
 	if cfg.maxInflight > 0 {
 		args = append(args, "-max-inflight", fmt.Sprint(cfg.maxInflight))
 	}
-	if dir != "" {
-		args = append(args, "-journal-dir", dir)
-	}
-	if recoverJournals {
-		args = append(args, "-recover")
-	}
-	return spawnProc(cfg.serveBin, "phasetune-serve listening on ", args...)
-}
-
-func (p *serveProc) stop() {
-	_ = p.cmd.Process.Kill()
-	_ = p.cmd.Wait()
-}
-
-// fleet is a spawned shard deployment: N journaled workers with their
-// evaluation caches peer-wired, behind one phasetune-shard router.
-type fleet struct {
-	mu      sync.Mutex
-	workers []*serveProc
-	dirs    []string
-	names   []string
-	router  *serveProc
-}
-
-func spawnFleet(cfg config) (*fleet, error) {
-	fl := &fleet{}
-	ok := false
-	defer func() {
-		if !ok {
-			fl.stop()
-		}
-	}()
-	for i := 0; i < cfg.spawnShards; i++ {
-		dir, err := os.MkdirTemp("", "phasetune-load-shard-")
-		if err != nil {
-			return nil, err
-		}
-		fl.dirs = append(fl.dirs, dir)
-		w, err := spawnWorker(cfg, dir, false)
-		if err != nil {
-			return nil, fmt.Errorf("worker %d: %w", i, err)
-		}
-		fl.workers = append(fl.workers, w)
-		fl.names = append(fl.names, fmt.Sprintf("w%d", i))
-	}
-	if err := fl.wirePeers(); err != nil {
-		return nil, err
-	}
-	if err := fl.wireReplicas(); err != nil {
-		return nil, err
-	}
-	specs := make([]string, len(fl.workers))
-	for i, w := range fl.workers {
-		specs[i] = fl.names[i] + "=http://" + w.addr
-	}
-	r, err := spawnProc(cfg.shardBin, "phasetune-shard listening on ",
-		"-addr", "127.0.0.1:0", "-shards", strings.Join(specs, ","), "-seed", fmt.Sprint(cfg.seed))
-	if err != nil {
-		return nil, fmt.Errorf("router: %w", err)
-	}
-	fl.router = r
-	ok = true
-	return fl, nil
-}
-
-func (f *fleet) stop() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.router != nil {
-		f.router.stop()
-	}
-	for _, w := range f.workers {
-		w.stop()
-	}
-	for _, d := range f.dirs {
-		_ = os.RemoveAll(d)
-	}
-}
-
-// wirePeers points every worker's evaluation cache at all the others,
-// so a sweep evaluated on one shard is a cache hit fleet-wide.
-func (f *fleet) wirePeers() error {
-	for i, w := range f.workers {
-		peers := make([]string, 0, len(f.workers)-1)
-		for j, o := range f.workers {
-			if j != i {
-				peers = append(peers, "http://"+o.addr)
-			}
-		}
-		if err := postJSON("http://"+w.addr+"/v1/cache/peers", map[string][]string{"peers": peers}); err != nil {
-			return fmt.Errorf("wire peers on %s: %w", f.names[i], err)
-		}
-	}
-	return nil
-}
-
-// wireReplicas POSTs the replication topology to every worker: the
-// same named membership the router hashes over, each worker told which
-// member it is. From then on every committed journal record ships to
-// the session's ring follower before the client sees its result.
-func (f *fleet) wireReplicas() error {
-	type member struct {
-		Name string `json:"name"`
-		Addr string `json:"addr"`
-	}
-	members := make([]member, len(f.workers))
-	for i, w := range f.workers {
-		members[i] = member{Name: f.names[i], Addr: "http://" + w.addr}
-	}
-	for i, w := range f.workers {
-		if err := postJSON("http://"+w.addr+"/v1/replica/fleet", map[string]any{
-			"self": f.names[i], "members": members,
-		}); err != nil {
-			return fmt.Errorf("wire replicas on %s: %w", f.names[i], err)
-		}
-	}
-	return nil
-}
-
-// kill SIGKILLs worker idx and leaves it dead; the name comes back for
-// reporting. Spawned processes die by Process.Kill — the no-warning
-// failure mode journal replication exists for.
-func (f *fleet) kill(idx int) (string, error) {
-	f.mu.Lock()
-	if idx < 0 || idx >= len(f.workers) {
-		f.mu.Unlock()
-		return "", fmt.Errorf("kill-shard %d out of range (fleet of %d)", idx, len(f.workers))
-	}
-	victim := f.workers[idx]
-	name := f.names[idx]
-	f.mu.Unlock()
-	victim.stop()
-	fmt.Printf("chaos: killed shard %s (%s) — no restart, supervisor must promote\n", name, victim.addr)
-	return name, nil
-}
-
-// killAndRestart SIGKILLs worker idx, waits cfg.restartAfter, restarts
-// it with -recover over the same journal directory on a fresh port,
-// re-wires every worker's peer list, and repoints the router. In-flight
-// requests to the victim ride through on client retries: the router
-// answers 502/503 with Retry-After until the repoint lands.
-func (f *fleet) killAndRestart(cfg config, idx int) error {
-	f.mu.Lock()
-	if idx < 0 || idx >= len(f.workers) {
-		f.mu.Unlock()
-		return fmt.Errorf("kill-shard %d out of range (fleet of %d)", idx, len(f.workers))
-	}
-	victim := f.workers[idx]
-	f.mu.Unlock()
-	victim.stop()
-	fmt.Printf("chaos: killed shard %s (%s)\n", f.names[idx], victim.addr)
-	time.Sleep(cfg.restartAfter)
-	w, err := spawnWorker(cfg, f.dirs[idx], true)
-	if err != nil {
-		return fmt.Errorf("restart %s: %w", f.names[idx], err)
-	}
-	f.mu.Lock()
-	f.workers[idx] = w
-	f.mu.Unlock()
-	if err := f.wirePeers(); err != nil {
-		return err
-	}
-	if err := f.wireReplicas(); err != nil {
-		return err
-	}
-	if err := postJSON("http://"+f.router.addr+"/admin/shards",
-		shard.Shard{Name: f.names[idx], Addr: "http://" + w.addr}); err != nil {
-		return fmt.Errorf("repoint %s: %w", f.names[idx], err)
-	}
-	fmt.Printf("chaos: restarted %s on %s (journal recovery), router repointed\n", f.names[idx], w.addr)
-	return nil
-}
-
-func postJSON(url string, body any) error {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(raw))
-	if err != nil {
-		return err
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	_ = resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		return fmt.Errorf("%s: HTTP %d", url, resp.StatusCode)
-	}
-	return nil
+	return args
 }
 
 // canarySession creates a session through the router whose id hashes to
@@ -441,16 +205,16 @@ func canarySession(cfg config, routerBase string, names []string, victim string)
 	if id == "" {
 		return "", fmt.Errorf("no canary id hashed to %s", victim)
 	}
-	if err := postJSON(routerBase+"/v1/sessions", map[string]any{
+	if err := fleet.Post(routerBase+"/v1/sessions", map[string]any{
 		"id": id, "scenario": cfg.scenario, "strategy": cfg.strategy,
 		"seed": cfg.seed, "tiles": cfg.tiles,
-	}); err != nil {
+	}, nil); err != nil {
 		return "", fmt.Errorf("create canary %s: %w", id, err)
 	}
 	// One committed step establishes replication (the first commit plans
 	// the follower), so the victim's death finds the history already on
 	// its replica.
-	if err := postJSON(routerBase+"/v1/sessions/"+id+"/step", struct{}{}); err != nil {
+	if err := fleet.Post(routerBase+"/v1/sessions/"+id+"/step", struct{}{}, nil); err != nil {
 		return "", fmt.Errorf("step canary %s: %w", id, err)
 	}
 	return id, nil
@@ -473,20 +237,18 @@ type failoverReport struct {
 // it answer again. The probe is an undisguised client op — recovered_ms
 // is the real client-visible outage, detection plus promotion plus
 // repoint.
-func runKillNoRestart(cfg config, fl *fleet, routerBase, canaryID string) *failoverReport {
+func runKillNoRestart(cfg config, fl *fleet.Fleet, routerBase, canaryID string) *failoverReport {
 	time.Sleep(cfg.killAfter)
-	rep := &failoverReport{}
-	name, err := fl.kill(cfg.killShard)
-	rep.KilledShard = name
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "phasetune-load: kill:", err)
-		return rep
-	}
+	name := fl.Names()[cfg.killShard]
+	rep := &failoverReport{KilledShard: name}
+	url := fl.Worker(cfg.killShard).URL
+	fl.Kill(cfg.killShard)
+	fmt.Printf("chaos: killed shard %s (%s) — no restart, supervisor must promote\n", name, url)
 	killT := time.Now()
 	deadline := killT.Add(cfg.settle)
 	for time.Now().Before(deadline) {
 		rep.Probes++
-		if err := postJSON(routerBase+"/v1/sessions/"+canaryID+"/step", struct{}{}); err == nil {
+		if err := fleet.Post(routerBase+"/v1/sessions/"+canaryID+"/step", struct{}{}, nil); err == nil {
 			rep.Recovered = true
 			rep.RecoveredMs = millis(time.Since(killT))
 			fmt.Printf("failover: %s's session %s answered %.0fms after SIGKILL (%d failed probes)\n",
@@ -579,7 +341,7 @@ func run(cfg config) error {
 	// of precedence.
 	var bases []string
 	var metricsURL string
-	var fl *fleet
+	var fl *fleet.Fleet
 	var proxy *chaosnet.Proxy
 	switch {
 	case cfg.spawnShards > 0:
@@ -589,15 +351,26 @@ func run(cfg config) error {
 		if cfg.chaos {
 			return fmt.Errorf("-chaos drives a single -addr target, not a spawned fleet (use -kill-after for fleet chaos)")
 		}
+		if cfg.killAfter > 0 && (cfg.killShard < 0 || cfg.killShard >= cfg.spawnShards) {
+			return fmt.Errorf("-kill-shard %d out of range (fleet of %d)", cfg.killShard, cfg.spawnShards)
+		}
+		// Caches peer-wired so a sweep evaluated on one shard is a cache
+		// hit fleet-wide; replica-wired so every committed journal record
+		// ships to the session's ring follower before the client sees it.
 		var err error
-		fl, err = spawnFleet(cfg)
+		fl, err = fleet.New(fleet.Config{
+			ServeBin: cfg.serveBin, RouterBin: cfg.shardBin, Size: cfg.spawnShards,
+			ServeArgs:  workerArgs(cfg),
+			RouterArgs: []string{"-seed", fmt.Sprint(cfg.seed)},
+			Peers:      true, Replicas: true,
+		})
 		if err != nil {
 			return err
 		}
-		defer fl.stop()
-		bases = []string{"http://" + fl.router.addr}
+		defer fl.Stop()
+		bases = []string{fl.Router().URL}
 		metricsURL = bases[0] + "/metrics"
-		fmt.Printf("fleet: %d workers behind router %s\n", len(fl.workers), fl.router.addr)
+		fmt.Printf("fleet: %d workers behind router %s\n", len(fl.Names()), fl.Router().URL)
 	case cfg.targets != "":
 		if cfg.chaos {
 			return fmt.Errorf("-chaos drives a single -addr target, not -targets")
@@ -622,12 +395,12 @@ func run(cfg config) error {
 			if cfg.serveBin == "" {
 				return fmt.Errorf("need -addr, -targets, -spawn-shards or -serve-bin")
 			}
-			proc, err := spawnWorker(cfg, "", false)
+			proc, err := fleet.Start(cfg.serveBin, workerArgs(cfg)...)
 			if err != nil {
 				return err
 			}
-			defer proc.stop()
-			serverAddr = proc.addr
+			defer proc.Kill()
+			serverAddr = strings.TrimPrefix(proc.URL, "http://")
 			fmt.Printf("spawned %s on %s\n", cfg.serveBin, serverAddr)
 		}
 
@@ -726,18 +499,29 @@ func run(cfg config) error {
 		if fl == nil || cfg.killAfter <= 0 {
 			return fmt.Errorf("-kill-no-restart needs -spawn-shards and -kill-after")
 		}
-		canaryID, err := canarySession(cfg, bases[0], fl.names, fl.names[cfg.killShard])
+		canaryID, err := canarySession(cfg, bases[0], fl.Names(), fl.Names()[cfg.killShard])
 		if err != nil {
 			return err
 		}
 		foCh = make(chan *failoverReport, 1)
 		go func(base string) { foCh <- runKillNoRestart(cfg, fl, base, canaryID) }(bases[0])
 	} else if fl != nil && cfg.killAfter > 0 {
+		// The victim comes back with -recover over its journal directory
+		// on a fresh port, rewired, with the router repointed. In-flight
+		// requests to it ride through on client retries: the router
+		// answers 502/503 with Retry-After until the repoint lands.
 		go func() {
 			time.Sleep(cfg.killAfter)
-			if err := fl.killAndRestart(cfg, cfg.killShard); err != nil {
+			name := fl.Names()[cfg.killShard]
+			fmt.Printf("chaos: killed shard %s (%s)\n", name, fl.Worker(cfg.killShard).URL)
+			fl.Kill(cfg.killShard)
+			time.Sleep(cfg.restartAfter)
+			w, err := fl.Restart(cfg.killShard)
+			if err != nil {
 				fmt.Fprintln(os.Stderr, "phasetune-load: kill/restart:", err)
+				return
 			}
+			fmt.Printf("chaos: restarted %s on %s (journal recovery), router repointed\n", name, w.URL)
 		}()
 	}
 
@@ -803,7 +587,7 @@ func run(cfg config) error {
 	rec.Mode = mode
 	rec.Shards = len(bases)
 	if fl != nil {
-		rec.Shards = len(fl.workers)
+		rec.Shards = len(fl.Names())
 		rec.WorkersPerShard = cfg.workers
 		rec.MaxInflightPerShard = cfg.maxInflight
 	}
@@ -827,16 +611,6 @@ func run(cfg config) error {
 		rec.Determinism = ver.verify(cfg)
 		fmt.Printf("determinism: %d observation logs recomputed bit-for-bit, ok=%v\n",
 			rec.Determinism.Checked, rec.Determinism.OK)
-	}
-	if cfg.baselineLabel != "" {
-		base, err := latestRecord(cfg.out, cfg.baselineLabel)
-		if err != nil {
-			return fmt.Errorf("baseline %q: %w", cfg.baselineLabel, err)
-		}
-		rec.BaselineLabel = cfg.baselineLabel
-		if base.SessionsPerS > 0 {
-			rec.Speedup = rec.SessionsPerS / base.SessionsPerS
-		}
 	}
 	applyGates(cfg, rec)
 	out, err := json.MarshalIndent(rec, "", "  ")
@@ -1198,10 +972,8 @@ type record struct {
 
 	SessionsPerS float64 `json:"sessions_per_s"`
 
-	Determinism   *determinismReport `json:"determinism,omitempty"`
-	Failover      *failoverReport    `json:"failover,omitempty"`
-	BaselineLabel string             `json:"baseline_label,omitempty"`
-	Speedup       float64            `json:"speedup,omitempty"`
+	Determinism *determinismReport `json:"determinism,omitempty"`
+	Failover    *failoverReport    `json:"failover,omitempty"`
 
 	Sessions struct {
 		Launched  int `json:"launched"`
@@ -1376,34 +1148,7 @@ func applyGates(cfg config, rec *record) {
 		rec.SLO.Violations = append(rec.SLO.Violations,
 			fmt.Sprintf("failover: sessions of killed shard %s never recovered", rec.Failover.KilledShard))
 	}
-	if cfg.minSpeedup > 0 && rec.Speedup < cfg.minSpeedup {
-		rec.SLO.Violations = append(rec.SLO.Violations,
-			fmt.Sprintf("speedup %.2fx vs %q < required %.2fx", rec.Speedup, cfg.baselineLabel, cfg.minSpeedup))
-	}
 	rec.SLO.Pass = len(rec.SLO.Violations) == 0
-}
-
-// latestRecord returns the newest record labeled `label` in the JSON
-// array at path — the baseline a speedup gate divides by.
-func latestRecord(path, label string) (*record, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var records []json.RawMessage
-	if err := json.Unmarshal(data, &records); err != nil {
-		return nil, err
-	}
-	for i := len(records) - 1; i >= 0; i-- {
-		var rec record
-		if err := json.Unmarshal(records[i], &rec); err != nil {
-			continue
-		}
-		if rec.Label == label {
-			return &rec, nil
-		}
-	}
-	return nil, fmt.Errorf("no record labeled %q in %s", label, path)
 }
 
 // appendRecord appends rec to the JSON array in path (creating it if

@@ -255,28 +255,14 @@ func wirePeers(cfg config, eng *engine.Engine, srv *engine.Server) *shard.PeerSe
 	return ps
 }
 
-// fleetConfig is the replication topology POSTed to /v1/replica/fleet:
-// which ring member this process is, and the full membership (each
-// member's name is its identity on the consistent-hash ring, its addr
-// is where journal records ship). Every member must receive the same
-// membership (with its own self) for owner/follower chains to agree
-// fleet-wide.
-type fleetConfig struct {
-	Self     string        `json:"self"`
-	Replicas int           `json:"replicas"` // virtual nodes per member (0 = ring default)
-	Members  []shard.Shard `json:"members"`
-}
-
-// wireReplicaFleet mounts the replication topology routes. The fleet
-// config names the same membership the shard router hashes over, so
-// this worker derives each session's follower (shard.Ring.Follower)
-// without any coordination with the router: both sides compute the
-// identical chain from (membership, session id). Repointing the fleet
-// rewires live sessions; their next commit performs a full resync to
-// the new follower.
+// wireReplicaFleet mounts the replication topology routes. The
+// shard.FleetConfig body names the same membership the shard router
+// hashes over, so each session's follower needs no coordination with
+// the router. Repointing the fleet rewires live sessions; their next
+// commit performs a full resync to the new follower.
 func wireReplicaFleet(eng *engine.Engine, srv *engine.Server) {
 	var mu sync.Mutex
-	var cur fleetConfig
+	var cur shard.FleetConfig
 	srv.Handle("GET /v1/replica/fleet", func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
 		cfg := cur
@@ -284,53 +270,25 @@ func wireReplicaFleet(eng *engine.Engine, srv *engine.Server) {
 		srv.WriteJSON(w, http.StatusOK, cfg)
 	})
 	srv.Handle("POST /v1/replica/fleet", func(w http.ResponseWriter, r *http.Request) {
-		var req fleetConfig
+		var req shard.FleetConfig
 		if err := srv.DecodeJSON(w, r, &req); err != nil {
 			srv.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 			return
 		}
-		if len(req.Members) == 0 {
-			// An empty membership disbands the fleet: sessions stop
-			// replicating on their next commit.
-			eng.SetReplicaPlanner(nil)
-			mu.Lock()
-			cur = req
-			mu.Unlock()
-			srv.WriteJSON(w, http.StatusOK, req)
-			return
-		}
-		self := req.Self
-		names := make([]string, 0, len(req.Members))
-		addrOf := make(map[string]string, len(req.Members))
-		selfKnown := false
-		for _, m := range req.Members {
-			if m.Name == "" || m.Addr == "" {
-				srv.WriteError(w, http.StatusBadRequest, fmt.Errorf("member needs both name and addr: %+v", m))
-				return
-			}
-			names = append(names, m.Name)
-			addrOf[m.Name] = strings.TrimRight(m.Addr, "/")
-			if m.Name == self {
-				selfKnown = true
-			}
-		}
-		if !selfKnown {
-			srv.WriteError(w, http.StatusBadRequest, fmt.Errorf("self %q is not in members", self))
-			return
-		}
-		ring, err := shard.NewRing(names, req.Replicas)
+		plan, err := req.Planner()
 		if err != nil {
 			srv.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		eng.SetReplicaPlanner(func(id string) (string, bool) {
-			next, ok := ring.Follower(id, self)
-			return addrOf[next], ok
-		})
+		// An empty membership plans nothing and disbands the fleet:
+		// sessions stop replicating on their next commit.
+		eng.SetReplicaPlanner(plan)
 		mu.Lock()
 		cur = req
 		mu.Unlock()
-		fmt.Printf("  replica fleet: self=%s members=%d\n", self, len(names))
+		if plan != nil {
+			fmt.Printf("  replica fleet: self=%s members=%d\n", req.Self, len(req.Members))
+		}
 		srv.WriteJSON(w, http.StatusOK, req)
 	})
 }

@@ -249,22 +249,17 @@ func runSelfcheck(cfg config) error {
 	// would: each session's follower is the other ring member, so every
 	// committed op lands on two processes and a traced request crosses
 	// three.
-	names := []string{"w0", "w1"}
-	addrOf := map[string]string{"w0": addrA, "w1": addrB}
-	replRing, err := shard.NewRing(names, 0)
-	if err != nil {
-		return err
-	}
+	members := []shard.Shard{{Name: "w0", Addr: addrA}, {Name: "w1", Addr: addrB}}
 	for i, eng := range []*engine.Engine{engA, engB} {
-		self := names[i]
-		eng.SetReplicaPlanner(func(id string) (string, bool) {
-			next, ok := replRing.Follower(id, self)
-			return addrOf[next], ok
-		})
+		plan, err := shard.FleetConfig{Self: members[i].Name, Members: members}.Planner()
+		if err != nil {
+			return err
+		}
+		eng.SetReplicaPlanner(plan)
 	}
 
 	rt, err := shard.New(shard.Options{
-		Shards: []shard.Shard{{Name: "w0", Addr: addrA}, {Name: "w1", Addr: addrB}},
+		Shards: members,
 		Seed:   cfg.seed,
 		Trace:  obsv.NewTraceRecorder(wallclock.Nanos),
 		Events: events.New(wallclock.Nanos),

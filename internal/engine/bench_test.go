@@ -2,11 +2,7 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
 	"math"
-	"os"
-	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -65,7 +61,7 @@ func sequentialClients(b *testing.B, sc platform.Scenario, opts harness.SimOptio
 
 // engineClients serves the same load through a fresh engine (cold
 // cache) and returns the clients' agreed best action.
-func engineClients(b *testing.B, sc platform.Scenario, opts harness.SimOptions) (int, CacheStats) {
+func engineClients(b *testing.B, sc platform.Scenario, opts harness.SimOptions) int {
 	b.Helper()
 	eng := New(benchWorkers)
 	results := make([]*SweepResult, benchClients)
@@ -92,7 +88,7 @@ func engineClients(b *testing.B, sc platform.Scenario, opts harness.SimOptions) 
 			b.Fatalf("clients disagree on best n: %d vs %d", r.BestAction, results[0].BestAction)
 		}
 	}
-	return results[0].BestAction, eng.Cache().Stats()
+	return results[0].BestAction
 }
 
 func BenchmarkSweepSequentialClients(b *testing.B) {
@@ -112,23 +108,22 @@ func BenchmarkSweepEngine8Workers(b *testing.B) {
 }
 
 // BenchmarkEngineThroughput measures both modes back to back, checks
-// the engine's best n against the sequential harness's, and writes the
-// BENCH_engine.json artifact at the repository root (the CI bench smoke
-// step uploads it; the committed copy seeds the bench trajectory).
+// the engine's best n against the sequential harness's, and reports the
+// speedup and the engine's points/s. It writes no file: the committed
+// BENCH_engine.json is a historical record.
 func BenchmarkEngineThroughput(b *testing.B) {
 	sc, opts := benchScenario()
 	points := benchClients * sc.Platform.N()
 
 	var seqSec, engSec float64
 	var seqBest, engBest int
-	var stats CacheStats
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
 		seqBest = sequentialClients(b, sc, opts)
 		seqSec = time.Since(start).Seconds()
 
 		start = time.Now()
-		engBest, stats = engineClients(b, sc, opts)
+		engBest = engineClients(b, sc, opts)
 		engSec = time.Since(start).Seconds()
 
 		if engBest != seqBest {
@@ -139,64 +134,4 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	speedup := seqSec / engSec
 	b.ReportMetric(speedup, "speedup")
 	b.ReportMetric(float64(points)/engSec, "engine-points/s")
-
-	artifact := map[string]any{
-		"benchmark": "8 concurrent clients x 64-point evaluation sweep",
-		"scenario":  sc.Name,
-		"node_class": "G5K Chifflet (2x Xeon E5-2680 v4 + 2x GTX 1080)",
-		"points":    sc.Platform.N(),
-		"clients":   benchClients,
-		"workers":   benchWorkers,
-		"tiles":     benchTiles,
-		"host_cpus": runtime.NumCPU(),
-		"sequential": map[string]any{
-			"seconds":        seqSec,
-			"simulations":    points,
-			"points_per_sec": float64(points) / seqSec,
-		},
-		"engine_8_workers": map[string]any{
-			"seconds":        engSec,
-			"simulations":    stats.Misses,
-			"cache_hits":     stats.Hits,
-			"hit_ratio":      stats.HitRatio,
-			"points_per_sec": float64(points) / engSec,
-		},
-		"speedup":           speedup,
-		"best_n_sequential": seqBest,
-		"best_n_engine":     engBest,
-		"best_n_match":      seqBest == engBest,
-		"note": "speedup = shared singleflight cache deduplicating the clients' " +
-			"overlapping evaluations (64 simulations instead of 512) plus worker-pool " +
-			"parallelism on multi-core hosts; the dedup floor alone sustains ~8x on one core",
-	}
-	if path := artifactPath(); path != "" {
-		data, err := json.MarshalIndent(artifact, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			b.Logf("could not write %s: %v", path, err)
-		} else {
-			b.Logf("wrote %s (speedup %.1fx, best n=%d)", path, speedup, engBest)
-		}
-	}
-}
-
-// artifactPath locates <repo root>/BENCH_engine.json by walking up to
-// go.mod; "" when not run inside the module tree.
-func artifactPath() string {
-	dir, err := os.Getwd()
-	if err != nil {
-		return ""
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return filepath.Join(dir, "BENCH_engine.json")
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return ""
-		}
-		dir = parent
-	}
 }

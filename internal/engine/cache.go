@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"sync"
 
 	"phasetune/internal/obsv"
@@ -56,7 +57,9 @@ func NewCache() *Cache {
 // itself continues and lands in the cache for later callers —
 // cancellation abandons the wait, not the work). The abandoned wait
 // still counts as a hit: the request was served by an existing entry,
-// it just declined to stay for the answer.
+// it just declined to stay for the answer. A waiter whose computing
+// caller gave up on its own context, before the work ran, computes
+// the value itself rather than inherit that cancellation.
 func (c *Cache) EvalCtx(ctx context.Context, key CacheKey, compute func() (float64, error)) (val float64, hit bool, err error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
@@ -72,6 +75,10 @@ func (c *Cache) EvalCtx(ctx context.Context, key CacheKey, compute func() (float
 		c.mu.Unlock()
 		select {
 		case <-e.done:
+			if e.err != nil && ctx.Err() == nil &&
+				(errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
+				return c.EvalCtx(ctx, key, compute)
+			}
 			return e.val, true, e.err
 		case <-ctx.Done():
 			return 0, true, ctx.Err()

@@ -100,6 +100,38 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	}
 }
 
+// TestCacheCancelledLeader: a caller that gives up on its own context
+// while waiting for a pool slot fails alone; a waiter that joined its
+// flight with a live context computes the value itself.
+func TestCacheCancelledLeader(t *testing.T) {
+	c := NewCache()
+	key := CacheKey{"fp", 0, 2}
+	release := make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.EvalCtx(context.Background(), key, func() (float64, error) {
+			<-release
+			return 0, context.Canceled // what an abandoned pool wait returns
+		})
+		leaderErr <- err
+	}()
+	for c.Stats().InFlight == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	go func() { // release the leader once the waiter below has joined it
+		for c.Stats().Hits == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		close(release)
+	}()
+	if v, _, err := c.EvalCtx(context.Background(), key, func() (float64, error) { return 9, nil }); err != nil || v != 9 {
+		t.Fatalf("live waiter got (%v, %v), want (9, nil)", v, err)
+	}
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v, want context.Canceled", err)
+	}
+}
+
 // TestCacheEpochInvalidation: epochs never share values, and advancing
 // an epoch evicts exactly the fingerprint's stale entries.
 func TestCacheEpochInvalidation(t *testing.T) {

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"phasetune/internal/engine"
 	"phasetune/internal/obsv"
 	"phasetune/internal/obsv/events"
 	"phasetune/internal/obsv/obsvtest"
@@ -29,58 +28,6 @@ func sharedNanos() func() int64 {
 	return func() int64 { return n.Add(1e6) }
 }
 
-// newObsvFleet is newReplFleet with full observability wired: every
-// engine carries telemetry plus an event log, and the router records
-// its own spans and events — the in-process mirror of what
-// phasetune-serve and phasetune-shard wire from flags.
-func newObsvFleet(t *testing.T, n int) *replFleet {
-	t.Helper()
-	clock := sharedNanos()
-	f := &replFleet{}
-	shards := make([]Shard, 0, n)
-	addrOf := map[string]string{}
-	for i := 0; i < n; i++ {
-		tel := obsv.NewTelemetry(clock)
-		tel.Events = events.New(clock)
-		e := engine.NewWithOptions(engine.Options{Workers: 1, JournalDir: t.TempDir(), Telemetry: tel})
-		srv := httptest.NewServer(engine.NewServer(e))
-		t.Cleanup(srv.Close)
-		name := fmt.Sprintf("w%d", i)
-		f.engines = append(f.engines, e)
-		f.workers = append(f.workers, srv)
-		f.names = append(f.names, name)
-		addrOf[name] = srv.URL
-		shards = append(shards, Shard{Name: name, Addr: srv.URL})
-	}
-	ring, err := NewRing(f.names, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.ring = ring
-	for i, e := range f.engines {
-		self := f.names[i]
-		e.SetReplicaPlanner(func(id string) (string, bool) {
-			next, ok := ring.Follower(id, self)
-			return addrOf[next], ok
-		})
-	}
-	rt, err := New(Options{
-		Shards: shards, Seed: 7, HealthInterval: time.Hour, Supervise: true,
-		Trace:  obsv.NewTraceRecorder(clock),
-		Events: events.New(clock),
-		Now:    clock,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
-	rt.CheckNow()
-	f.router = rt
-	f.front = httptest.NewServer(rt)
-	t.Cleanup(f.front.Close)
-	return f
-}
-
 // TestFleetTraceStitchedAcrossProcesses is the tracing acceptance
 // criterion, in process: one traced stream-step through the two-shard
 // router must leave spans in at least three distinct processes —
@@ -88,7 +35,7 @@ func newObsvFleet(t *testing.T, n int) *replFleet {
 // under the client's trace id, stitched by GET /v1/fleet/trace into
 // one flow-linked Chrome trace.
 func TestFleetTraceStitchedAcrossProcesses(t *testing.T) {
-	f := newObsvFleet(t, 2)
+	f := newReplFleet(t, 2, sharedNanos())
 
 	resp, raw := f.post(t, "/v1/sessions", sessionBody)
 	if resp.StatusCode != http.StatusCreated {
@@ -150,7 +97,7 @@ func TestFleetTraceStitchedAcrossProcesses(t *testing.T) {
 // TestFleetTraceBadRequests pins the endpoint's error contract: no
 // parameter is a 400, an unknown trace id is a 404.
 func TestFleetTraceBadRequests(t *testing.T) {
-	f := newObsvFleet(t, 2)
+	f := newReplFleet(t, 2, sharedNanos())
 	for _, tc := range []struct {
 		path string
 		want int
@@ -177,7 +124,7 @@ func TestFleetTraceBadRequests(t *testing.T) {
 // and the revived zombie's stale-generation ship is refused by the
 // follower's fence (repl.fenced).
 func TestFleetEventsCausalChain(t *testing.T) {
-	f := newObsvFleet(t, 3)
+	f := newReplFleet(t, 3, sharedNanos())
 
 	resp, raw := f.post(t, "/v1/sessions", sessionBody)
 	if resp.StatusCode != http.StatusCreated {
@@ -261,7 +208,7 @@ func TestFleetEventsCausalChain(t *testing.T) {
 // fleet-summed phasetune_fleet_* families whose values equal the sum
 // of the per-shard samples they rename.
 func TestFleetMetricsSummedFamilies(t *testing.T) {
-	f := newObsvFleet(t, 2)
+	f := newReplFleet(t, 2, sharedNanos())
 	for i := 0; i < 4; i++ {
 		resp, raw := f.post(t, "/v1/sessions", sessionBody)
 		if resp.StatusCode != http.StatusCreated {

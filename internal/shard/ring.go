@@ -16,6 +16,9 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
+
+	"phasetune/internal/engine"
 )
 
 // FNV-1a 64-bit parameters. The ring hashes with FNV-1a because it is
@@ -184,6 +187,54 @@ func (r *Ring) Follower(key, self string) (string, bool) {
 		}
 	}
 	return "", false
+}
+
+// FleetConfig is the replication topology a worker receives at POST
+// /v1/replica/fleet: which ring member this process is, and the full
+// membership. Each member's name is its identity on the ring; its addr
+// is where journal records ship. Every member must receive the same
+// membership, each with its own self, for owner/follower chains to
+// agree fleet-wide.
+type FleetConfig struct {
+	Self     string  `json:"self"`
+	Replicas int     `json:"replicas"` // virtual nodes per member (0 = ring default)
+	Members  []Shard `json:"members"`
+}
+
+// Planner validates the topology and returns the worker's follower
+// planner: session id -> address of Ring.Follower(id, Self). The worker
+// derives each session's follower from the same (membership, id) the
+// router hashes, with no coordination between them. Empty membership
+// returns a nil planner, which turns replication off.
+func (c FleetConfig) Planner() (engine.ReplicaPlanner, error) {
+	if len(c.Members) == 0 {
+		return nil, nil
+	}
+	names := make([]string, 0, len(c.Members))
+	addrOf := make(map[string]string, len(c.Members))
+	selfKnown := false
+	for _, m := range c.Members {
+		if m.Name == "" || m.Addr == "" {
+			return nil, fmt.Errorf("member needs both name and addr: %+v", m)
+		}
+		names = append(names, m.Name)
+		addrOf[m.Name] = strings.TrimRight(m.Addr, "/")
+		if m.Name == c.Self {
+			selfKnown = true
+		}
+	}
+	if !selfKnown {
+		return nil, fmt.Errorf("self %q is not in members", c.Self)
+	}
+	ring, err := NewRing(names, c.Replicas)
+	if err != nil {
+		return nil, err
+	}
+	self := c.Self
+	return func(id string) (string, bool) {
+		next, ok := ring.Follower(id, self)
+		return addrOf[next], ok
+	}, nil
 }
 
 // Names returns the ring's members in sorted order. The slice is shared

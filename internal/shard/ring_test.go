@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -131,6 +132,54 @@ func TestRingFollower(t *testing.T) {
 		got, ok := three.Follower(id, three.Lookup(id))
 		if want := three.LookupN(id, 2)[1]; !ok || got != want {
 			t.Fatalf("%s: owner's follower (%q, %t), chain says %q", id, got, ok, want)
+		}
+	}
+}
+
+// TestFleetConfig pins the /v1/replica/fleet body: an incomplete
+// member or a self outside the membership is refused, a trailing slash
+// on an addr is trimmed, empty membership turns replication off, and
+// every planned address is that of the member Ring.Follower names.
+func TestFleetConfig(t *testing.T) {
+	members := []Shard{{Name: "w0", Addr: "http://a/"}, {Name: "w1", Addr: "http://b"}, {Name: "w2", Addr: "http://c"}}
+	for _, tc := range []struct {
+		name string
+		cfg  FleetConfig
+		want string
+	}{
+		{"missing name", FleetConfig{Self: "w0", Members: []Shard{{Name: "w0", Addr: "http://a"}, {Addr: "http://b"}}},
+			"member needs both name and addr"},
+		{"missing addr", FleetConfig{Self: "w0", Members: []Shard{{Name: "w0"}}}, "member needs both name and addr"},
+		{"absent self", FleetConfig{Members: members}, `self "" is not in members`},
+		{"duplicate name", FleetConfig{Self: "w0", Members: []Shard{{Name: "w0", Addr: "http://a"}, {Name: "w0", Addr: "http://b"}}},
+			"duplicate shard name"},
+	} {
+		plan, err := tc.cfg.Planner()
+		if err == nil || !strings.Contains(err.Error(), tc.want) || plan != nil {
+			t.Errorf("%s: Planner() error %v, want one containing %q and no planner", tc.name, err, tc.want)
+		}
+	}
+	if plan, err := (FleetConfig{Self: "w0"}).Planner(); err != nil || plan != nil {
+		t.Errorf("empty membership: planner set %t, error %v; want neither", plan != nil, err)
+	}
+
+	ring, err := NewRing([]string{"w0", "w1", "w2"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrOf := map[string]string{"w0": "http://a", "w1": "http://b", "w2": "http://c"} // w0's slash trimmed
+	for _, self := range ring.Names() {
+		plan, err := FleetConfig{Self: self, Members: members}.Planner()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 500; i++ {
+			id := fmt.Sprintf("s%d", i)
+			next, ok := ring.Follower(id, self)
+			got, gotOK := plan(id)
+			if got != addrOf[next] || gotOK != ok {
+				t.Fatalf("self %s, id %s: planner (%q, %t), Follower names %q (%t)", self, id, got, gotOK, next, ok)
+			}
 		}
 	}
 }

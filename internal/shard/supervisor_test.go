@@ -12,11 +12,12 @@ import (
 	"time"
 
 	"phasetune/internal/engine"
+	"phasetune/internal/obsv"
+	"phasetune/internal/obsv/events"
 )
 
 // replFleet is a supervised router over n journaled workers whose
-// replica planners are what phasetune-serve wires from a fleet config:
-// Ring.Follower from the worker's own name.
+// replica planners are what phasetune-serve wires from a FleetConfig.
 type replFleet struct {
 	router  *Router
 	front   *httptest.Server
@@ -26,20 +27,28 @@ type replFleet struct {
 	ring    *Ring
 }
 
-func newReplFleet(t *testing.T, n int) *replFleet {
+// newReplFleet builds the fleet. Given a clock, it also wires full
+// observability: every engine carries telemetry plus an event log, and
+// the router records its own spans and events, all on that clock — the
+// in-process mirror of what phasetune-serve and phasetune-shard wire
+// from flags.
+func newReplFleet(t *testing.T, n int, clock func() int64) *replFleet {
 	t.Helper()
 	f := &replFleet{}
 	shards := make([]Shard, 0, n)
-	addrOf := map[string]string{}
 	for i := 0; i < n; i++ {
-		e := engine.NewWithOptions(engine.Options{Workers: 1, JournalDir: t.TempDir()})
+		opts := engine.Options{Workers: 1, JournalDir: t.TempDir()}
+		if clock != nil {
+			opts.Telemetry = obsv.NewTelemetry(clock)
+			opts.Telemetry.Events = events.New(clock)
+		}
+		e := engine.NewWithOptions(opts)
 		srv := httptest.NewServer(engine.NewServer(e))
 		t.Cleanup(srv.Close)
 		name := fmt.Sprintf("w%d", i)
 		f.engines = append(f.engines, e)
 		f.workers = append(f.workers, srv)
 		f.names = append(f.names, name)
-		addrOf[name] = srv.URL
 		shards = append(shards, Shard{Name: name, Addr: srv.URL})
 	}
 	ring, err := NewRing(f.names, 0)
@@ -48,13 +57,19 @@ func newReplFleet(t *testing.T, n int) *replFleet {
 	}
 	f.ring = ring
 	for i, e := range f.engines {
-		self := f.names[i]
-		e.SetReplicaPlanner(func(id string) (string, bool) {
-			next, ok := ring.Follower(id, self)
-			return addrOf[next], ok
-		})
+		plan, err := FleetConfig{Self: f.names[i], Members: shards}.Planner()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetReplicaPlanner(plan)
 	}
-	rt, err := New(Options{Shards: shards, Seed: 7, HealthInterval: time.Hour, Supervise: true})
+	ropts := Options{Shards: shards, Seed: 7, HealthInterval: time.Hour, Supervise: true}
+	if clock != nil {
+		ropts.Trace = obsv.NewTraceRecorder(clock)
+		ropts.Events = events.New(clock)
+		ropts.Now = clock
+	}
+	rt, err := New(ropts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +98,7 @@ func (f *replFleet) post(t *testing.T, path, body string) (*http.Response, []byt
 // repoints, the session keeps serving through the router, and the
 // revived zombie owner is fenced out of its old generation.
 func TestSupervisorAutoPromote(t *testing.T) {
-	f := newReplFleet(t, 3)
+	f := newReplFleet(t, 3, nil)
 
 	resp, raw := f.post(t, "/v1/sessions", sessionBody)
 	if resp.StatusCode != http.StatusCreated {
@@ -172,7 +187,7 @@ func TestSupervisorAutoPromote(t *testing.T) {
 // whose ring owner is the dead shard are born on the next live chain
 // member instead of bouncing, and stay sticky there.
 func TestSupervisedCreateSkipsDeadOwner(t *testing.T) {
-	f := newReplFleet(t, 3)
+	f := newReplFleet(t, 3, nil)
 	f.workers[0].Close()
 	f.router.CheckNow()
 

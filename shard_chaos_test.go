@@ -8,8 +8,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"os/exec"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,6 +17,7 @@ import (
 
 	"phasetune/internal/chaosnet"
 	"phasetune/internal/engine"
+	"phasetune/internal/fleet"
 	"phasetune/internal/shard"
 )
 
@@ -35,13 +34,6 @@ import (
 // and after the failover, and (at shards>1) twin sessions on different
 // shards must agree bit-for-bit while the second one's evaluations are
 // answered by the first shard's cache over the peer protocol.
-
-// startShardRouter launches a phasetune-shard binary; its /readyz turns
-// 200 only once every worker behind it is ready.
-func startShardRouter(t *testing.T, bin string, args ...string) *serveProc {
-	t.Helper()
-	return startProc(t, bin, "phasetune-shard listening on ", args...)
-}
 
 // shardReq performs one HTTP request, optionally carrying an
 // Idempotency-Key, and returns the status, the X-Phasetune-Shard
@@ -195,18 +187,9 @@ func TestShardChaosKillRecover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	binDir := t.TempDir()
-	serveBin := filepath.Join(binDir, "phasetune-serve")
-	routerBin := filepath.Join(binDir, "phasetune-shard")
-	for bin, pkg := range map[string]string{
-		serveBin:  "./cmd/phasetune-serve",
-		routerBin: "./cmd/phasetune-shard",
-	} {
-		build := exec.Command("go", "build", "-o", bin, pkg)
-		build.Dir = "."
-		if out, err := build.CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", pkg, err, out)
-		}
+	serveBin, routerBin, err := fleet.Build(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
 	ref := referenceResults(t)
 
@@ -218,67 +201,24 @@ func TestShardChaosKillRecover(t *testing.T) {
 }
 
 func shardChaosRound(t *testing.T, serveBin, routerBin string, shards int, ref []engine.SessionResult) {
-	var procs []*serveProc
-	t.Cleanup(func() {
-		for _, p := range procs {
-			_ = p.cmd.Process.Kill()
-		}
-		for _, p := range procs {
-			<-p.scanned
-			_ = p.cmd.Wait()
-		}
-	})
-
 	// The fleet: every worker journals to its own directory, so a kill
-	// loses a process but never committed state.
-	workerArgs := []string{"-workers", "2"}
-	names := make([]string, shards)
-	dirs := make([]string, shards)
-	workers := make([]*serveProc, shards)
-	for i := range workers {
-		names[i] = fmt.Sprintf("w%d", i)
-		dirs[i] = t.TempDir()
-		workers[i] = startServe(t, serveBin,
-			append([]string{"-journal-dir", dirs[i]}, workerArgs...)...)
-		procs = append(procs, workers[i])
-	}
-
-	// Peer-wire the caches in both directions; re-run after a failover
-	// so the restarted worker rejoins the mesh at its new address.
-	wirePeers := func() error {
-		if shards == 1 {
-			return nil
-		}
-		for i, w := range workers {
-			var peers []string
-			for j, o := range workers {
-				if j != i {
-					peers = append(peers, o.base)
-				}
-			}
-			body, err := json.Marshal(map[string][]string{"peers": peers})
-			if err != nil {
-				return err
-			}
-			if status, err := chaosPost(w.base, "/v1/cache/peers", body, nil); err != nil || status != http.StatusOK {
-				return fmt.Errorf("wiring peers on %s: status %d, err %w", names[i], status, err)
-			}
-		}
-		return nil
-	}
-	if err := wirePeers(); err != nil {
+	// loses a process but never committed state. The caches are
+	// peer-wired in both directions, and a restarted worker rejoins the
+	// mesh at its new address.
+	f, err := fleet.New(fleet.Config{
+		ServeBin: serveBin, RouterBin: routerBin, Size: shards,
+		ServeArgs: []string{"-workers", "2"}, RouterArgs: []string{"-seed", "5"},
+		Peers: true,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(f.Stop)
+	rt, names := f.Router(), f.Names()
 
-	// The router, plus a client-side mirror of its hash ring: the test
-	// predicts every placement and the X-Phasetune-Shard headers must
-	// agree with the prediction.
-	parts := make([]string, shards)
-	for i := range names {
-		parts[i] = names[i] + "=" + workers[i].base
-	}
-	rt := startShardRouter(t, routerBin, "-shards", strings.Join(parts, ","), "-seed", "5")
-	procs = append(procs, rt)
+	// A client-side mirror of the router's hash ring: the test predicts
+	// every placement and the X-Phasetune-Shard headers must agree with
+	// the prediction.
 	ring, err := shard.NewRing(names, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +235,7 @@ func shardChaosRound(t *testing.T, serveBin, routerBin string, shards int, ref [
 		if err != nil {
 			t.Fatal(err)
 		}
-		status, owner, data, err := shardReq(http.MethodPost, rt.base+"/v1/sessions", "", body)
+		status, owner, data, err := shardReq(http.MethodPost, rt.URL+"/v1/sessions", "", body)
 		if err != nil || status != http.StatusCreated {
 			t.Fatalf("create %s: status %d, err %v: %s", id, status, err, data)
 		}
@@ -318,7 +258,7 @@ func shardChaosRound(t *testing.T, serveBin, routerBin string, shards int, ref [
 	// is shared and batch proposals keep matching the reference.
 	sweepBody := []byte(`{"scenario":"b","tiles":3,"seed":5}`)
 	keyPre := sweepKeyOn(ring, victimName, "sweep-pre")
-	owner, sweepPre, err := shardRetry("pre-kill sweep", http.MethodPost, rt.base+"/v1/sweep", keyPre, sweepBody)
+	owner, sweepPre, err := shardRetry("pre-kill sweep", http.MethodPost, rt.URL+"/v1/sweep", keyPre, sweepBody)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +274,7 @@ func shardChaosRound(t *testing.T, serveBin, routerBin string, shards int, ref [
 	var killOnce sync.Once
 	kill := func() {
 		killOnce.Do(func() {
-			_ = workers[victimIdx].cmd.Process.Kill()
+			f.Kill(victimIdx)
 			close(killed)
 		})
 	}
@@ -355,7 +295,7 @@ func shardChaosRound(t *testing.T, serveBin, routerBin string, shards int, ref [
 				path, body := shardOpBody(op)
 				key := fmt.Sprintf("shard-chaos:%s:%d", id, opIdx)
 				if _, _, err := shardRetry(op+" "+id, http.MethodPost,
-					rt.base+"/v1/sessions/"+id+path, key, body); err != nil {
+					rt.URL+"/v1/sessions/"+id+path, key, body); err != nil {
 					addErr(err)
 					return
 				}
@@ -375,7 +315,7 @@ func shardChaosRound(t *testing.T, serveBin, routerBin string, shards int, ref [
 	go func() {
 		defer wg.Done()
 		<-killed
-		_, data, err := shardRetry("mid-kill sweep", http.MethodPost, rt.base+"/v1/sweep", keyMid, sweepBody)
+		_, data, err := shardRetry("mid-kill sweep", http.MethodPost, rt.URL+"/v1/sweep", keyMid, sweepBody)
 		if err != nil {
 			addErr(err)
 			return
@@ -393,32 +333,12 @@ func shardChaosRound(t *testing.T, serveBin, routerBin string, shards int, ref [
 
 	// Failover: restart the victim with -recover on its journal
 	// directory (fresh port), rejoin the peer mesh, and repoint the
-	// router. Drivers keep retrying throughout.
-	victim := workers[victimIdx]
-	<-victim.scanned
-	_ = victim.cmd.Wait()
-	restarted := startServe(t, serveBin,
-		append([]string{"-journal-dir", dirs[victimIdx]}, append(workerArgs, "-recover")...)...)
-	procs = append(procs, restarted)
-	workers[victimIdx] = restarted
-	waitOutput(t, restarted, "recovered ")
-	if err := wirePeers(); err != nil {
-		t.Fatal(err)
-	}
-	adminBody, err := json.Marshal(shard.Shard{Name: victimName, Addr: restarted.base})
+	// router, which must probe it up. Drivers keep retrying throughout.
+	restarted, err := f.Restart(victimIdx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	status, _, adminResp, err := shardReq(http.MethodPost, rt.base+"/admin/shards", "", adminBody)
-	if err != nil || status != http.StatusOK {
-		t.Fatalf("repointing %s: status %d, err %v: %s", victimName, status, err, adminResp)
-	}
-	var repointed struct {
-		Up bool `json:"up"`
-	}
-	if err := json.Unmarshal(adminResp, &repointed); err != nil || !repointed.Up {
-		t.Fatalf("repointed shard not up: %s (err %v)", adminResp, err)
-	}
+	waitOutput(t, restarted, "recovered ")
 
 	wg.Wait()
 	for _, err := range opErrs {
@@ -431,7 +351,7 @@ func shardChaosRound(t *testing.T, serveBin, routerBin string, shards int, ref [
 	// Every script ran to completion across the failover: finals via the
 	// router must be bit-identical to the uninterrupted reference.
 	for i, id := range ids {
-		sameFinal(t, fmt.Sprintf("shards=%d final %s", shards, id), chaosResult(t, rt.base, id), ref[i])
+		sameFinal(t, fmt.Sprintf("shards=%d final %s", shards, id), chaosResult(t, rt.URL, id), ref[i])
 	}
 
 	// Sweep continuity: re-sending the pre-kill key routes back to the
@@ -440,7 +360,7 @@ func shardChaosRound(t *testing.T, serveBin, routerBin string, shards int, ref [
 	// the same answer — every tuning result identical, because sweeps
 	// are a deterministic function of their request.
 	owner, sweepPost, err := shardRetry("post-recovery sweep replay", http.MethodPost,
-		rt.base+"/v1/sweep", keyPre, sweepBody)
+		rt.URL+"/v1/sweep", keyPre, sweepBody)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,13 +379,13 @@ func shardChaosRound(t *testing.T, serveBin, routerBin string, shards int, ref [
 		}
 		keyOther := sweepKeyOn(ring, otherName, "sweep-other")
 		if _, sweepOther, err := shardRetry("cross-shard sweep", http.MethodPost,
-			rt.base+"/v1/sweep", keyOther, sweepBody); err != nil {
+			rt.URL+"/v1/sweep", keyOther, sweepBody); err != nil {
 			t.Fatal(err)
 		} else {
 			sameSweep(t, "sweep across shards", sweepPre, sweepOther)
 		}
 
-		shardPeerTwinPhase(t, rt.base, ring, names, workers)
+		shardPeerTwinPhase(t, rt.URL, ring, f)
 	}
 }
 
@@ -475,7 +395,7 @@ func shardChaosRound(t *testing.T, serveBin, routerBin string, shards int, ref [
 // warmth), must produce bit-identical results — and the second one's
 // evaluations must be answered out of the first shard's cache, visible
 // as peer-cache hits in the fleet's metrics.
-func shardPeerTwinPhase(t *testing.T, routerBase string, ring *shard.Ring, names []string, workers []*serveProc) {
+func shardPeerTwinPhase(t *testing.T, routerBase string, ring *shard.Ring, f *fleet.Fleet) {
 	t.Helper()
 	var twins []string
 	for i := 0; len(twins) < 2; i++ {
@@ -485,8 +405,8 @@ func shardPeerTwinPhase(t *testing.T, routerBase string, ring *shard.Ring, names
 		}
 	}
 	before := 0.0
-	for _, w := range workers {
-		before += scrapeCounter(t, w.base, "phasetune_peer_cache_hits_total")
+	for i := range f.Names() {
+		before += scrapeCounter(t, f.Worker(i).URL, "phasetune_peer_cache_hits_total")
 	}
 	for _, id := range twins {
 		body, err := json.Marshal(map[string]any{
@@ -517,8 +437,8 @@ func shardPeerTwinPhase(t *testing.T, routerBase string, ring *shard.Ring, names
 	}
 	sameFinal(t, "peer twin "+twins[1], resB, resA)
 	after := 0.0
-	for _, w := range workers {
-		after += scrapeCounter(t, w.base, "phasetune_peer_cache_hits_total")
+	for i := range f.Names() {
+		after += scrapeCounter(t, f.Worker(i).URL, "phasetune_peer_cache_hits_total")
 	}
 	if after <= before {
 		t.Fatalf("no peer-cache hits recorded for twin sessions on shards %q and %q (before %v, after %v)",
@@ -534,55 +454,14 @@ func shardPeerTwinPhase(t *testing.T, routerBase string, ring *shard.Ring, names
 // the uninterrupted single-process reference. A zombie revived later
 // from the dead owner's disk is fenced out of its old generation.
 
-// wireReplicaChain POSTs the fleet membership to every worker so each
-// engine ships its sessions' journals to the follower the shared ring
-// names — the same wiring phasetune-load and an operator would do.
-func wireReplicaChain(t *testing.T, names []string, bases []string) {
-	t.Helper()
-	type member struct {
-		Name string `json:"name"`
-		Addr string `json:"addr"`
-	}
-	members := make([]member, len(names))
-	for i := range names {
-		members[i] = member{Name: names[i], Addr: bases[i]}
-	}
-	for i, base := range bases {
-		body, err := json.Marshal(map[string]any{"self": names[i], "members": members})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if status, err := chaosPost(base, "/v1/replica/fleet", body, nil); err != nil || status != http.StatusOK {
-			t.Fatalf("wiring replica fleet on %s: status %d, err %v", names[i], status, err)
-		}
-	}
-}
-
-// buildShardBins compiles the serve and router binaries into a temp
-// dir shared by one test.
-func buildShardBins(t *testing.T) (serveBin, routerBin string) {
-	t.Helper()
-	binDir := t.TempDir()
-	serveBin = filepath.Join(binDir, "phasetune-serve")
-	routerBin = filepath.Join(binDir, "phasetune-shard")
-	for bin, pkg := range map[string]string{
-		serveBin:  "./cmd/phasetune-serve",
-		routerBin: "./cmd/phasetune-shard",
-	} {
-		build := exec.Command("go", "build", "-o", bin, pkg)
-		build.Dir = "."
-		if out, err := build.CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", pkg, err, out)
-		}
-	}
-	return serveBin, routerBin
-}
-
 func TestShardChaosAutoFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	serveBin, routerBin := buildShardBins(t)
+	serveBin, routerBin, err := fleet.Build(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	ref := referenceResults(t)
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -592,40 +471,18 @@ func TestShardChaosAutoFailover(t *testing.T) {
 }
 
 func shardAutoFailoverRound(t *testing.T, serveBin, routerBin string, engineWorkers int, ref []engine.SessionResult) {
-	var procs []*serveProc
-	t.Cleanup(func() {
-		for _, p := range procs {
-			_ = p.cmd.Process.Kill()
-		}
-		for _, p := range procs {
-			<-p.scanned
-			_ = p.cmd.Wait()
-		}
-	})
-
 	const fleetSize = 3
-	workerArgs := []string{"-workers", strconv.Itoa(engineWorkers)}
-	names := make([]string, fleetSize)
-	dirs := make([]string, fleetSize)
-	bases := make([]string, fleetSize)
-	workers := make([]*serveProc, fleetSize)
-	for i := range workers {
-		names[i] = fmt.Sprintf("w%d", i)
-		dirs[i] = t.TempDir()
-		workers[i] = startServe(t, serveBin,
-			append([]string{"-journal-dir", dirs[i]}, workerArgs...)...)
-		bases[i] = workers[i].base
-		procs = append(procs, workers[i])
+	f, err := fleet.New(fleet.Config{
+		ServeBin: serveBin, RouterBin: routerBin, Size: fleetSize,
+		ServeArgs:  []string{"-workers", strconv.Itoa(engineWorkers)},
+		RouterArgs: []string{"-seed", "5", "-health-interval", "150ms"},
+		Replicas:   true,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	wireReplicaChain(t, names, bases)
-
-	parts := make([]string, fleetSize)
-	for i := range names {
-		parts[i] = names[i] + "=" + bases[i]
-	}
-	rt := startShardRouter(t, routerBin,
-		"-shards", strings.Join(parts, ","), "-seed", "5", "-health-interval", "150ms")
-	procs = append(procs, rt)
+	t.Cleanup(f.Stop)
+	rt, names := f.Router(), f.Names()
 	ring, err := shard.NewRing(names, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -640,7 +497,7 @@ func shardAutoFailoverRound(t *testing.T, serveBin, routerBin string, engineWork
 		if err != nil {
 			t.Fatal(err)
 		}
-		status, owner, data, err := shardReq(http.MethodPost, rt.base+"/v1/sessions", "", body)
+		status, owner, data, err := shardReq(http.MethodPost, rt.URL+"/v1/sessions", "", body)
 		if err != nil || status != http.StatusCreated {
 			t.Fatalf("create %s: status %d, err %v: %s", id, status, err, data)
 		}
@@ -668,7 +525,7 @@ func shardAutoFailoverRound(t *testing.T, serveBin, routerBin string, engineWork
 	var killOnce sync.Once
 	kill := func() {
 		killOnce.Do(func() {
-			_ = workers[victimIdx].cmd.Process.Kill()
+			f.Kill(victimIdx)
 			close(killed)
 		})
 	}
@@ -684,7 +541,7 @@ func shardAutoFailoverRound(t *testing.T, serveBin, routerBin string, engineWork
 				path, body := shardOpBody(op)
 				key := fmt.Sprintf("auto-failover:%s:%d", id, opIdx)
 				if _, _, err := shardRetry(op+" "+id, http.MethodPost,
-					rt.base+"/v1/sessions/"+id+path, key, body); err != nil {
+					rt.URL+"/v1/sessions/"+id+path, key, body); err != nil {
 					errMu.Lock()
 					opErrs = append(opErrs, err)
 					errMu.Unlock()
@@ -717,7 +574,7 @@ func shardAutoFailoverRound(t *testing.T, serveBin, routerBin string, engineWork
 		Shard string `json:"shard"`
 		Gen   uint64 `json:"gen"`
 	}
-	status, _, raw, err := shardReq(http.MethodGet, rt.base+"/admin/sessions", "", nil)
+	status, _, raw, err := shardReq(http.MethodGet, rt.URL+"/admin/sessions", "", nil)
 	if err != nil || status != http.StatusOK {
 		t.Fatalf("admin/sessions: status %d, err %v", status, err)
 	}
@@ -748,21 +605,19 @@ func shardAutoFailoverRound(t *testing.T, serveBin, routerBin string, engineWork
 	// Finished sessions via the router are bit-identical to the
 	// uninterrupted single-process reference.
 	for i, id := range ids {
-		sameFinal(t, fmt.Sprintf("workers=%d final %s", engineWorkers, id), chaosResult(t, rt.base, id), ref[i])
+		sameFinal(t, fmt.Sprintf("workers=%d final %s", engineWorkers, id), chaosResult(t, rt.URL, id), ref[i])
 	}
 
 	// The zombie: a process revived from the dead owner's disk recovers
 	// its sessions at the old generation. Its first commit ships to the
 	// promoted follower, is refused by the fence, and must surface as a
 	// conflict — never an ack.
-	zombie := startServe(t, serveBin,
-		append([]string{"-journal-dir", dirs[victimIdx]}, append(workerArgs, "-recover")...)...)
-	procs = append(procs, zombie)
+	zombie, err := f.Revive(victimIdx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	waitOutput(t, zombie, "recovered ")
-	zbases := append([]string{}, bases...)
-	zbases[victimIdx] = zombie.base
-	wireReplicaChain(t, names, zbases)
-	zstatus, _, zraw, err := shardReq(http.MethodPost, zombie.base+"/v1/sessions/"+ids[0]+"/step", "", []byte("{}"))
+	zstatus, _, zraw, err := shardReq(http.MethodPost, zombie.URL+"/v1/sessions/"+ids[0]+"/step", "", []byte("{}"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -774,7 +629,7 @@ func shardAutoFailoverRound(t *testing.T, serveBin, routerBin string, engineWork
 	// order: the router saw the owner die, the supervisor promoted the
 	// session at a bumped generation, and the zombie's stale-generation
 	// ship was fenced by the promoted follower.
-	estatus, _, eraw, err := shardReq(http.MethodGet, rt.base+"/v1/events", "", nil)
+	estatus, _, eraw, err := shardReq(http.MethodGet, rt.URL+"/v1/events", "", nil)
 	if err != nil || estatus != http.StatusOK {
 		t.Fatalf("fleet events: status %d, err %v", estatus, err)
 	}
@@ -826,23 +681,24 @@ func TestShardChaosPartitionPromote(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	serveBin, routerBin := buildShardBins(t)
+	serveBin, routerBin, err := fleet.Build(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	ref := referenceResults(t)[0]
 
-	var procs []*serveProc
-	t.Cleanup(func() {
-		for _, p := range procs {
-			_ = p.cmd.Process.Kill()
-		}
-		for _, p := range procs {
-			<-p.scanned
-			_ = p.cmd.Wait()
-		}
-	})
-
+	// Worker-to-worker replication uses the real addresses: the
+	// partition cuts only the router's view of w0.
 	const fleetSize = 3
-	names := []string{"w0", "w1", "w2"}
-	ring, err := shard.NewRing(names, 0)
+	f, err := fleet.New(fleet.Config{
+		ServeBin: serveBin, Size: fleetSize,
+		ServeArgs: []string{"-workers", "2"}, Replicas: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Stop)
+	ring, err := shard.NewRing(f.Names(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -856,24 +712,10 @@ func TestShardChaosPartitionPromote(t *testing.T) {
 	}
 	follower := ring.LookupN(id, fleetSize)[1]
 
-	workerArgs := []string{"-workers", "2"}
-	dirs := make([]string, fleetSize)
-	bases := make([]string, fleetSize)
-	workers := make([]*serveProc, fleetSize)
-	for i := range workers {
-		dirs[i] = t.TempDir()
-		workers[i] = startServe(t, serveBin,
-			append([]string{"-journal-dir", dirs[i]}, workerArgs...)...)
-		bases[i] = workers[i].base
-		procs = append(procs, workers[i])
-	}
-	// Worker-to-worker replication uses the real addresses: the
-	// partition cuts only the router's view of w0.
-	wireReplicaChain(t, names, bases)
-
+	w0 := f.Worker(0).URL
 	proxy, err := chaosnet.New(chaosnet.Config{
 		Listen: "127.0.0.1:0",
-		Target: strings.TrimPrefix(bases[0], "http://"),
+		Target: strings.TrimPrefix(w0, "http://"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -882,12 +724,15 @@ func TestShardChaosPartitionPromote(t *testing.T) {
 
 	parts := []string{
 		"w0=http://" + proxy.Addr(),
-		"w1=" + bases[1],
-		"w2=" + bases[2],
+		"w1=" + f.Worker(1).URL,
+		"w2=" + f.Worker(2).URL,
 	}
-	rt := startShardRouter(t, routerBin,
+	rt, err := fleet.Start(routerBin,
 		"-shards", strings.Join(parts, ","), "-seed", "5", "-health-interval", "150ms")
-	procs = append(procs, rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Kill)
 
 	cs := chaosSessions[0]
 	body, err := json.Marshal(map[string]any{
@@ -896,7 +741,7 @@ func TestShardChaosPartitionPromote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	status, owner, data, err := shardReq(http.MethodPost, rt.base+"/v1/sessions", "", body)
+	status, owner, data, err := shardReq(http.MethodPost, rt.URL+"/v1/sessions", "", body)
 	if err != nil || status != http.StatusCreated {
 		t.Fatalf("create %s: status %d, err %v: %s", id, status, err, data)
 	}
@@ -915,13 +760,13 @@ func TestShardChaosPartitionPromote(t *testing.T) {
 		path, opBody := shardOpBody(op)
 		key := fmt.Sprintf("partition:%s:%d", id, opIdx)
 		if direct {
-			dstatus, _, _, derr := shardReq(http.MethodPost, bases[0]+"/v1/sessions/"+id+path, key, opBody)
+			dstatus, _, _, derr := shardReq(http.MethodPost, w0+"/v1/sessions/"+id+path, key, opBody)
 			if derr == nil && dstatus < 300 {
 				return
 			}
 		}
 		if _, _, err := shardRetry(op+" "+id, http.MethodPost,
-			rt.base+"/v1/sessions/"+id+path, key, opBody); err != nil {
+			rt.URL+"/v1/sessions/"+id+path, key, opBody); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -951,7 +796,7 @@ func TestShardChaosPartitionPromote(t *testing.T) {
 			Shard string `json:"shard"`
 			Gen   uint64 `json:"gen"`
 		}
-		status, _, raw, err := shardReq(http.MethodGet, rt.base+"/admin/sessions", "", nil)
+		status, _, raw, err := shardReq(http.MethodGet, rt.URL+"/admin/sessions", "", nil)
 		if err != nil || status != http.StatusOK {
 			t.Fatalf("admin/sessions: status %d, err %v", status, err)
 		}
@@ -981,7 +826,7 @@ func TestShardChaosPartitionPromote(t *testing.T) {
 	// is refused. Depending on whether an earlier direct op already
 	// tripped the fence, the session is either fenced now (409) or has
 	// already failed closed (503) — it must never ack.
-	zstatus, _, zraw, err := shardReq(http.MethodPost, bases[0]+"/v1/sessions/"+id+"/step", "", []byte("{}"))
+	zstatus, _, zraw, err := shardReq(http.MethodPost, w0+"/v1/sessions/"+id+"/step", "", []byte("{}"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -995,7 +840,7 @@ func TestShardChaosPartitionPromote(t *testing.T) {
 	runOp(4, false)
 	runOp(5, false)
 
-	final := chaosResult(t, rt.base, id)
+	final := chaosResult(t, rt.URL, id)
 	sameFinal(t, "partition promote "+id, final, ref)
 
 	// The partition was real: the router's probes dialed into the void.
