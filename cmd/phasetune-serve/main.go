@@ -14,14 +14,20 @@
 //	# Prometheus text exposition
 //	curl -s localhost:8080/metrics
 //
-//	# one session's Chrome trace-event JSON (Perfetto-loadable)
+//	# a traced step, then the session's Chrome trace-event JSON
+//	# (Perfetto-loadable)
+//	curl -s -X POST localhost:8080/v1/sessions/s1/step -d '{}' \
+//	     -H 'X-Phasetune-Trace: 00000000000000a1-00000000000000b2'
 //	curl -s localhost:8080/v1/sessions/s1/trace
 //
-// Telemetry is always on in the server (metrics and per-session span
-// recording); -trace-dir additionally writes every session's trace to
-// <dir>/<id>.trace.json at shutdown, and -pprof-addr serves
-// net/http/pprof on its own mux and listener (default off; an empty
-// host or bare port binds loopback only).
+// Metrics are always on. A step, batch-step or stream-step is traced
+// only when it carries an X-Phasetune-Trace context, as
+// client.Config.Trace sends; the process keeps its traced requests in
+// one store of fixed size, evicting the oldest. -trace-dir traces
+// every step, with or without a context, and at shutdown writes each
+// session's trace that the store still holds to <dir>/<id>.trace.json.
+// -pprof-addr serves net/http/pprof on its own mux and listener
+// (default off; an empty host or bare port binds loopback only).
 //
 // With -journal-dir every committed step is fsync'd to a per-session
 // write-ahead journal before the client sees its result; after a crash,
@@ -59,6 +65,7 @@ import (
 
 	"phasetune/internal/engine"
 	"phasetune/internal/fsutil"
+	"phasetune/internal/obsv"
 	"phasetune/internal/obsv/events"
 	"phasetune/internal/obsv/wallclock"
 	"phasetune/internal/shard"
@@ -90,7 +97,7 @@ func main() {
 	flag.Int64Var(&cfg.maxBody, "max-body", 0, "request body size limit in bytes (0 = 1 MiB)")
 	flag.DurationVar(&cfg.evalTimeout, "eval-timeout", 0, "per-request evaluation timeout (0 = none)")
 	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "how long graceful shutdown waits for in-flight requests")
-	flag.StringVar(&cfg.traceDir, "trace-dir", "", "directory for per-session Chrome trace-event JSON files, written on shutdown (empty = tracing still served at GET /v1/sessions/{id}/trace, no files)")
+	flag.StringVar(&cfg.traceDir, "trace-dir", "", "trace every step and, on shutdown, write the per-session Chrome trace-event JSON the trace store still holds to this directory (empty = only requests carrying an X-Phasetune-Trace context are traced, served at GET /v1/sessions/{id}/trace, no files)")
 	flag.StringVar(&cfg.eventsFile, "events-file", "", "append the structured event log as fsync'd JSON lines to this file (empty = in-memory ring only, still served at GET /v1/events)")
 	flag.StringVar(&cfg.pprofAddr, "pprof-addr", "", "net/http/pprof listen address on its own mux, never the API listener (empty = off; a bare port binds loopback only)")
 	flag.StringVar(&cfg.peers, "peers", "", "comma-separated base URLs of shard peers whose evaluation caches answer local misses (empty = no peer lookups; repointable at POST /v1/cache/peers)")
@@ -131,6 +138,7 @@ func run(cfg config) error {
 		MaxInFlight:  cfg.maxInFlight,
 		MaxBodyBytes: cfg.maxBody,
 		EvalTimeout:  cfg.evalTimeout,
+		TraceAll:     cfg.traceDir != "",
 	})
 	wirePeers(cfg, eng, srv)
 	wireReplicaFleet(eng, srv)
@@ -350,6 +358,8 @@ func startPprof(addr string) (net.Listener, error) {
 
 // writeSessionTraces exports every recorded session trace to
 // <dir>/<id>.trace.json (Perfetto-loadable Chrome trace-event JSON).
+// A name that is not a valid session id could leave dir, so it is
+// skipped.
 func writeSessionTraces(eng *engine.Engine, dir string) error {
 	tel := eng.Telemetry()
 	if tel == nil {
@@ -359,6 +369,10 @@ func writeSessionTraces(eng *engine.Engine, dir string) error {
 		return err
 	}
 	for _, id := range tel.Trace.Sessions() {
+		if err := engine.ValidateSessionID(id); err != nil {
+			fmt.Printf("  skipped trace %q: %v\n", id, err)
+			continue
+		}
 		data, ok := tel.Trace.Export(id)
 		if !ok {
 			continue
@@ -633,8 +647,19 @@ func expectStatus(url string, want int) error {
 	return nil
 }
 
+// selfcheckTrace is the trace context every selfcheck POST carries,
+// so the server records the selfcheck's steps; a step without a
+// context runs untraced.
+const selfcheckTrace = "5e1fc4ec5e1fc4ec-00000000000000a1"
+
 func postJSON(url string, body []byte, out any) error {
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(obsv.TraceHeader, selfcheckTrace)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}

@@ -32,15 +32,17 @@
 // The ring hashes names, not addresses, so every session the dead
 // process owned routes to its recovered replacement.
 //
-// The router is also the fleet's observability front door. It mints a
-// fleet trace id for any proxied request that arrives without an
-// X-Phasetune-Trace header (and adopts the one that does), so GET
+// The router is also the fleet's observability front door. A proxied
+// request that arrives with an X-Phasetune-Trace header joins that
+// trace on the router and on every worker it reaches, so GET
 // /v1/fleet/trace?trace=<id> can stitch the router's, the owner's and
 // the replication follower's span slices into one Chrome trace with
-// flow arrows across the process boundaries. GET /v1/events merges
-// every process's structured event log — session lifecycle,
-// replication state changes, shard down/up, supervisor promotions —
-// into one causal order, and /metrics adds fleet-summed
+// flow arrows across the process boundaries. A request without the
+// header runs untraced everywhere: the router mints no trace for it.
+// The supervisor's failover batches are traces of their own. GET
+// /v1/events merges every process's structured event log — session
+// lifecycle, replication state changes, shard down/up, supervisor
+// promotions — into one causal order, and /metrics adds fleet-summed
 // phasetune_fleet_* families next to the per-shard samples.
 //
 // -selfcheck spins two replica-wired in-process workers plus the

@@ -369,6 +369,7 @@ func (g *GPStrategy) modelSelect() int {
 	g.lastMean = make([]float64, len(g.allowed))
 	g.lastSD = make([]float64, len(g.allowed))
 	fit.PredictAll(inputs(actions), g.lastMean, g.lastSD)
+	fit.Release()
 	best, bestScore := g.allowed[0], math.Inf(1)
 	for i, n := range g.allowed {
 		if useTrendBaseline {

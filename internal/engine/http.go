@@ -45,6 +45,11 @@ type ServerOptions struct {
 	// the request context is cancelled after this long, and waiting for
 	// pool slots or in-flight computations stops with 504.
 	EvalTimeout time.Duration
+	// TraceAll records every step, batch-step and stream-step: one
+	// without a valid X-Phasetune-Trace context roots a fresh trace
+	// here instead of running untraced. phasetune-serve sets it for
+	// -trace-dir. No effect on an engine without telemetry.
+	TraceAll bool
 }
 
 const (
@@ -268,13 +273,19 @@ func (s *Server) evalContext(r *http.Request) (context.Context, context.CancelFu
 }
 
 // beginStep is the shared preamble of the step, batch-step and
-// stream-step routes: serving state, the request body (req, when the
-// route takes one), the idempotency key, admission, the evaluation
-// timeout and the request's root trace span. On success the returned
-// context carries the span and done releases everything in reverse
-// order; on failure the response is already written.
+// stream-step routes: serving state, the session id, the request body
+// (req, when the route takes one), the idempotency key, admission, the
+// evaluation timeout and the request's root trace span. On success the
+// returned context carries the span and done releases everything in
+// reverse order; on failure the response is already written.
 func (s *Server) beginStep(w http.ResponseWriter, r *http.Request, route string, req *batchStepRequest) (context.Context, string, func(), bool) {
 	if !s.serving(w) {
+		return nil, "", nil, false
+	}
+	// The id names the request's trace, and -trace-dir names a file
+	// after it, so it is checked before any span opens.
+	if err := ValidateSessionID(r.PathValue("id")); err != nil {
+		s.error(w, http.StatusBadRequest, err)
 		return nil, "", nil, false
 	}
 	if req != nil {
@@ -374,23 +385,26 @@ func (s *Server) handle(pattern string, h http.HandlerFunc) {
 	})
 }
 
-// startTrace opens the root wall-clock span for a session-addressed
-// request. The returned SpanCtx (nil when telemetry is off) threads
-// through the request context into the engine's spans. An inbound
-// X-Phasetune-Trace header joins the request to its fleet trace; a
-// request without one starts a fresh trace, making this process the
-// first hop.
+// startTrace opens the root wall-clock span of a step, batch-step or
+// stream-step request by joinTrace's rule: the first hop decides, so
+// a request is traced only when it carries a trace context. Under
+// ServerOptions.TraceAll a request without one roots a fresh trace
+// here instead. The returned SpanCtx (nil when untraced) threads
+// through the request context into the engine's spans.
 func (s *Server) startTrace(r *http.Request, session, name string) (*obsv.SpanCtx, func()) {
 	if s.e.tel == nil {
 		return nil, func() {}
 	}
-	link, _ := obsv.ParseTraceContext(r.Header.Get(obsv.TraceHeader))
+	link, ok := obsv.ParseTraceContext(r.Header.Get(obsv.TraceHeader))
+	if !ok && !s.opts.TraceAll {
+		return nil, func() {}
+	}
 	return s.e.tel.Trace.StartRequestLink(session, name, link)
 }
 
 // joinTrace opens a root span only when the request carries a trace
-// header — for hop endpoints (replica appends, peer peeks) that should
-// join fleet traces but never start their own.
+// header — for hop endpoints (replica appends, peer peeks, promotions)
+// that join fleet traces but never start their own.
 func (s *Server) joinTrace(r *http.Request, session, name string) (*obsv.SpanCtx, func()) {
 	if s.e.tel == nil {
 		return nil, func() {}
@@ -713,6 +727,11 @@ func (s *Server) routes() {
 		if !s.serving(w) {
 			return
 		}
+		id := r.PathValue("id")
+		if err := ValidateSessionID(id); err != nil {
+			s.error(w, http.StatusBadRequest, err)
+			return
+		}
 		var req struct {
 			Gen uint64 `json:"gen"`
 		}
@@ -723,9 +742,9 @@ func (s *Server) routes() {
 		// A supervisor-driven promotion ships the supervisor's trace
 		// context; joining it makes the takeover visible in the fleet
 		// trace of the failover that caused it.
-		sc, endReq := s.joinTrace(r, r.PathValue("id"), "POST /v1/replica/{id}/promote")
+		sc, endReq := s.joinTrace(r, id, "POST /v1/replica/{id}/promote")
 		defer endReq()
-		res, err := s.e.PromoteReplica(obsv.ContextWith(r.Context(), sc), r.PathValue("id"), req.Gen)
+		res, err := s.e.PromoteReplica(obsv.ContextWith(r.Context(), sc), id, req.Gen)
 		if err != nil {
 			s.error(w, replicaStatusFor(err), err)
 			return

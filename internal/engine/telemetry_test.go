@@ -123,10 +123,38 @@ func TestMetricsContentNegotiation(t *testing.T) {
 	}
 }
 
-// TestSessionTraceEndToEnd drives a session over HTTP and checks the
-// exported Chrome trace spans the whole stack: the request root span,
-// pool admission, the DES evaluation and at least one sim-time task
-// event on its own process track.
+// testTrace is a valid X-Phasetune-Trace context for traced test
+// requests.
+const testTrace = "00000000000000ab-00000000000000cd"
+
+// postTraced is postJSON for a request carrying header as its
+// X-Phasetune-Trace context; it returns the status.
+func postTraced(t *testing.T, url, header string, body any) int {
+	t.Helper()
+	b, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(obsv.TraceHeader, header)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestSessionTraceEndToEnd drives a session over HTTP with traced
+// requests and checks the exported Chrome trace spans the whole stack:
+// the request root span, pool admission, the DES evaluation and at
+// least one sim-time task event on its own process track. A headerless
+// step on the same server leaves no trace.
 func TestSessionTraceEndToEnd(t *testing.T) {
 	srv, _, _ := telemetryServer(t, 2)
 
@@ -136,9 +164,13 @@ func TestSessionTraceEndToEnd(t *testing.T) {
 	}, &created)
 	base := srv.URL + "/v1/sessions/" + created.ID
 	for i := 0; i < 2; i++ {
-		postJSON(t, base+"/step", struct{}{}, nil)
+		if code := postTraced(t, base+"/step", testTrace, struct{}{}); code != http.StatusOK {
+			t.Fatalf("traced step: status %d", code)
+		}
 	}
-	postJSON(t, base+"/batch-step", batchStepRequest{K: 2}, nil)
+	if code := postTraced(t, base+"/batch-step", testTrace, batchStepRequest{K: 2}); code != http.StatusOK {
+		t.Fatalf("traced batch-step: status %d", code)
+	}
 
 	resp, data := get(t, base+"/trace", "")
 	if resp.StatusCode != http.StatusOK {
@@ -197,6 +229,16 @@ func TestSessionTraceEndToEnd(t *testing.T) {
 		t.Fatalf("unknown-session trace status %d", resp.StatusCode)
 	}
 
+	// A headerless step runs untraced: its session has no trace.
+	var quiet createSessionResponse
+	postJSON(t, srv.URL+"/v1/sessions", createSessionRequest{
+		Scenario: "b", Strategy: "DC", Seed: 2, Tiles: 4,
+	}, &quiet)
+	postJSON(t, srv.URL+"/v1/sessions/"+quiet.ID+"/step", struct{}{}, nil)
+	if resp, _ := get(t, srv.URL+"/v1/sessions/"+quiet.ID+"/trace", ""); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("headerless-step trace status %d, want 404", resp.StatusCode)
+	}
+
 	// Telemetry off: the route answers 404, not a broken trace.
 	plain := httptest.NewServer(NewServer(New(1)))
 	defer plain.Close()
@@ -206,6 +248,77 @@ func TestSessionTraceEndToEnd(t *testing.T) {
 	}, &c2)
 	if resp, _ := get(t, plain.URL+"/v1/sessions/"+c2.ID+"/trace", ""); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("telemetry-off trace status %d", resp.StatusCode)
+	}
+}
+
+// TestUntracedRequestRecordsNothing: with telemetry on, step,
+// batch-step and stream-step requests without a trace context (or
+// with a malformed one) record no span, and opening their root costs
+// no allocation.
+func TestUntracedRequestRecordsNothing(t *testing.T) {
+	srv, e, tel := telemetryServer(t, 2)
+	var created createSessionResponse
+	postJSON(t, srv.URL+"/v1/sessions", createSessionRequest{
+		Scenario: "b", Strategy: "DC", Seed: 3, Tiles: 4,
+	}, &created)
+	base := srv.URL + "/v1/sessions/" + created.ID
+	for _, route := range []string{"/step", "/batch-step", "/stream-step"} {
+		for _, header := range []string{"", "not-a-trace"} {
+			if code := postTraced(t, base+route, header, batchStepRequest{K: 2}); code != http.StatusOK {
+				t.Fatalf("%s with header %q: status %d", route, header, code)
+			}
+		}
+	}
+	if ids := tel.Trace.Sessions(); len(ids) != 0 {
+		t.Fatalf("untraced requests recorded spans for %v", ids)
+	}
+
+	s := NewServerWithOptions(e, ServerOptions{})
+	req := httptest.NewRequest(http.MethodPost, "/v1/sessions/s1/step", nil)
+	allocs := testing.AllocsPerRun(100, func() {
+		sc, end := s.startTrace(req, "s1", "POST /v1/sessions/{id}/step")
+		ctx := obsv.ContextWith(req.Context(), sc)
+		obsv.FromContext(ctx).Span("des", "des.eval")(nil)
+		end()
+	})
+	if allocs != 0 {
+		t.Fatalf("an untraced request allocates %v times for tracing", allocs)
+	}
+}
+
+// TestTraceAllRecordsHeaderless: under ServerOptions.TraceAll a step
+// without a trace context roots a fresh trace.
+func TestTraceAllRecordsHeaderless(t *testing.T) {
+	tel := obsv.NewTelemetry(fakeNanos())
+	e := NewWithOptions(Options{Workers: 1, Telemetry: tel})
+	srv := httptest.NewServer(NewServerWithOptions(e, ServerOptions{TraceAll: true}))
+	t.Cleanup(srv.Close)
+	var created createSessionResponse
+	postJSON(t, srv.URL+"/v1/sessions", createSessionRequest{
+		Scenario: "b", Strategy: "DC", Seed: 4, Tiles: 4,
+	}, &created)
+	postJSON(t, srv.URL+"/v1/sessions/"+created.ID+"/step", struct{}{}, nil)
+	resp, data := get(t, srv.URL+"/v1/sessions/"+created.ID+"/trace", "")
+	if resp.StatusCode != http.StatusOK || !bytes.Contains(data, []byte(`"des.eval"`)) {
+		t.Fatalf("headerless step under TraceAll: trace status %d, %d bytes", resp.StatusCode, len(data))
+	}
+}
+
+// TestSessionIDValidatedBeforeTrace: a traced request naming an
+// invalid session id answers 400 before any span opens, so the id
+// never names a trace (nor, under -trace-dir, a file).
+func TestSessionIDValidatedBeforeTrace(t *testing.T) {
+	srv, _, tel := telemetryServer(t, 1)
+	for _, route := range []string{"step", "batch-step", "stream-step"} {
+		if code := postTraced(t, srv.URL+"/v1/sessions/..%2Fescape/"+route, testTrace, struct{}{}); code != http.StatusBadRequest {
+			t.Fatalf("traced %s on ../escape: status %d, want 400", route, code)
+		}
+	}
+	if code := postTraced(t, srv.URL+"/v1/replica/..%2Fescape/promote", testTrace, map[string]int{"gen": 2}); code != http.StatusBadRequest {
+		t.Fatalf("traced promote of ../escape: status %d, want 400", code)
+	}
+	if ids := tel.Trace.Sessions(); len(ids) != 0 {
+		t.Fatalf("invalid ids named traces: %v", ids)
 	}
 }
 
@@ -369,15 +482,17 @@ func BenchmarkDisabledTelemetryHooks(b *testing.B) {
 	}
 }
 
-// BenchmarkStepTelemetry compares full engine steps with telemetry off
-// and on (metrics + spans), on a shared-cache workload.
+// BenchmarkStepTelemetry compares full engine steps in the three
+// telemetry modes, on a shared-cache workload: off (no telemetry),
+// metrics (telemetry on, request untraced — every request without a
+// trace context) and traced (metrics plus spans).
 func BenchmarkStepTelemetry(b *testing.B) {
-	for _, mode := range []string{"off", "on"} {
+	for _, mode := range []string{"off", "metrics", "traced"} {
 		b.Run(mode, func(b *testing.B) {
 			var opts Options
 			opts.Workers = 1
 			var tel *obsv.Telemetry
-			if mode == "on" {
+			if mode != "off" {
 				tel = obsv.NewTelemetry(fakeNanos())
 				opts.Telemetry = tel
 			}
@@ -391,18 +506,16 @@ func BenchmarkStepTelemetry(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ctx := context.Background()
-				if tel != nil {
-					sc, end := tel.Trace.StartRequest(s.id, "bench")
+				end := func() {}
+				if mode == "traced" {
+					var sc *obsv.SpanCtx
+					sc, end = tel.Trace.StartRequest(s.id, "bench")
 					ctx = obsv.ContextWith(ctx, sc)
-					if _, _, err := e.StepIdem(ctx, s.id, ""); err != nil {
-						b.Fatal(err)
-					}
-					end()
-					continue
 				}
 				if _, _, err := e.StepIdem(ctx, s.id, ""); err != nil {
 					b.Fatal(err)
 				}
+				end()
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"phasetune/internal/linalg"
 )
@@ -92,7 +93,7 @@ func (m Model) FitModel(xs [][]float64, ys []float64) (*Fit, error) {
 		}
 	}
 	// Cholesky reads only the lower triangle.
-	k := linalg.NewMatrix(n, n)
+	k := getMatrix(&factorPool, n, n)
 	for i := 0; i < n; i++ {
 		ci := cov[ids[i]*nu : (ids[i]+1)*nu]
 		row := k.Data[i*n : i*n+i+1]
@@ -101,8 +102,10 @@ func (m Model) FitModel(xs [][]float64, ys []float64) (*Fit, error) {
 		}
 		row[i] += m.Noise + jitter
 	}
-	chol, err := linalg.Cholesky(k)
-	if err != nil {
+	chol := getMatrix(&factorPool, n, n)
+	if err := linalg.CholeskyTo(chol, k); err != nil {
+		factorPool.Put(k)
+		factorPool.Put(chol)
 		return nil, fmt.Errorf("gp: covariance not positive definite: %w", err)
 	}
 
@@ -142,6 +145,7 @@ func (m Model) FitModel(xs [][]float64, ys []float64) (*Fit, error) {
 		}
 		fginv, err := linalg.Inverse(ftKinvF)
 		if err != nil {
+			f.Release()
 			return nil, fmt.Errorf("gp: trend normal equations singular: %w", err)
 		}
 		fty := linalg.MulVec(ft, kinvY)
@@ -188,7 +192,7 @@ func (f *Fit) PredictAll(xs [][]float64, mean, sd []float64) {
 	n, nu, p := f.nObs, len(f.uniq), len(f.model.Basis)
 	// Row r of kstar holds the covariances between xs[r] and every
 	// observation: the kernel runs once per distinct input.
-	kstar := linalg.NewMatrix(len(xs), n)
+	kstar := getMatrix(&predictPool, len(xs), n)
 	kd := make([]float64, nu)
 	for r, x := range xs {
 		for u, xu := range f.uniq {
@@ -199,7 +203,8 @@ func (f *Fit) PredictAll(xs [][]float64, mean, sd []float64) {
 			row[i] = kd[id]
 		}
 	}
-	kinvK := kstar.Clone()
+	kinvK := getMatrix(&predictPool, len(xs), n)
+	copy(kinvK.Data, kstar.Data)
 	linalg.CholSolveRows(f.chol, f.cholT, kinvK)
 
 	scratch := make([]float64, 3*p)
@@ -237,6 +242,41 @@ func (f *Fit) PredictAll(xs [][]float64, mean, sd []float64) {
 		}
 		mean[r], sd[r] = m, math.Sqrt(variance)
 	}
+	predictPool.Put(kstar)
+	predictPool.Put(kinvK)
+}
+
+// Release hands the fit's factors to later fits. The fit must not be
+// used afterwards.
+func (f *Fit) Release() {
+	factorPool.Put(f.chol)
+	factorPool.Put(f.cholT)
+	f.chol, f.cholT = nil, nil
+}
+
+// The n×n factors of fits (K, whose storage then holds L^T, and L) and
+// the m×n blocks of predictions (k* and K^-1 k*) are recycled: late in
+// a long session they are most of what a proposal allocates, and at a
+// small live heap that garbage sets the collector's pace. The pools
+// are shared, since sessions never leave a process; buffers are sized
+// up to a power of two, so a history that grows by one entry per
+// proposal reuses them.
+var factorPool, predictPool sync.Pool
+
+// getMatrix returns a zeroed r×c matrix from pool.
+func getMatrix(pool *sync.Pool, r, c int) *linalg.Matrix {
+	n := r * c
+	m, _ := pool.Get().(*linalg.Matrix)
+	if m == nil || cap(m.Data) < n {
+		size := 1
+		for size < n {
+			size <<= 1
+		}
+		m = &linalg.Matrix{Data: make([]float64, 0, size)}
+	}
+	m.Rows, m.Cols, m.Data = r, c, m.Data[:n]
+	clear(m.Data)
+	return m
 }
 
 // LogLikelihood returns the log marginal likelihood of the fit.

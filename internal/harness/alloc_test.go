@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"testing"
 
 	"phasetune/internal/core"
@@ -47,16 +48,23 @@ func TestSimulateIterationAllocBound(t *testing.T) {
 	}
 }
 
-// lateProposalAllocs bounds one GP-discontinuous proposal late in a
-// long-tune-shaped session: 192 history entries, constant-liar lies
-// included, and 74 allowed actions. The proposal allocates about 400
-// times on linux/amd64 with Go 1.24, none of them per predicted action.
-// Before predictions shared one block solve, every predicted action
-// allocated about seven slices, about 1,340 allocations in all.
-const lateProposalAllocs = 600
+// lateProposalAllocs and lateProposalBytes bound one GP-discontinuous
+// proposal late in a long-tune-shaped session: 192 history entries,
+// constant-liar lies included, and 74 allowed actions. The proposal
+// allocates about 400 times on linux/amd64 with Go 1.24, none of them
+// per predicted action. Before predictions shared one block solve,
+// every predicted action allocated about seven slices, about 1,340
+// allocations in all. It allocates about 140 KB; before the fit's
+// factors and the prediction blocks were recycled it allocated about
+// 950 KB, most of it two 192 × 192 and two 74 × 192 matrices.
+const (
+	lateProposalAllocs = 600
+	lateProposalBytes  = 256 << 10
+)
 
 // TestLateProposalAllocBound keeps a late GP proposal's allocations
-// independent of the number of actions it predicts.
+// independent of the number of actions it predicts, and its bytes
+// independent of the history's square.
 func TestLateProposalAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -102,9 +110,20 @@ func TestLateProposalAllocBound(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(5, func() { s.Next() })
-	t.Logf("allocs per proposal at %d history entries and %d allowed actions: %.0f",
-		entries, len(s.Allowed()), allocs)
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		s.Next()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("per proposal at %d history entries and %d allowed actions: %.0f allocs, %d bytes",
+		entries, len(s.Allowed()), allocs, bytes)
 	if allocs > lateProposalAllocs {
 		t.Errorf("late proposal: %.0f allocs, bound %d", allocs, lateProposalAllocs)
+	}
+	if bytes > lateProposalBytes {
+		t.Errorf("late proposal: %d bytes, bound %d", bytes, lateProposalBytes)
 	}
 }

@@ -12,16 +12,29 @@ var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite
 // Cholesky computes the lower-triangular factor L with A = L*L^T for a
 // symmetric positive-definite matrix A. Only the lower triangle of A is
 // read. The input is not modified.
+func Cholesky(a *Matrix) (*Matrix, error) {
+	l := NewMatrix(a.Rows, a.Rows)
+	if err := CholeskyTo(l, a); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// CholeskyTo is Cholesky writing L into l, a zeroed matrix of A's
+// shape, so a caller can recycle the factor's storage. On error l
+// holds a partial factor.
 //
 // Column j is computed four rows at a time: the four dot products over
 // row slices are independent chains, so they overlap, and each still
 // subtracts its terms in ascending k exactly as a one-row loop would.
-func Cholesky(a *Matrix) (*Matrix, error) {
+func CholeskyTo(l, a *Matrix) error {
 	if a.Rows != a.Cols {
 		panic("linalg: Cholesky on non-square matrix")
 	}
 	n := a.Rows
-	l := NewMatrix(n, n)
+	if l.Rows != n || l.Cols != n {
+		panic("linalg: CholeskyTo factor shape mismatch")
+	}
 	for j := 0; j < n; j++ {
 		lj := l.Data[j*n : j*n+j]
 		// row returns the first j elements of row i, the terms its
@@ -32,7 +45,7 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 			d -= v * v
 		}
 		if d <= 0 || math.IsNaN(d) {
-			return nil, ErrNotPositiveDefinite
+			return ErrNotPositiveDefinite
 		}
 		d = math.Sqrt(d)
 		l.Set(j, j, d)
@@ -60,7 +73,7 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 			l.Set(i, j, s/d)
 		}
 	}
-	return l, nil
+	return nil
 }
 
 // CholSolveRows is the triangular-solve kernel: given the Cholesky

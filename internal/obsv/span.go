@@ -11,49 +11,69 @@ import (
 
 // Chrome trace-event process tracks. The service's wall-clock spans
 // live on pid 1; each traced DES evaluation gets its own sim-time
-// process starting at simPIDBase so the two time bases never share an
-// axis in Perfetto.
+// process in [simPIDBase, simPIDLimit) so the two time bases never
+// share an axis in Perfetto. The fleet stitcher gives each process a
+// pid range of fleetPIDStride, so every local pid stays below it.
 const (
-	servicePID = 1
-	simPIDBase = 100
+	servicePID  = 1
+	simPIDBase  = 100
+	simPIDLimit = fleetPIDStride
 )
 
-// defaultMaxEvents bounds each of a session's two event budgets, one
-// for wall-clock request spans and one for sim-time task events; past a
-// budget new events are counted as dropped rather than recorded. The
-// budgets are separate so that an evaluation's thousands of task events
-// never crowd out the request spans recorded after it.
-const defaultMaxEvents = 20000
+// The recorder's two bounds, in events, over the whole process. Wall
+// holds request spans and sim holds the task events of traced
+// evaluations; they are separate so that a burst of traced cold
+// evaluations evicts older sim lanes and never a request span. The
+// wall bound holds every span one process records in a 15-second
+// traced benchmark run, so a trace fetched after the load is still
+// whole. A 48-tile evaluation has about 21k tasks, so the sim bound
+// holds the newest few lanes.
+const (
+	maxWallEvents = 1 << 17
+	maxSimEvents  = 1 << 16
+)
 
-// TraceRecorder accumulates Chrome trace events per session. All
-// methods are safe for concurrent use and nil-receiver-safe.
+// TraceRecorder holds the spans of the traced requests of one process
+// in a store of constant size: request tracks (one tid each, on the
+// service pid) and sim-time evaluation lanes (one pid each), each
+// evicted whole, oldest first, when its bound is reached. All methods
+// are safe for concurrent use and nil-receiver-safe.
 type TraceRecorder struct {
 	now  func() int64
 	base int64 // clock reading at construction; exported ts are relative
 
-	mu       sync.Mutex
-	maxPer   int
-	sessions map[string]*sessionTrace
-	idSeq    uint64
-	traces   map[string][]*traceRef
+	mu      sync.Mutex
+	idSeq   uint64
+	maxWall int
+	maxSim  int
+	wall    int // events held on live tracks
+	sim     int // events reserved by live lanes
+	dropped int // events evicted or refused
+	nextTID int
+	nextPID int      // lowest sim pid never handed out
+	freePID []int    // pids of evicted lanes, free for reuse
+	tracks  []*track // oldest first
+	lanes   []*lane  // oldest first
 }
 
-// traceRef locates the slice of one session trace that belongs to a
-// fleet trace id: the wall-clock request track plus any sim-time eval
-// processes spawned under it.
-type traceRef struct {
+// track is one request's wall-clock spans: a thread on the service pid.
+type track struct {
 	session string
+	traceID string
 	tid     int
-	simPIDs []int
+	events  []trace.ChromeEvent
+	lanes   []*lane // sim lanes of the evaluations this request ran
+	evicted bool
 }
 
-type sessionTrace struct {
+// lane is one traced evaluation's sim-time task events: a process of
+// its own. n events are reserved when the lane opens; the events
+// arrive later, built outside the lock.
+type lane struct {
+	pid     int
+	n       int
 	events  []trace.ChromeEvent
-	wall    int // wall-clock events kept, at most maxPer
-	sim     int // sim-time events kept, at most maxPer
-	dropped int // events past either budget
-	nextTID int // wall-clock request tracks on servicePID
-	nextPID int // sim-time eval processes above simPIDBase
+	evicted bool
 }
 
 // NewTraceRecorder builds a recorder around an injected nanosecond
@@ -63,11 +83,11 @@ func NewTraceRecorder(nowNanos func() int64) *TraceRecorder {
 		nowNanos = func() int64 { return 0 }
 	}
 	return &TraceRecorder{
-		now:      nowNanos,
-		base:     nowNanos(),
-		maxPer:   defaultMaxEvents,
-		sessions: map[string]*sessionTrace{},
-		traces:   map[string][]*traceRef{},
+		now:     nowNanos,
+		base:    nowNanos(),
+		maxWall: maxWallEvents,
+		maxSim:  maxSimEvents,
+		nextPID: simPIDBase,
 	}
 }
 
@@ -104,26 +124,89 @@ func (r *TraceRecorder) Base() int64 {
 	return r.base
 }
 
-func (r *TraceRecorder) session(id string) *sessionTrace {
-	st, ok := r.sessions[id]
-	if !ok {
-		st = &sessionTrace{}
-		r.sessions[id] = st
-	}
-	return st
-}
-
-// add records one wall-clock event against the session's wall budget.
-func (r *TraceRecorder) add(id string, ev trace.ChromeEvent) {
+// add records one wall-clock event on t. Past the wall bound the
+// oldest other track is evicted; a track that alone fills the bound
+// keeps its prefix. An event for an evicted track is dropped.
+func (r *TraceRecorder) add(t *track, ev trace.ChromeEvent) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := r.session(id)
-	if st.wall >= r.maxPer {
-		st.dropped++
+	for !t.evicted && r.wall >= r.maxWall {
+		if !r.evictTrack(t) {
+			break
+		}
+	}
+	if t.evicted || r.wall >= r.maxWall {
+		r.dropped++
 		return
 	}
-	st.wall++
-	st.events = append(st.events, ev)
+	t.events = append(t.events, ev)
+	r.wall++
+}
+
+// evictTrack evicts the oldest track other than keep and reports
+// false when keep is the only one. The lanes of an evicted track stay
+// until the sim bound evicts them, which it does oldest first.
+func (r *TraceRecorder) evictTrack(keep *track) bool {
+	if r.tracks[0] == keep {
+		if len(r.tracks) == 1 {
+			return false
+		}
+		// keep stays the oldest: it takes its successor's slot.
+		r.tracks[0], r.tracks[1] = r.tracks[1], keep
+	}
+	victim := r.tracks[0]
+	r.tracks[0] = nil
+	r.tracks = r.tracks[1:]
+	victim.evicted = true
+	r.wall -= len(victim.events)
+	r.dropped += len(victim.events)
+	victim.events, victim.lanes = nil, nil
+	return true
+}
+
+// evictLane evicts the oldest lane, counting its whole reservation,
+// filled or not, and frees its pid. Callers ensure a lane exists.
+func (r *TraceRecorder) evictLane() {
+	ln := r.lanes[0]
+	r.lanes[0] = nil
+	r.lanes = r.lanes[1:]
+	ln.evicted = true
+	ln.events = nil
+	r.sim -= ln.n
+	r.dropped += ln.n
+	r.freePID = append(r.freePID, ln.pid)
+}
+
+// openLane reserves room for an evaluation's lane of total events on
+// t, evicting the oldest lanes first, and returns nil when nothing is
+// kept. A lane larger than the sim bound keeps its prefix. The pid
+// comes from [simPIDBase, simPIDLimit) and is reused only after its
+// lane is evicted, so no export holds two lanes with one pid.
+func (r *TraceRecorder) openLane(t *track, total int) *lane {
+	keep := min(total, r.maxSim)
+	if t.evicted || keep <= 0 {
+		r.dropped += total
+		return nil
+	}
+	r.dropped += total - keep
+	for r.sim+keep > r.maxSim {
+		r.evictLane()
+	}
+	pid := r.nextPID
+	if pid < simPIDLimit {
+		r.nextPID++
+	} else {
+		if len(r.freePID) == 0 {
+			r.evictLane()
+		}
+		pid = r.freePID[len(r.freePID)-1]
+		r.freePID = r.freePID[:len(r.freePID)-1]
+	}
+	ln := &lane{pid: pid, n: keep}
+	r.sim += keep
+	r.lanes = append(r.lanes, ln)
+	t.lanes = append(t.lanes, ln)
+	return ln
 }
 
 // micros converts an absolute clock reading to microseconds since the
@@ -151,18 +234,16 @@ func (r *TraceRecorder) StartRequestLink(session, name string, link TraceContext
 		return nil, func() {}
 	}
 	r.mu.Lock()
-	st := r.session(session)
-	tid := st.nextTID
-	st.nextTID++
 	traceID, parent := link.TraceID, link.SpanID
 	if !link.Valid() {
 		traceID, parent = r.mintID(), ""
 	}
 	spanID := r.mintID()
-	ref := &traceRef{session: session, tid: tid}
-	r.traces[traceID] = append(r.traces[traceID], ref)
+	t := &track{session: session, traceID: traceID, tid: r.nextTID}
+	r.nextTID++
+	r.tracks = append(r.tracks, t)
 	r.mu.Unlock()
-	sc := &SpanCtx{rec: r, session: session, tid: tid, traceID: traceID, spanID: spanID, ref: ref}
+	sc := &SpanCtx{rec: r, track: t, spanID: spanID}
 	end := sc.Span("http", name)
 	args := map[string]any{"trace": traceID, "span": spanID}
 	if parent != "" {
@@ -171,16 +252,13 @@ func (r *TraceRecorder) StartRequestLink(session, name string, link TraceContext
 	return sc, func() { end(args) }
 }
 
-// SpanCtx identifies one request's wall-clock track within a session
-// trace, plus the request's position in its fleet trace. A nil
-// *SpanCtx is a valid no-op.
+// SpanCtx identifies one request's wall-clock track, plus the
+// request's position in its fleet trace. A nil *SpanCtx is a valid
+// no-op.
 type SpanCtx struct {
-	rec     *TraceRecorder
-	session string
-	tid     int
-	traceID string
-	spanID  string
-	ref     *traceRef
+	rec    *TraceRecorder
+	track  *track
+	spanID string
 }
 
 // TraceContext returns the identifiers an outgoing hop should send in
@@ -191,7 +269,7 @@ func (sc *SpanCtx) TraceContext() TraceContext {
 	if sc == nil {
 		return TraceContext{}
 	}
-	return TraceContext{TraceID: sc.traceID, SpanID: sc.spanID}
+	return TraceContext{TraceID: sc.track.traceID, SpanID: sc.spanID}
 }
 
 // SpanLink opens a wall-clock span for one outgoing cross-process hop
@@ -210,7 +288,7 @@ func (sc *SpanCtx) SpanLink(cat, name string) (TraceContext, func(args map[strin
 	child := sc.rec.mintID()
 	sc.rec.mu.Unlock()
 	end := sc.Span(cat, name)
-	return TraceContext{TraceID: sc.traceID, SpanID: child}, func(args map[string]any) {
+	return TraceContext{TraceID: sc.track.traceID, SpanID: child}, func(args map[string]any) {
 		if args == nil {
 			args = make(map[string]any, 2)
 		}
@@ -245,57 +323,52 @@ func (sc *SpanCtx) span(cat, name string) func(args map[string]any) {
 	start := sc.rec.now()
 	return func(args map[string]any) {
 		end := sc.rec.now()
-		sc.rec.add(sc.session, trace.ChromeEvent{
+		sc.rec.add(sc.track, trace.ChromeEvent{
 			Name: name,
 			Cat:  cat,
 			Ph:   "X",
 			TS:   sc.rec.micros(start),
 			Dur:  float64(end-start) / 1e3,
 			PID:  servicePID,
-			TID:  sc.tid,
+			TID:  sc.track.tid,
 			Args: args,
 		})
 	}
 }
 
 // SimEval attaches one DES evaluation's sim-time task spans to the
-// session trace as its own process track, named after the evaluation:
-// a process_name event, then trace.ChromeEvents of the spans.
-// Timestamps inside are simulated seconds (rendered as trace-event
-// microseconds), deliberately on a different pid than the wall-clock
-// spans. Only the events the session's sim budget still has room for
-// are built; the rest are counted as dropped.
+// request's trace as its own process track, named after the
+// evaluation: a process_name event, then trace.ChromeEvents of the
+// spans. Timestamps inside are simulated seconds (rendered as
+// trace-event microseconds), deliberately on a different pid than the
+// wall-clock spans. The lane's room is reserved first, and only the
+// events it keeps are built, outside the lock; if the lane is evicted
+// meanwhile, they are dropped.
 func (sc *SpanCtx) SimEval(name string, spans []trace.Span) {
 	if sc == nil || len(spans) == 0 {
 		return
 	}
 	units := trace.Units(spans)
-	total := 1 + len(units) + len(spans)
-	sc.rec.mu.Lock()
-	st := sc.rec.session(sc.session)
-	pid := simPIDBase + st.nextPID
-	st.nextPID++
-	if sc.ref != nil {
-		sc.ref.simPIDs = append(sc.ref.simPIDs, pid)
-	}
-	keep := min(total, sc.rec.maxPer-st.sim)
-	st.sim += keep
-	st.dropped += total - keep
-	sc.rec.mu.Unlock()
-	if keep == 0 {
+	r := sc.rec
+	r.mu.Lock()
+	ln := r.openLane(sc.track, 1+len(units)+len(spans))
+	r.mu.Unlock()
+	if ln == nil {
 		return
 	}
-	evs := make([]trace.ChromeEvent, 0, keep)
+	evs := make([]trace.ChromeEvent, 0, ln.n)
 	evs = append(evs, trace.ChromeEvent{
 		Name: "process_name",
 		Ph:   "M",
-		PID:  pid,
+		PID:  ln.pid,
 		Args: map[string]any{"name": "sim: " + name},
 	})
-	evs = append(evs, trace.ChromeEventsPrefix(spans, units, pid, keep-1)...)
-	sc.rec.mu.Lock()
-	st.events = append(st.events, evs...)
-	sc.rec.mu.Unlock()
+	evs = append(evs, trace.ChromeEventsPrefix(spans, units, ln.pid, ln.n-1)...)
+	r.mu.Lock()
+	if !ln.evicted {
+		ln.events = evs
+	}
+	r.mu.Unlock()
 }
 
 // ctxKey is the context key for a *SpanCtx.
@@ -324,27 +397,40 @@ type chromeDoc struct {
 	OtherData       map[string]any      `json:"otherData,omitempty"`
 }
 
+// collect copies the events of every live track match accepts, with
+// the live lanes those tracks spawned, in the deterministic export
+// order. found is false when no track matched. Callers must not hold
+// r.mu.
+func (r *TraceRecorder) collect(match func(*track) bool) (evs []trace.ChromeEvent, dropped int, found bool) {
+	r.mu.Lock()
+	for _, t := range r.tracks {
+		if !match(t) {
+			continue
+		}
+		found = true
+		evs = append(evs, t.events...)
+		for _, ln := range t.lanes {
+			evs = append(evs, ln.events...)
+		}
+	}
+	dropped = r.dropped
+	r.mu.Unlock()
+	sortChromeEvents(evs)
+	return evs, dropped, found
+}
+
 // Export renders one session's trace as a Chrome trace-event JSON
-// document. ok is false when the session has no recorded events.
+// document. ok is false when the store holds no request of the
+// session. otherData.droppedEvents counts every event this process
+// has evicted or refused.
 func (r *TraceRecorder) Export(session string) ([]byte, bool) {
 	if r == nil {
 		return nil, false
 	}
-	r.mu.Lock()
-	st, found := r.sessions[session]
-	var evs []trace.ChromeEvent
-	var dropped int
-	if found {
-		evs = append(evs, st.events...)
-		dropped = st.dropped
-	}
-	r.mu.Unlock()
+	evs, dropped, found := r.collect(func(t *track) bool { return t.session == session })
 	if !found {
 		return nil, false
 	}
-	// Metadata events first, then events in timestamp order; stable
-	// secondary keys keep the export deterministic.
-	sortChromeEvents(evs)
 	doc := chromeDoc{
 		TraceEvents: append([]trace.ChromeEvent{{
 			Name: "process_name",
@@ -390,74 +476,47 @@ func sortChromeEvents(evs []trace.ChromeEvent) {
 }
 
 // TraceEvents returns this process's slice of one fleet trace: every
-// event recorded on a request track that joined traceID (wall-clock
-// spans plus the sim-time eval processes spawned under them), in the
-// deterministic export order. ok is false when the trace id is
-// unknown to this recorder. The events still carry this process's
-// local pid/tid numbering — the fleet stitcher remaps lanes.
+// event the store holds on a request track that joined traceID
+// (wall-clock spans plus the sim-time eval processes spawned under
+// them), in the deterministic export order. ok is false when no such
+// track is held. The events still carry this process's local pid/tid
+// numbering — the fleet stitcher remaps lanes.
 func (r *TraceRecorder) TraceEvents(traceID string) ([]trace.ChromeEvent, bool) {
 	if r == nil {
 		return nil, false
 	}
-	r.mu.Lock()
-	refs := r.traces[traceID]
-	var evs []trace.ChromeEvent
-	for _, ref := range refs {
-		st, found := r.sessions[ref.session]
-		if !found {
-			continue
-		}
-		pids := make(map[int]bool, len(ref.simPIDs))
-		for _, p := range ref.simPIDs {
-			pids[p] = true
-		}
-		for _, ev := range st.events {
-			if (ev.PID == servicePID && ev.TID == ref.tid) || pids[ev.PID] {
-				evs = append(evs, ev)
-			}
-		}
-	}
-	r.mu.Unlock()
-	if len(refs) == 0 {
-		return nil, false
-	}
-	sortChromeEvents(evs)
-	return evs, true
+	evs, _, found := r.collect(func(t *track) bool { return t.traceID == traceID })
+	return evs, found
 }
 
-// SessionEvents returns every event recorded for one session in the
+// SessionEvents returns every event held for one session in the
 // deterministic export order — the per-session counterpart of
-// TraceEvents for fleet stitching. ok is false when the session has no
-// recorded events.
+// TraceEvents for fleet stitching. ok is false when the store holds no
+// request of the session.
 func (r *TraceRecorder) SessionEvents(session string) ([]trace.ChromeEvent, bool) {
 	if r == nil {
 		return nil, false
 	}
-	r.mu.Lock()
-	st, found := r.sessions[session]
-	var evs []trace.ChromeEvent
-	if found {
-		evs = append(evs, st.events...)
-	}
-	r.mu.Unlock()
-	if !found {
-		return nil, false
-	}
-	sortChromeEvents(evs)
-	return evs, true
+	evs, _, found := r.collect(func(t *track) bool { return t.session == session })
+	return evs, found
 }
 
-// Sessions lists the session ids with recorded events, sorted.
+// Sessions lists the session ids of the requests the store holds,
+// sorted.
 func (r *TraceRecorder) Sessions() []string {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	ids := make([]string, 0, len(r.sessions))
-	for id := range r.sessions {
-		ids = append(ids, id)
+	seen := map[string]bool{}
+	ids := []string{}
+	for _, t := range r.tracks {
+		if !seen[t.session] {
+			seen[t.session] = true
+			ids = append(ids, t.session)
+		}
 	}
+	r.mu.Unlock()
 	sort.Strings(ids)
 	return ids
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -132,31 +133,58 @@ func TestExportDeterministic(t *testing.T) {
 	}
 }
 
+// exportDoc parses one Export of session s.
+func exportDoc(t *testing.T, r *TraceRecorder, s string) (evs []trace.ChromeEvent, dropped float64) {
+	t.Helper()
+	data, ok := r.Export(s)
+	if !ok {
+		t.Fatalf("no export for session %q", s)
+	}
+	var doc struct {
+		TraceEvents []trace.ChromeEvent `json:"traceEvents"`
+		OtherData   map[string]any      `json:"otherData"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	dropped, _ = doc.OtherData["droppedEvents"].(float64)
+	return doc.TraceEvents, dropped
+}
+
+// TestEventCapAndDroppedAccounting: a request that alone fills the
+// wall bound keeps its prefix; the next request evicts it whole, and
+// droppedEvents counts every event refused or evicted.
 func TestEventCapAndDroppedAccounting(t *testing.T) {
 	r := NewTraceRecorder(tick())
-	r.maxPer = 8
+	r.maxWall = 8
 	sc, endReq := r.StartRequest("s", "GET /") // 1 event at endReq
 	for i := 0; i < 20; i++ {
 		sc.Span("c", "spin")(nil)
 	}
 	endReq()
-	data, ok := r.Export("s")
-	if !ok {
-		t.Fatal("no export")
-	}
-	var doc struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-		OtherData   map[string]any    `json:"otherData"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
 	// 8 recorded + the prepended service process_name metadata event.
-	if len(doc.TraceEvents) != 9 {
-		t.Fatalf("exported %d events, want 9", len(doc.TraceEvents))
+	if evs, dropped := exportDoc(t, r, "s"); len(evs) != 9 || dropped != 13 {
+		t.Fatalf("exported %d events, %v dropped; want 9 and 13", len(evs), dropped)
 	}
-	if doc.OtherData["droppedEvents"] != float64(13) {
-		t.Fatalf("droppedEvents = %v, want 13", doc.OtherData["droppedEvents"])
+
+	sc2, endReq2 := r.StartRequest("s", "GET /again")
+	for i := 0; i < 3; i++ {
+		sc2.Span("c", "spin")(nil)
+	}
+	endReq2()
+	evs, dropped := exportDoc(t, r, "s")
+	if len(evs) != 5 || dropped != 21 {
+		t.Fatalf("after a second request: %d events, %v dropped; want 5 and 21", len(evs), dropped)
+	}
+	for _, ev := range evs[1:] {
+		if ev.TID != sc2.track.tid {
+			t.Fatalf("event %q on tid %d survived its track's eviction", ev.Name, ev.TID)
+		}
+	}
+	// A span closing on the evicted track is dropped, not recorded.
+	sc.Span("c", "late")(nil)
+	if evs, dropped := exportDoc(t, r, "s"); len(evs) != 5 || dropped != 22 {
+		t.Fatalf("a late span re-created its evicted track: %d events, %v dropped", len(evs), dropped)
 	}
 }
 
@@ -175,87 +203,208 @@ func simSpans(n int) []trace.Span {
 	return spans
 }
 
-// TestSimEvalKeepsTruncatedConversion: a session's sim events are
-// exactly its evaluations' full conversions, concatenated and cut at the
-// budget, and droppedEvents counts the rest.
+// laneConversion is the full lane SimEval would record for spans on
+// pid: a process_name event, then the spans' conversion.
+func laneConversion(name string, spans []trace.Span, pid int) []trace.ChromeEvent {
+	return append([]trace.ChromeEvent{{
+		Name: "process_name", Ph: "M", PID: pid,
+		Args: map[string]any{"name": "sim: " + name},
+	}}, trace.ChromeEvents(spans, pid)...)
+}
+
+// TestSimEvalKeepsTruncatedConversion: each lane the store holds is a
+// prefix of its evaluation's full conversion — whole when it fits the
+// sim bound, cut at the bound when it alone exceeds it — older lanes
+// are evicted whole to make room, and droppedEvents counts the rest.
 func TestSimEvalKeepsTruncatedConversion(t *testing.T) {
-	for _, budget := range []int{0, 1, 3, 10, 40, 53, 200} {
+	for _, bound := range []int{0, 1, 3, 10, 40, 53, 200} {
 		r := NewTraceRecorder(tick())
-		r.maxPer = budget
+		r.maxSim = bound
 		sc, _ := r.StartRequest("s", "POST /step")
-		var want []trace.ChromeEvent
+		var lanes [][]trace.ChromeEvent // full conversions, in order
+		all := 0
 		pid := simPIDBase
 		for e, n := range []int{30, 0, 17} {
+			name := fmt.Sprintf("eval %d", e)
 			spans := simSpans(n)
-			sc.SimEval(fmt.Sprintf("eval %d", e), spans)
+			sc.SimEval(name, spans)
 			if n == 0 {
 				continue // an empty evaluation records nothing
 			}
-			want = append(want, trace.ChromeEvent{
-				Name: "process_name", Ph: "M", PID: pid,
-				Args: map[string]any{"name": fmt.Sprintf("sim: eval %d", e)},
-			})
-			want = append(want, trace.ChromeEvents(spans, pid)...)
+			lanes = append(lanes, laneConversion(name, spans, pid))
+			all += len(lanes[len(lanes)-1])
 			pid++
 		}
-		all := len(want)
-		want = want[:min(budget, all)]
-		st := r.sessions["s"]
-		if len(st.events) != len(want) || (len(want) > 0 && !reflect.DeepEqual(st.events, want)) {
-			t.Fatalf("budget %d: kept events differ from truncated conversion:\ngot  %v\nwant %v",
-				budget, st.events, want)
+		// The newest lanes that fit, each cut at the bound.
+		var want []trace.ChromeEvent
+		room := bound
+		for i := len(lanes) - 1; i >= 0; i-- {
+			keep := min(len(lanes[i]), bound)
+			if keep == 0 || keep > room {
+				break
+			}
+			want = append(lanes[i][:keep:keep], want...)
+			room -= keep
 		}
-		if st.dropped != all-len(want) {
-			t.Fatalf("budget %d: dropped %d, want %d", budget, st.dropped, all-len(want))
+		var got []trace.ChromeEvent
+		for _, ln := range r.lanes {
+			got = append(got, ln.events...)
+		}
+		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("bound %d: kept lanes differ from the newest truncated conversions:\ngot  %v\nwant %v",
+				bound, got, want)
+		}
+		if r.sim != len(want) || r.dropped != all-len(want) {
+			t.Fatalf("bound %d: %d held, %d dropped; want %d and %d", bound, r.sim, r.dropped, len(want), all-len(want))
 		}
 	}
 }
 
-// TestSimEventsHaveTheirOwnBudget: an evaluation that overflows the sim
-// budget leaves the request spans recorded after it, the root span
-// included, untouched.
+// TestSimEventsHaveTheirOwnBudget: evaluations that overflow the sim
+// bound evict older lanes only; the request spans recorded around
+// them, the root span included, all stay.
 func TestSimEventsHaveTheirOwnBudget(t *testing.T) {
 	r := NewTraceRecorder(tick())
-	r.maxPer = 8
+	r.maxWall, r.maxSim = 8, 8
 	sc, endReq := r.StartRequest("s", "POST /step")
-	sc.SimEval("eval", simSpans(20)) // 1 + 3 units + 20 spans = 24 events
+	sc.SimEval("eval 0", simSpans(20)) // 1 + 3 units + 20 spans = 24 events
 	sc.Span("journal", "journal.append")(nil)
+	sc.SimEval("eval 1", simSpans(3)) // 1 + 3 units + 3 spans = 7 events
+	sc.SimEval("eval 2", simSpans(1)) // 3 events, evicting eval 1
 	endReq()
-	data, ok := r.Export("s")
-	if !ok {
-		t.Fatal("no export")
-	}
-	var doc struct {
-		TraceEvents []trace.ChromeEvent `json:"traceEvents"`
-		OtherData   map[string]any      `json:"otherData"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
+	evs, dropped := exportDoc(t, r, "s")
 	var names []string
-	sim := 0
-	for _, ev := range doc.TraceEvents {
+	simPIDs := map[int]int{}
+	for _, ev := range evs {
 		if ev.PID >= simPIDBase {
-			sim++
+			simPIDs[ev.PID]++
 		} else if ev.Ph == "X" {
 			names = append(names, ev.Name)
 		}
 	}
 	if len(names) != 2 || names[0] != "POST /step" || names[1] != "journal.append" {
-		t.Fatalf("request spans after an overflowing evaluation = %v, want [POST /step journal.append]", names)
+		t.Fatalf("request spans around overflowing evaluations = %v, want [POST /step journal.append]", names)
 	}
-	if sim != 8 {
-		t.Fatalf("%d sim events kept, want the budget of 8", sim)
+	if len(simPIDs) != 1 || simPIDs[simPIDBase+2] != 3 {
+		t.Fatalf("sim events kept per pid = %v, want only eval 2's 3 events", simPIDs)
 	}
-	if doc.OtherData["droppedEvents"] != float64(16) {
-		t.Fatalf("droppedEvents = %v, want 16", doc.OtherData["droppedEvents"])
+	// eval 0 keeps 8 of 24, then both evals 0 and 1 are evicted whole.
+	if dropped != 16+8+7 {
+		t.Fatalf("droppedEvents = %v, want 31", dropped)
+	}
+}
+
+// TestStoreBoundedUnderLoad: 2,000 traced requests, each with spans
+// and evaluations, through one recorder with small bounds stay within
+// them, keep the newest trace whole, and keep every retained sim pid
+// unique and inside [simPIDBase, simPIDLimit) — also across the pid
+// reuse that a small sim bound forces.
+func TestStoreBoundedUnderLoad(t *testing.T) {
+	r := NewTraceRecorder(tick())
+	r.maxWall, r.maxSim = 500, 2000
+	offered := 0
+	var last *SpanCtx
+	for i := 0; i < 2000; i++ {
+		sc, end := r.StartRequest(fmt.Sprintf("s%d", i%7), "POST /step")
+		sc.Span("session", "session.step")(nil)
+		n := 1 + i%5
+		for e := 0; e < 1+i%3; e++ {
+			sc.SimEval(fmt.Sprintf("eval %d.%d", i, e), simSpans(n))
+			offered += 1 + min(n, 3) + n
+		}
+		end()
+		offered += 2
+		last = sc
+		if r.wall > r.maxWall || r.sim > r.maxSim {
+			t.Fatalf("request %d: %d wall and %d sim events held, bounds %d and %d",
+				i, r.wall, r.sim, r.maxWall, r.maxSim)
+		}
+	}
+	held := 0
+	pids := map[int]bool{}
+	for _, ln := range r.lanes {
+		if ln.pid < simPIDBase || ln.pid >= simPIDLimit || pids[ln.pid] {
+			t.Fatalf("retained lane on pid %d (duplicate: %t)", ln.pid, pids[ln.pid])
+		}
+		pids[ln.pid] = true
+		held += len(ln.events)
+	}
+	for _, tr := range r.tracks {
+		held += len(tr.events)
+	}
+	if held != r.wall+r.sim || held+r.dropped != offered {
+		t.Fatalf("%d events held, %d dropped, %d offered; counters say %d held", held, r.dropped, offered, r.wall+r.sim)
+	}
+	if r.nextPID != simPIDLimit {
+		t.Fatalf("sim pids never wrapped (next %d), so reuse went untested", r.nextPID)
+	}
+	evs, ok := r.TraceEvents(last.TraceContext().TraceID)
+	if !ok {
+		t.Fatal("the newest trace was evicted")
+	}
+	wall, sim := 0, 0
+	for _, ev := range evs {
+		if ev.PID == servicePID {
+			wall++
+		} else {
+			sim++
+		}
+	}
+	// 1999 % 3 == 1: two evaluations of 1999 % 5 + 1 == 5 spans, each
+	// 1 + 3 units + 5 spans.
+	if wall != 2 || sim != 2*9 {
+		t.Fatalf("newest trace holds %d wall and %d sim events, want 2 and 18", wall, sim)
+	}
+}
+
+// TestStoreConcurrentEvictions: requests on several goroutines evict
+// each other's tracks and lanes, including lanes between SimEval's
+// reservation and its fill; the counters still account for every
+// event, and no evicted track or lane comes back.
+func TestStoreConcurrentEvictions(t *testing.T) {
+	r := NewTraceRecorder(tick())
+	r.maxWall, r.maxSim = 40, 60
+	const workers, requests = 4, 300
+	var offered atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < requests; i++ {
+				sc, end := r.StartRequest(fmt.Sprintf("w%d", w), "POST /step")
+				sc.SimEval("eval", simSpans(1+i%9))
+				sc.Span("journal", "journal.append")(nil)
+				end()
+				offered.Add(int64(1 + min(1+i%9, 3) + 1 + i%9 + 2))
+			}
+		}()
+	}
+	wg.Wait()
+	held := 0
+	pids := map[int]bool{}
+	for _, ln := range r.lanes {
+		if ln.evicted || pids[ln.pid] {
+			t.Fatalf("lane on pid %d retained twice or after eviction", ln.pid)
+		}
+		pids[ln.pid] = true
+		held += len(ln.events)
+	}
+	for _, tr := range r.tracks {
+		if tr.evicted {
+			t.Fatal("an evicted track is still held")
+		}
+		held += len(tr.events)
+	}
+	if r.wall > r.maxWall || r.sim > r.maxSim || int64(held+r.dropped) != offered.Load() {
+		t.Fatalf("%d held (%d wall, %d sim), %d dropped, %d offered", held, r.wall, r.sim, r.dropped, offered.Load())
 	}
 }
 
 func TestSessionsSortedAndDistinctTracks(t *testing.T) {
 	r := NewTraceRecorder(tick())
 	_, endB := r.StartRequest("b", "GET /")
-	_, endA := r.StartRequest("a", "GET /")
+	scA1, endA := r.StartRequest("a", "GET /")
 	scA2, endA2 := r.StartRequest("a", "GET /")
 	endB()
 	endA()
@@ -264,8 +413,8 @@ func TestSessionsSortedAndDistinctTracks(t *testing.T) {
 	if len(ids) != 2 || ids[0] != "a" || ids[1] != "b" {
 		t.Fatalf("Sessions() = %v", ids)
 	}
-	if scA2.tid != 1 {
-		t.Fatalf("second request on a session should get tid 1, got %d", scA2.tid)
+	if scA1.track.tid == scA2.track.tid {
+		t.Fatalf("two requests on one session share tid %d", scA2.track.tid)
 	}
 	if _, ok := r.Export("missing"); ok {
 		t.Fatal("Export of an unknown session must report !ok")

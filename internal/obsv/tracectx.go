@@ -4,8 +4,8 @@ import "strings"
 
 // Cross-process trace context. A traced request carries a W3C
 // traceparent-style pair of identifiers — a fleet-wide trace id minted
-// at the first hop (client or router) and the sender's span id — in the
-// X-Phasetune-Trace header:
+// at the first hop and the sender's span id — in the X-Phasetune-Trace
+// header:
 //
 //	X-Phasetune-Trace: <16 hex trace-id>-<16 hex span-id>
 //
@@ -15,6 +15,8 @@ import "strings"
 // process opens its root span with that id as parent. Each per-process
 // span event records its trace/span/parent ids in its args, so the
 // fleet stitcher can connect spans across processes with flow events.
+// The first hop decides whether a request is traced: one that arrives
+// without a context runs untraced on every process it reaches.
 
 // TraceHeader is the HTTP header carrying the trace context.
 const TraceHeader = "X-Phasetune-Trace"

@@ -94,6 +94,94 @@ func TestFleetTraceStitchedAcrossProcesses(t *testing.T) {
 	}
 }
 
+// TestUntracedLoadLeavesNoSpans: step, batch-step and stream-step
+// calls without a trace context leave no span in any process — router,
+// owner or replication follower — and one traced call afterwards still
+// stitches all three.
+func TestUntracedLoadLeavesNoSpans(t *testing.T) {
+	f := newReplFleet(t, 2, sharedNanos())
+	resp, raw := f.post(t, "/v1/sessions", sessionBody)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d %s", resp.StatusCode, raw)
+	}
+	var created struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(raw, &created); err != nil {
+		t.Fatal(err)
+	}
+	id := created.ID
+	for _, call := range []struct{ route, body string }{
+		{"step", ""}, {"batch-step", `{"k":2}`}, {"stream-step", `{"k":2}`},
+	} {
+		if resp, raw := f.post(t, "/v1/sessions/"+id+"/"+call.route, call.body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("untraced %s: %d %s", call.route, resp.StatusCode, raw)
+		}
+	}
+	status := func(url string) int {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for i, w := range f.workers {
+		if code := status(w.URL + "/v1/trace?session=" + id); code != http.StatusNotFound {
+			t.Fatalf("worker %s holds spans of the untraced session: status %d", f.names[i], code)
+		}
+		if ids := f.engines[i].Telemetry().Trace.Sessions(); len(ids) != 0 {
+			t.Fatalf("worker %s recorded spans for %v (replica appends included)", f.names[i], ids)
+		}
+	}
+	if code := status(f.front.URL + "/v1/fleet/trace?session=" + id); code != http.StatusNotFound {
+		t.Fatalf("fleet trace of the untraced session: status %d, want 404", code)
+	}
+	if ids := f.router.tracer.Sessions(); len(ids) != 0 {
+		t.Fatalf("router recorded spans for %v", ids)
+	}
+
+	const traceID = "0123456789abcdef"
+	req, err := http.NewRequest(http.MethodPost, f.front.URL+"/v1/sessions/"+id+"/step", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(obsv.TraceHeader, traceID+"-00000000000000aa")
+	sresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, sresp.Body)
+	sresp.Body.Close()
+	if sresp.StatusCode != http.StatusOK {
+		t.Fatalf("traced step: %d", sresp.StatusCode)
+	}
+	// The follower's root span closes just after the owner's ship ack
+	// returns, so poll briefly instead of racing it.
+	var lastErr error
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		fresp, err := http.Get(f.front.URL + "/v1/fleet/trace?trace=" + traceID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fraw, _ := io.ReadAll(fresp.Body)
+		fresp.Body.Close()
+		if fresp.StatusCode == http.StatusOK {
+			if _, lastErr = obsvtest.ValidateFleetTrace(fraw, 3); lastErr == nil {
+				return
+			}
+		} else {
+			lastErr = fmt.Errorf("status %d: %s", fresp.StatusCode, fraw)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("traced step after the untraced load never stitched 3 processes: %v", lastErr)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
 // TestFleetTraceBadRequests pins the endpoint's error contract: no
 // parameter is a 400, an unknown trace id is a 404.
 func TestFleetTraceBadRequests(t *testing.T) {
@@ -306,9 +394,9 @@ var traceHeaderRe = regexp.MustCompile(`^[0-9a-f]{16}-[0-9a-f]{16}$`)
 
 // TestProxyTraceHeaderDisabledAndEnabled: a router without a trace
 // recorder adds no X-Phasetune-Trace header to proxied requests; with
-// one, every proxied request carries a hop context — minting a fresh
-// trace for headerless requests and adopting the inbound trace id
-// (with a new span id) for traced ones.
+// one, a headerless request still reaches the shard with no header and
+// the router records nothing, while a traced request keeps its inbound
+// trace id with a new hop span id.
 func TestProxyTraceHeaderDisabledAndEnabled(t *testing.T) {
 	var mu sync.Mutex
 	var got []string
@@ -376,14 +464,21 @@ func TestProxyTraceHeaderDisabledAndEnabled(t *testing.T) {
 		t.Fatalf("tracing-disabled proxy rewrote the inbound header to %q", h)
 	}
 
-	// Tracing enabled: headerless requests get a router-minted trace;
-	// traced ones keep their trace id but get a fresh hop span id.
-	on := newRouter(obsv.NewTraceRecorder(sharedNanos()))
+	// Tracing enabled: headerless requests stay untraced; traced ones
+	// keep their trace id but get a fresh hop span id.
+	rec := obsv.NewTraceRecorder(sharedNanos())
+	on := newRouter(rec)
 	step(on, "")
-	if h := lastHeader(); !traceHeaderRe.MatchString(h) {
-		t.Fatalf("traced proxy sent %q, want a minted trace context", h)
+	if h := lastHeader(); h != "" {
+		t.Fatalf("tracing proxy sent %q for a headerless request, want no header", h)
+	}
+	if ids := rec.Sessions(); len(ids) != 0 {
+		t.Fatalf("tracing proxy recorded a headerless request: %v", ids)
 	}
 	step(on, "00000000000000ab-00000000000000cd")
+	if h := lastHeader(); !traceHeaderRe.MatchString(h) {
+		t.Fatalf("traced proxy sent %q, want a trace context", h)
+	}
 	h := lastHeader()
 	if !strings.HasPrefix(h, "00000000000000ab-") {
 		t.Fatalf("traced proxy dropped the inbound trace id: %q", h)

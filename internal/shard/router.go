@@ -57,13 +57,15 @@ type Options struct {
 	// no overall timeout: proxied evaluations and ndjson streams run as
 	// long as the worker allows.
 	Client *http.Client
-	// Trace, when set, records the router's own request spans and makes
-	// the router a trace first hop: a proxied request without an inbound
-	// X-Phasetune-Trace header gets a fleet trace minted here, and every
-	// proxy hop ships a child span id so the shard's root span links
-	// back to the router's. GET /v1/fleet/trace stitches the fleet's
-	// slices into one document. Nil disables router tracing; inbound
-	// headers still pass through to the shards untouched.
+	// Trace, when set, records the router's spans of every proxied
+	// request that arrives with a valid X-Phasetune-Trace context, and
+	// each such proxy hop ships a child span id so the shard's root
+	// span links back to the router's. A request without a valid
+	// context runs untraced on every hop: the router mints no trace
+	// for it. The supervisor's failover batches are trace roots of
+	// their own. GET /v1/fleet/trace stitches the fleet's slices into
+	// one document. Nil disables router tracing; inbound headers then
+	// pass through to the shards untouched.
 	Trace *obsv.TraceRecorder
 	// Events, when set, records the router's structured events — shard
 	// down/up transitions and supervisor promotions — into the
@@ -608,13 +610,13 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, st *shardState) 
 	copyHeaders(out.Header, r.Header)
 	out.ContentLength = r.ContentLength
 
-	// A tracing router is the fleet trace's first hop when the client
-	// sent no context (it minted none, or is not trace-aware); either
-	// way the forwarded request carries a fresh child span id so the
-	// shard's root span links back to this proxy span.
+	// A tracing router joins the trace of a request that carries a
+	// context: the forwarded request gets a fresh child span id so the
+	// shard's root span links back to this proxy span. A request
+	// without a valid context is forwarded as it came and runs
+	// untraced on every hop.
 	var endHop func(map[string]any)
-	if rt.tracer != nil {
-		link, _ := obsv.ParseTraceContext(r.Header.Get(obsv.TraceHeader))
+	if link, ok := obsv.ParseTraceContext(r.Header.Get(obsv.TraceHeader)); ok && rt.tracer != nil {
 		sc, endReq := rt.tracer.StartRequestLink("router", r.Method+" "+r.URL.Path, link)
 		defer endReq()
 		var tc obsv.TraceContext
