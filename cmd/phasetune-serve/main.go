@@ -34,7 +34,8 @@
 // restarting with -recover replays the journals and every session
 // continues bit-for-bit where it left off. SIGTERM/SIGINT trigger a
 // graceful shutdown: /readyz flips to 503, in-flight requests drain
-// (bounded by -drain-timeout), journals are closed. Snapshot files an
+// (bounded by -drain-timeout), and the engine stops accepting work (no
+// journal needs closing: each append closes its file). Snapshot files an
 // earlier version left in -journal-dir are read on -recover, never
 // written.
 //

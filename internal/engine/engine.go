@@ -118,56 +118,14 @@ func (e *Engine) Telemetry() *obsv.Telemetry { return e.tel }
 // ErrClosed is returned by every operation after Close.
 var ErrClosed = errors.New("engine: closed")
 
-// Close closes every session journal and rejects all further
-// operations. It is the second half of graceful shutdown: the HTTP
-// server drains in-flight requests first, so every operation has
-// committed or aborted in its journal, and each record was fsync'd as
-// it was appended, so there is nothing left to flush.
+// Close rejects all further operations. It is the second half of
+// graceful shutdown: the HTTP server drains in-flight requests first,
+// so every operation has committed or aborted in its journal. Each
+// append closed its file after its fsync, so nothing is held open and
+// nothing is left to flush.
 func (e *Engine) Close() error {
-	if e.closed.Swap(true) {
-		return nil
-	}
-	e.mu.Lock()
-	sessions := make([]*Session, 0, len(e.sessions))
-	for _, s := range e.sessions {
-		sessions = append(sessions, s)
-	}
-	e.mu.Unlock()
-	sort.Slice(sessions, func(i, j int) bool { return sessions[i].id < sessions[j].id })
-
-	var errs []error
-	for _, s := range sessions {
-		s.mu.Lock()
-		if s.jl != nil && !s.broken {
-			if err := s.jl.close(); err != nil {
-				errs = append(errs, err)
-			}
-			s.jl = nil
-		}
-		s.mu.Unlock()
-	}
-	if rs := e.replicas; rs != nil {
-		// Replica files are fsync'd per append; closing releases the
-		// descriptors, and a later promotion reads from disk.
-		rs.mu.Lock()
-		ids := make([]string, 0, len(rs.sessions))
-		for id := range rs.sessions {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			st := rs.sessions[id]
-			st.mu.Lock() // wait out an in-flight append before closing
-			err := st.f.Close()
-			st.mu.Unlock()
-			if err != nil {
-				errs = append(errs, fmt.Errorf("engine: close replica %s: %w", id, err))
-			}
-			delete(rs.sessions, id)
-		}
-		rs.mu.Unlock()
-	}
-	return errors.Join(errs...)
+	e.closed.Store(true)
+	return nil
 }
 
 // Cache exposes the shared evaluation cache (tests, metrics).
@@ -241,7 +199,9 @@ func checkTiles(sc platform.Scenario, tiles int) error {
 
 // buildSession constructs a session's machinery — scenario, LP bound,
 // strategy, driver, evaluator, noise stream — without registering it or
-// touching the journal. CreateSession and Recover share it.
+// touching the journal. CreateSession and restoreSession share it;
+// cfg.Strategy is already resolved (CreateSession fills the default,
+// and a journal records the resolved name).
 func (e *Engine) buildSession(cfg SessionConfig) (*Session, error) {
 	sc, err := resolveScenario(cfg)
 	if err != nil {
@@ -255,11 +215,7 @@ func (e *Engine) buildSession(cfg SessionConfig) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	name := cfg.Strategy
-	if name == "" {
-		name = "GP-discontinuous"
-	}
-	strat, err := harness.NewStrategy(name, core.Context{
+	strat, err := harness.NewStrategy(cfg.Strategy, core.Context{
 		N:          sc.Platform.N(),
 		Min:        sc.MinNodes,
 		GroupSizes: sc.Platform.GroupSizes(),
@@ -276,7 +232,7 @@ func (e *Engine) buildSession(cfg SessionConfig) (*Session, error) {
 	}
 	if e.tel != nil {
 		s.props = e.tel.Reg.Counter("phasetune_strategy_proposals_total",
-			"actions proposed by tuning strategies", obsv.Labels{"strategy": name})
+			"actions proposed by tuning strategies", obsv.Labels{"strategy": cfg.Strategy})
 	}
 	return s, nil
 }
@@ -296,6 +252,9 @@ func (e *Engine) CreateSession(cfg SessionConfig) (*Session, error) {
 		if err := ValidateSessionID(cfg.ID); err != nil {
 			return nil, err
 		}
+	}
+	if cfg.Strategy == "" {
+		cfg.Strategy = "GP-discontinuous"
 	}
 	sc, err := resolveScenario(cfg)
 	if err != nil {
@@ -330,18 +289,14 @@ func (e *Engine) CreateSession(cfg SessionConfig) (*Session, error) {
 	e.mu.Unlock()
 
 	if e.journalDir != "" {
-		name := cfg.Strategy
-		if name == "" {
-			name = "GP-discontinuous"
-		}
 		jl, err := newJournal(e.journalDir, s.id, journalConfig{
 			ScenarioKey: cfg.ScenarioKey,
-			Strategy:    name,
+			Strategy:    cfg.Strategy,
 			Seed:        cfg.Seed,
 			Tiles:       cfg.Tiles,
 			Exact:       cfg.Exact,
 			GenNodes:    cfg.GenNodes,
-		}, 1, e.tel)
+		}, e.tel)
 		if err != nil {
 			e.mu.Lock()
 			delete(e.sessions, s.id)
@@ -350,14 +305,13 @@ func (e *Engine) CreateSession(cfg SessionConfig) (*Session, error) {
 		}
 		s.mu.Lock()
 		s.jl = jl
-		s.gen = 1 // fresh sessions start at generation 1; promotions bump it
 		// Ship the create record now, acked-before-visible, like every
 		// other fsync'd record: a session whose owner dies before its
 		// first op commits must still exist on its follower, or the
 		// supervisor would have nothing to promote and the id would be
 		// unservable until an operator intervened. A transport failure
 		// degrades (single-copy, lagging) exactly as op shipping does.
-		replErr := e.replicate(context.Background(), s) //lint:allow ctxflow pre-context API; the ship client carries its own timeout
+		replErr := e.replicate(context.Background(), s, jl.createRecord()) //lint:allow ctxflow pre-context API; the ship client carries its own timeout
 		s.mu.Unlock()
 		if replErr != nil {
 			// A refusal on a brand-new id means the id is already live
@@ -368,7 +322,6 @@ func (e *Engine) CreateSession(cfg SessionConfig) (*Session, error) {
 			e.mu.Lock()
 			delete(e.sessions, s.id)
 			e.mu.Unlock()
-			_ = jl.close()
 			return nil, replErr
 		}
 	}
@@ -477,11 +430,12 @@ func (e *Engine) commitOp(ctx context.Context, s *Session, rec journalRecord) er
 	if s.jl == nil {
 		return nil
 	}
-	if err := s.jl.append(rec); err != nil {
+	rec, err := s.jl.append(rec)
+	if err != nil {
 		s.broken = true
 		return fmt.Errorf("engine: session %s fails closed (journal unwritable, restart with recovery): %w", s.id, err)
 	}
-	return e.replicate(ctx, s)
+	return e.replicate(ctx, s, rec)
 }
 
 // AdvanceEpochIdem bumps the session's platform epoch and evicts the

@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -17,13 +17,16 @@ import (
 // The durability layer: every committed session operation is appended
 // to a per-session write-ahead journal (one JSON record per line,
 // fsync'd before the caller sees the result), and that append-only
-// file is the session's whole durable history. Because sessions are
-// bit-for-bit deterministic — the property the observation-log
-// regression test locks in — recovery is redo replay: re-issuing the
-// recorded Next/Observe sequence against a fresh strategy reconstructs
-// the exact in-memory state, and the recorded observations double as
-// an integrity check (a replayed observation that does not reproduce
-// bit-identically means the journal and the binary disagree).
+// file is the session's whole durable history — and its only copy: no
+// descriptor or record is kept between commits (see appendRecords),
+// and a follower resync reads the history back from disk. Because
+// sessions are bit-for-bit deterministic — the property the
+// observation-log regression test locks in — recovery is redo replay:
+// re-issuing the recorded Next/Observe sequence against a fresh
+// strategy reconstructs the exact in-memory state, and the recorded
+// observations double as an integrity check (a replayed observation
+// that does not reproduce bit-identically means the journal and the
+// binary disagree).
 // GP-discontinuous refits on the whole observation history, so replay
 // needs every record and no compaction could drop one.
 //
@@ -79,8 +82,9 @@ import (
 // omitempty, so v1 journals replay unchanged.
 //
 // Torn tails are expected: a crash mid-append leaves a partial final
-// line, which recovery drops (the operation never committed). A
-// malformed record anywhere else is corruption and fails recovery.
+// line, which recovery drops (the operation never committed) and then
+// cuts from the file, so the next record starts on a line of its own.
+// A malformed record anywhere else is corruption and fails recovery.
 //
 // Earlier binaries also compacted the journal into <id>.snap.json and
 // truncated it. Those snapshot files are still read (see
@@ -144,49 +148,85 @@ type snapshotFile struct {
 	Ops    []journalRecord `json:"ops"`
 }
 
-// journal owns one session's journal file. All methods are called
-// under the owning session's mutex, so the journal itself needs no
-// lock.
+// journal is where one session's journal file lives and what its next
+// record carries; it holds no descriptor and no records. All methods
+// are called under the owning session's mutex, so the journal itself
+// needs no lock.
 type journal struct {
+	dir string
 	id  string
 	cfg journalConfig
-	f   *os.File
 	seq int64
-	gen uint64          // fencing token stamped on every appended record
-	ops []journalRecord // full op history, shipped whole on a follower resync
+	// gen is the session's generation (fencing token), stamped on every
+	// record: fresh sessions start at 1, each promotion bumps it, and
+	// replicas refuse appends from an older one, which fences a deposed
+	// owner out after failover.
+	gen uint64
 	tel *obsv.Telemetry // nil disables append accounting
 }
 
 func journalPath(dir, id string) string  { return filepath.Join(dir, id+".journal") }
 func snapshotPath(dir, id string) string { return filepath.Join(dir, id+".snap.json") }
 
-// newJournal starts a fresh journal for a new session: the file is
-// created (truncating any stale leftover under the same ID), the create
-// record is appended, a snapshot an earlier binary left under the same
-// ID is removed (recovery would read it ahead of the new journal), and
-// the directory is synced before the session is considered durable.
-// gen seeds the fencing token stamped on every record (fresh sessions
-// start at 1).
-func newJournal(dir, id string, cfg journalConfig, gen uint64, tel *obsv.Telemetry) (*journal, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("engine: journal dir: %w", err)
+// appendRecords is the one writer of session logs, for the owner's
+// journal and the follower's replica alike: it opens <dir>/<id>.journal,
+// writes recs as lines in a single write, fsyncs and closes the file,
+// so no descriptor outlives the call. A batch that starts with a create
+// record starts the log afresh: the file is created or truncated, and
+// the directory is synced so its entry is durable too.
+func appendRecords(dir, id string, recs []journalRecord) error {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, rec := range recs {
+		if err := enc.Encode(rec); err != nil {
+			return fmt.Errorf("engine: encode journal record: %w", err)
+		}
 	}
-	f, err := os.OpenFile(journalPath(dir, id), os.O_WRONLY|os.O_CREATE|os.O_TRUNC|os.O_APPEND, 0o644)
+	fresh := recs[0].T == "create"
+	flags := os.O_WRONLY | os.O_CREATE | os.O_APPEND
+	if fresh {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return fmt.Errorf("engine: journal dir: %w", err)
+		}
+		flags |= os.O_TRUNC
+	}
+	f, err := os.OpenFile(journalPath(dir, id), flags, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("engine: open journal: %w", err)
+		return fmt.Errorf("engine: open journal %s: %w", id, err)
 	}
-	j := &journal{id: id, cfg: cfg, f: f, gen: gen, tel: tel}
-	if err := j.writeRecord(j.createRecord()); err != nil {
+	if _, err := f.Write(buf.Bytes()); err != nil {
 		_ = f.Close()
+		return fmt.Errorf("engine: append journal %s: %w", id, err)
+	}
+	if err := f.Sync(); err != nil {
+		_ = f.Close()
+		return fmt.Errorf("engine: fsync journal %s: %w", id, err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("engine: close journal %s: %w", id, err)
+	}
+	if fresh {
+		return fsutil.SyncDir(dir)
+	}
+	return nil
+}
+
+// newJournal starts a fresh journal for a new session at generation 1:
+// the create record starts a new file (truncating any stale leftover
+// under the same ID), and a snapshot an earlier binary left under the
+// same ID is removed, durably, before the session is considered
+// durable (recovery would read it ahead of the new journal).
+func newJournal(dir, id string, cfg journalConfig, tel *obsv.Telemetry) (*journal, error) {
+	j := &journal{dir: dir, id: id, cfg: cfg, gen: 1, tel: tel}
+	if err := appendRecords(dir, id, []journalRecord{j.createRecord()}); err != nil {
 		return nil, err
 	}
-	if err := os.Remove(snapshotPath(dir, id)); err != nil && !os.IsNotExist(err) {
-		_ = f.Close()
+	if err := os.Remove(snapshotPath(dir, id)); err == nil {
+		if err := fsutil.SyncDir(dir); err != nil {
+			return nil, err
+		}
+	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("engine: drop stale snapshot for %s: %w", id, err)
-	}
-	if err := fsutil.SyncDir(dir); err != nil {
-		_ = f.Close()
-		return nil, err
 	}
 	return j, nil
 }
@@ -199,48 +239,35 @@ func (j *journal) createRecord() journalRecord {
 	return journalRecord{T: "create", V: journalFormatVersion, Gen: j.gen, Config: &cfg}
 }
 
-// writeRecord marshals, appends and fsyncs one line.
-func (j *journal) writeRecord(rec journalRecord) error {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("engine: encode journal record: %w", err)
-	}
-	if _, err := j.f.Write(append(data, '\n')); err != nil {
-		return fmt.Errorf("engine: append journal %s: %w", j.id, err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("engine: fsync journal %s: %w", j.id, err)
-	}
-	return nil
-}
-
-// append journals one committed operation, assigning it the next
-// sequence number.
-func (j *journal) append(rec journalRecord) error {
+// append journals one committed operation under the next sequence
+// number and the journal's generation, and returns the record as
+// written.
+func (j *journal) append(rec journalRecord) (journalRecord, error) {
 	rec.Seq = j.seq + 1
 	rec.Gen = j.gen
 	var t0 int64
 	if j.tel != nil {
 		t0 = j.tel.Now()
 	}
-	if err := j.writeRecord(rec); err != nil {
-		return err
+	if err := appendRecords(j.dir, j.id, []journalRecord{rec}); err != nil {
+		return rec, err
 	}
 	if j.tel != nil {
 		j.tel.JournalAppend.Observe(j.tel.Seconds(t0))
 	}
 	j.seq++
-	j.ops = append(j.ops, rec)
-	return nil
+	return rec, nil
 }
 
-// close closes the journal file. Every record is already fsync'd, so
-// there is nothing to flush.
-func (j *journal) close() error {
-	if err := j.f.Close(); err != nil {
-		return fmt.Errorf("engine: close journal %s: %w", j.id, err)
+// history reads the session's whole history back from disk, as a
+// follower resync ships it: the create record, then every operation
+// (a legacy snapshot's first).
+func (j *journal) history() ([]journalRecord, error) {
+	st, err := loadSessionState(j.dir, j.id)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	return append([]journalRecord{j.createRecord()}, st.ops...), nil
 }
 
 // sessionState is one session's durable state as read back from disk.
@@ -253,13 +280,20 @@ type sessionState struct {
 	// snapshot and journal records; zero for v1 journals, which recover
 	// as generation 1.
 	gen uint64
+	// intact is the byte length of the journal's intact prefix: every
+	// line that parses and ends in a newline. size is the file's length;
+	// a longer file has a torn tail, which restoreSession cuts before
+	// the next append.
+	intact, size int64
 }
 
 // loadSessionState reads a session's journal, tolerating a torn final
-// line. A snapshot file left by an earlier binary comes first: it holds
-// the history that binary truncated from the journal, so the journal
-// then starts after it (or repeats its last records, when that binary
-// crashed between writing the snapshot and truncating).
+// line: one that does not parse or does not end in a newline, which is
+// dropped and left outside the intact prefix. A snapshot file left by
+// an earlier binary comes first: it holds the history that binary
+// truncated from the journal, so the journal then starts after it (or
+// repeats its last records, when that binary crashed between writing
+// the snapshot and truncating).
 func loadSessionState(dir, id string) (*sessionState, error) {
 	st := &sessionState{id: id}
 	haveConfig := false
@@ -279,7 +313,7 @@ func loadSessionState(dir, id string) (*sessionState, error) {
 		return nil, fmt.Errorf("engine: read snapshot for %s: %w", id, err)
 	}
 
-	f, err := os.Open(journalPath(dir, id))
+	data, err := os.ReadFile(journalPath(dir, id))
 	if os.IsNotExist(err) {
 		if !haveConfig {
 			return nil, fmt.Errorf("engine: session %s has neither snapshot nor journal", id)
@@ -287,30 +321,32 @@ func loadSessionState(dir, id string) (*sessionState, error) {
 		return st, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("engine: open journal for %s: %w", id, err)
-	}
-	defer f.Close()
-
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var lines []string
-	for sc.Scan() {
-		if line := strings.TrimSpace(sc.Text()); line != "" {
-			lines = append(lines, line)
-		}
-	}
-	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("engine: read journal for %s: %w", id, err)
 	}
+	st.size = int64(len(data))
 
-	for i, line := range lines {
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	last := len(lines) - 1 // the last non-blank line, the only one that may be torn
+	for last >= 0 && len(bytes.TrimSpace(lines[last])) == 0 {
+		last--
+	}
+	i := 0 // record index, counting non-blank lines
+	for n, raw := range lines[:last+1] {
+		line := bytes.TrimSpace(raw)
+		if len(line) == 0 {
+			st.intact += int64(len(raw))
+			continue
+		}
 		var rec journalRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			if i == len(lines)-1 {
-				break // torn tail: the op never committed
-			}
+		err := json.Unmarshal(line, &rec)
+		if n == last && (err != nil || raw[len(raw)-1] != '\n') {
+			break // torn tail: the op never committed
+		}
+		if err != nil {
 			return nil, fmt.Errorf("engine: corrupt journal record %d for %s: %w", i, id, err)
 		}
+		st.intact += int64(len(raw))
+		i++
 		if rec.Gen > st.gen {
 			st.gen = rec.Gen
 		}
@@ -341,18 +377,26 @@ func loadSessionState(dir, id string) (*sessionState, error) {
 	return st, nil
 }
 
-// reopenJournal attaches a recovered session back to its on-disk
-// journal for continued appends.
-func reopenJournal(dir string, st *sessionState, tel *obsv.Telemetry) (*journal, error) {
-	f, err := os.OpenFile(journalPath(dir, st.id), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+// cutTornTail truncates a journal to its intact prefix of size bytes
+// and fsyncs it, so the next append starts on a line of its own rather
+// than completing the torn one.
+func cutTornTail(dir, id string, size int64) error {
+	f, err := os.OpenFile(journalPath(dir, id), os.O_WRONLY, 0)
 	if err != nil {
-		return nil, fmt.Errorf("engine: reopen journal %s: %w", st.id, err)
+		return fmt.Errorf("engine: open journal %s: %w", id, err)
 	}
-	gen := st.gen
-	if gen == 0 {
-		gen = 1 // v1 journals predate fencing; recover as generation 1
+	if err := f.Truncate(size); err != nil {
+		_ = f.Close()
+		return fmt.Errorf("engine: cut torn tail of %s: %w", id, err)
 	}
-	return &journal{id: st.id, cfg: st.cfg, f: f, seq: st.seq, gen: gen, ops: st.ops, tel: tel}, nil
+	if err := f.Sync(); err != nil {
+		_ = f.Close()
+		return fmt.Errorf("engine: fsync journal %s: %w", id, err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("engine: close journal %s: %w", id, err)
+	}
+	return nil
 }
 
 // listSessionIDs scans a journal directory for session IDs, in stable

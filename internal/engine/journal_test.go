@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -157,28 +158,11 @@ func TestRecoverAfterGracefulClose(t *testing.T) {
 	sameResult(t, "graceful close", before, after)
 }
 
-// TestRecoverTornTail: a crash mid-append leaves a partial final line;
-// recovery drops it (that op never committed) and keeps everything
-// before it.
-func TestRecoverTornTail(t *testing.T) {
-	dir := t.TempDir()
-	e := NewWithOptions(Options{Workers: 2, JournalDir: dir})
-	s, err := e.CreateSession(SessionConfig{ScenarioKey: "b", Strategy: "DC", Seed: 3, Tiles: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, _, err := e.StepIdem(context.Background(), s.id, ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before, err := e.Result(s.id)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	jp := journalPath(dir, s.id)
-	f, err := os.OpenFile(jp, os.O_WRONLY|os.O_APPEND, 0)
+// appendTornLine leaves what a crash mid-append leaves at the end of a
+// journal file: a partial record with no newline.
+func appendTornLine(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,16 +172,96 @@ func TestRecoverTornTail(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	rec := NewWithOptions(Options{Workers: 2, JournalDir: dir})
-	if _, err := rec.Recover(); err != nil {
-		t.Fatalf("torn tail must be tolerated: %v", err)
-	}
-	after, err := rec.Result(s.id)
+// dropFinalNewline leaves the other shape a crash mid-append can leave:
+// the last record whole but for its newline. The append never returned,
+// so that record was never acknowledged.
+func dropFinalNewline(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, "torn tail", before, after)
+	if !bytes.HasSuffix(data, []byte("\n")) {
+		t.Fatal("journal does not end in a newline")
+	}
+	if err := os.WriteFile(path, data[:len(data)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoverTornTail: a crash mid-append leaves a torn final line;
+// recovery drops it (that op never committed) and keeps everything
+// before it. It also cuts the line from the file, so steps committed
+// after recovery start on lines of their own and survive a second
+// recovery.
+func TestRecoverTornTail(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tear func(t *testing.T, path string)
+		kept int // of the 3 steps taken before the crash
+	}{
+		{"partial-line", appendTornLine, 3},
+		{"no-newline", dropFinalNewline, 2},
+	} {
+		for _, after := range []int{0, 1, 2} {
+			t.Run(fmt.Sprintf("%s/steps-after-%d", tc.name, after), func(t *testing.T) {
+				dir := t.TempDir()
+				e := NewWithOptions(Options{Workers: 2, JournalDir: dir})
+				s, err := e.CreateSession(SessionConfig{ScenarioKey: "b", Strategy: "DC", Seed: 3, Tiles: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var before SessionResult
+				for i := 1; i <= 3; i++ {
+					if _, _, err := e.StepIdem(context.Background(), s.id, ""); err != nil {
+						t.Fatal(err)
+					}
+					if i == tc.kept {
+						if before, err = e.Result(s.id); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				tc.tear(t, journalPath(dir, s.id))
+
+				rec := NewWithOptions(Options{Workers: 2, JournalDir: dir})
+				if _, err := rec.Recover(); err != nil {
+					t.Fatalf("torn tail must be tolerated: %v", err)
+				}
+				got, err := rec.Result(s.id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResult(t, "torn tail", before, got)
+
+				// Continue the recovered session; a second recovery keeps
+				// every step it acked.
+				for i := 0; i < after; i++ {
+					if _, _, err := rec.StepIdem(context.Background(), s.id, ""); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want, err := rec.Result(s.id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				again := NewWithOptions(Options{Workers: 2, JournalDir: dir})
+				if _, err := again.Recover(); err != nil {
+					t.Fatalf("second recovery: %v", err)
+				}
+				got, err = again.Result(s.id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Iterations != tc.kept+after {
+					t.Fatalf("second recovery kept %d iterations, want %d", got.Iterations, tc.kept+after)
+				}
+				sameResult(t, "second recovery", want, got)
+			})
+		}
+	}
 }
 
 // TestRecoverTempLikeIDs: client-assigned ids may themselves contain
@@ -665,5 +729,52 @@ func TestRecoverRequirements(t *testing.T) {
 	rec := NewWithOptions(Options{Workers: 1, JournalDir: dir})
 	if _, err := rec.Recover(); err == nil {
 		t.Fatal("unknown scenario key in journal must fail recovery")
+	}
+}
+
+// openFDs counts this process's open descriptors, skipping the test
+// where /proc/self/fd cannot be read.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	entries, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot count descriptors: %v", err)
+	}
+	return len(entries)
+}
+
+// TestJournalHoldsNoDescriptors: each append opens its file and closes
+// it again, on the owner and on the follower, so a worker's descriptor
+// count does not grow with the sessions it owns or follows — one per
+// session would exhaust the process limit.
+func TestJournalHoldsNoDescriptors(t *testing.T) {
+	follower, fsrv := newFollower(t, 1)
+	owner := NewWithOptions(Options{Workers: 2, JournalDir: t.TempDir()})
+	owner.SetReplicaPlanner(plannerTo(fsrv.URL))
+	create := func(i int) string {
+		s, err := owner.CreateSession(SessionConfig{ScenarioKey: "b", Strategy: "DC", Seed: int64(i), Tiles: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.id
+	}
+	// The first session warms the connection to the follower.
+	if _, _, err := owner.StepIdem(context.Background(), create(0), ""); err != nil {
+		t.Fatal(err)
+	}
+	base := openFDs(t)
+	const sessions = 500
+	for i := 1; i <= sessions; i++ {
+		if _, _, err := owner.StepIdem(context.Background(), create(i), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(follower.ReplicaStatus()); n != sessions+1 {
+		t.Fatalf("follower holds %d replicas, want %d", n, sessions+1)
+	}
+	grown := openFDs(t) - base
+	t.Logf("descriptors grew by %d over %d replicated sessions", grown, sessions)
+	if grown > 8 {
+		t.Fatalf("descriptors grew by %d over %d replicated sessions, want at most 8", grown, sessions)
 	}
 }

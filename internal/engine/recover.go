@@ -23,15 +23,12 @@ type RecoveredSession struct {
 }
 
 // Recover restores every session found in the engine's journal
-// directory: for each ID it reads the journal (after the snapshot an
-// earlier binary may have left), replays every operation through a
-// fresh strategy, re-primes the shared evaluation cache with the
-// journaled deterministic makespans, and reattaches the journal for
-// continued appends. A recovered session continues bit-identically with a session
-// that was never interrupted — the replay re-issues the exact recorded
-// Next/lie/Observe sequence, and each replayed observation is checked
-// bit-for-bit against the journal (a mismatch means the journal and the
-// running binary disagree and the session is not restored).
+// directory through restoreSession. A recovered session continues
+// bit-identically with a session that was never interrupted — the
+// replay re-issues the exact recorded Next/lie/Observe sequence, and
+// each replayed observation is checked bit-for-bit against the journal
+// (a mismatch means the journal and the running binary disagree and
+// the session is not restored).
 //
 // Recover must run on a fresh engine (journaling enabled, no sessions
 // yet), before the HTTP server starts admitting requests.
@@ -52,38 +49,67 @@ func (e *Engine) Recover() ([]RecoveredSession, error) {
 	}
 	var out []RecoveredSession
 	for _, id := range ids {
-		st, err := loadSessionState(e.journalDir, id)
+		s, replayed, err := e.restoreSession(id)
 		if err != nil {
 			return nil, err
 		}
-		s, err := e.buildSession(st.cfg.sessionConfig())
-		if err != nil {
-			return nil, fmt.Errorf("engine: rebuild session %s: %w", id, err)
-		}
-		s.id = id
-		if err := e.replaySession(s, st.ops); err != nil {
-			return nil, fmt.Errorf("engine: replay session %s: %w", id, err)
-		}
-		jl, err := reopenJournal(e.journalDir, st, e.tel)
-		if err != nil {
+		if err := e.adopt(s, replayed); err != nil {
 			return nil, err
 		}
-		s.jl = jl
-		s.gen = jl.gen // highest journaled generation (1 for v1 journals)
-		if e.tel != nil {
-			e.tel.RecoverySessions.Inc()
-			e.tel.RecoveryReplayedOps.Add(float64(len(st.ops)))
-		}
-
-		e.mu.Lock()
-		e.sessions[id] = s
-		if n, ok := sessionNum(id); ok && n > e.nextID {
-			e.nextID = n
-		}
-		e.mu.Unlock()
 		out = append(out, RecoveredSession{ID: id, Iterations: len(s.actions), Epoch: s.epoch})
 	}
 	return out, nil
+}
+
+// restoreSession rebuilds session id from its journal, for Recover and
+// PromoteReplica alike: it reads the journal (after the snapshot an
+// earlier binary may have left), replays every operation through a
+// fresh strategy (re-priming the shared evaluation cache with the
+// journaled makespans), cuts a torn tail so the next append starts on
+// a line of its own, and attaches the journal at the recorded sequence
+// number and generation. It returns the session, not yet registered,
+// and the number of operations replayed.
+func (e *Engine) restoreSession(id string) (*Session, int, error) {
+	st, err := loadSessionState(e.journalDir, id)
+	if err != nil {
+		return nil, 0, err
+	}
+	s, err := e.buildSession(st.cfg.sessionConfig())
+	if err != nil {
+		return nil, 0, fmt.Errorf("engine: rebuild session %s: %w", id, err)
+	}
+	s.id = id
+	if err := e.replaySession(s, st.ops); err != nil {
+		return nil, 0, fmt.Errorf("engine: replay session %s: %w", id, err)
+	}
+	if st.size > st.intact {
+		if err := cutTornTail(e.journalDir, id, st.intact); err != nil {
+			return nil, 0, err
+		}
+	}
+	// v1 journals predate fencing and recover as generation 1.
+	s.jl = &journal{dir: e.journalDir, id: id, cfg: st.cfg, seq: st.seq, gen: max(st.gen, 1), tel: e.tel}
+	return s, len(st.ops), nil
+}
+
+// adopt registers a restored session, keeps minted ids above its
+// number, and counts its replay.
+func (e *Engine) adopt(s *Session, replayed int) error {
+	e.mu.Lock()
+	if _, taken := e.sessions[s.id]; taken {
+		e.mu.Unlock()
+		return fmt.Errorf("engine: session %q appeared during its restore", s.id)
+	}
+	e.sessions[s.id] = s
+	if n, ok := sessionNum(s.id); ok && n > e.nextID {
+		e.nextID = n
+	}
+	e.mu.Unlock()
+	if e.tel != nil {
+		e.tel.RecoverySessions.Inc()
+		e.tel.RecoveryReplayedOps.Add(float64(replayed))
+	}
+	return nil
 }
 
 // replaySession re-applies a session's journaled operation history.

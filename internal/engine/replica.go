@@ -95,14 +95,16 @@ type replicator struct {
 	lagOps int
 }
 
-// replicate ships the just-committed journal tail to the session's
-// follower. Called under the session mutex, after the local fsync
-// succeeded — the caller's response is not sent until this returns, so
-// an acked operation is on two disks (or the session is explicitly
-// lagging). A refused ship (stale generation) fails the session
-// closed: the refusal proves a newer generation owns the session
-// elsewhere, and this node must stop acking.
-func (e *Engine) replicate(ctx context.Context, s *Session) error {
+// replicate ships rec, the record the session's journal just wrote, to
+// the session's follower: alone while the follower is in sync, or
+// after the whole history read back from the journal file when it is
+// not (a resync). Called under the session mutex, after the local
+// fsync succeeded — the caller's response is not sent until this
+// returns, so an acked operation is on two disks (or the session is
+// explicitly lagging). A refused ship (stale generation) fails the
+// session closed: the refusal proves a newer generation owns the
+// session elsewhere, and this node must stop acking.
+func (e *Engine) replicate(ctx context.Context, s *Session, rec journalRecord) error {
 	if s.jl == nil {
 		return nil
 	}
@@ -126,22 +128,26 @@ func (e *Engine) replicate(ctx context.Context, s *Session) error {
 	}
 
 	sc := obsv.FromContext(ctx)
-	var recs []journalRecord
-	resync := !s.repl.synced
-	if s.repl.synced {
-		recs = s.jl.ops[len(s.jl.ops)-1:]
-	} else {
-		recs = append([]journalRecord{s.jl.createRecord()}, s.jl.ops...)
+	// A failed read of the history counts as a failed ship: the local
+	// commit is already durable, so the session degrades to lagging.
+	ship := func(resync bool) error {
+		recs := []journalRecord{rec}
+		if resync {
+			var err error
+			if recs, err = s.jl.history(); err != nil {
+				return err
+			}
+		}
+		return e.shipSpan(ctx, sc, s.repl.addr, s.id, recs)
 	}
+	resync := !s.repl.synced
 	start := e.tel.Now()
-	err := e.shipSpan(ctx, sc, s.repl.addr, s.id, recs)
-	if errors.Is(err, ErrReplicaGap) && s.repl.synced {
+	err := ship(resync)
+	if errors.Is(err, ErrReplicaGap) && !resync {
 		// The follower lost state (restart, wipe); resync the full
 		// history once and retry.
-		s.repl.synced = false
 		resync = true
-		recs = append([]journalRecord{s.jl.createRecord()}, s.jl.ops...)
-		err = e.shipSpan(ctx, sc, s.repl.addr, s.id, recs)
+		err = ship(resync)
 	}
 	switch {
 	case err == nil:
@@ -169,7 +175,7 @@ func (e *Engine) replicate(ctx context.Context, s *Session) error {
 		s.broken = true
 		e.replFenced.Inc()
 		e.tel.Emit("session.fenced", s.id, sc.TraceContext().TraceID,
-			map[string]any{"gen": s.gen, "reason": "stale generation: a newer generation is live elsewhere"})
+			map[string]any{"gen": s.jl.gen, "reason": "stale generation: a newer generation is live elsewhere"})
 		return fmt.Errorf("engine: session %s fenced out (a newer generation is live elsewhere): %w", s.id, err)
 	case errors.Is(err, ErrReplicaGap):
 		// A gap that survives a full resync is a deliberate refusal, not
@@ -179,7 +185,7 @@ func (e *Engine) replicate(ctx context.Context, s *Session) error {
 		s.broken = true
 		e.replFenced.Inc()
 		e.tel.Emit("session.fenced", s.id, sc.TraceContext().TraceID,
-			map[string]any{"gen": s.gen, "reason": "follower is promoting this session"})
+			map[string]any{"gen": s.jl.gen, "reason": "follower is promoting this session"})
 		return fmt.Errorf("engine: session %s fenced out (follower is promoting it): %w", s.id, err)
 	default:
 		// Transport-level failure: the follower is down or unreachable,
@@ -269,14 +275,16 @@ var (
 
 // replicaStore holds the replica journals this node keeps on behalf of
 // sessions owned elsewhere, under <journalDir>/replica/. One file per
-// session, every append fsync'd before it is acked — the ack is the
-// owner's durability guarantee.
+// session, written by appendRecords like the owner's journal: every
+// batch fsync'd before it is acked — the ack is the owner's durability
+// guarantee — and the file closed again.
 type replicaStore struct {
 	dir string
 	mu  sync.Mutex
-	// sessions tracks open replica files; absent entries are re-opened
-	// from disk on demand (a restarted follower answers with a gap,
-	// which triggers a full resync from the owner).
+	// sessions holds each replica's sequence and generation high-water
+	// marks; no file stays open. An id without an entry (a restarted
+	// follower, say) answers a non-create batch with a gap, which
+	// triggers a full resync from the owner.
 	sessions map[string]*replicaState
 	// promoting marks ids mid-promotion: appends are refused (as a gap)
 	// while the replica file is being installed as a live journal, so a
@@ -291,7 +299,6 @@ type replicaState struct {
 	// different sessions sync in parallel, and a promotion only waits
 	// out the one in-flight append that touches its own file.
 	mu  sync.Mutex
-	f   *os.File
 	seq int64
 	gen uint64
 }
@@ -303,8 +310,6 @@ func newReplicaStore(journalDir string) *replicaStore {
 		promoting: map[string]bool{},
 	}
 }
-
-func replicaPath(dir, id string) string { return filepath.Join(dir, id+".journal") }
 
 // ReplicaSession is one replica journal's status.
 type ReplicaSession struct {
@@ -370,37 +375,15 @@ func (e *Engine) AppendReplica(ctx context.Context, id string, recs []journalRec
 			ErrStaleGeneration, id, st.gen, batchGen)
 	}
 
-	if recs[0].T == "create" {
-		// Full resync: the owner resends history from the top. Truncate
-		// whatever this replica held — the owner's journal is the
-		// authority on content, the replica only guards gen and seq.
-		if st != nil {
-			st.mu.Lock() // wait out an in-flight append to the old file
-			_ = st.f.Close()
-			st.mu.Unlock()
-			delete(rs.sessions, id)
-		}
-		if err := os.MkdirAll(rs.dir, 0o755); err != nil {
+	if st == nil {
+		if recs[0].T != "create" {
+			// No state (fresh process or never synced): demand a full
+			// resync rather than guessing at the file's tail.
 			rs.mu.Unlock()
-			return 0, fmt.Errorf("engine: replica dir: %w", err)
+			return 0, fmt.Errorf("%w: no replica state for %s; resync from create", ErrReplicaGap, id)
 		}
-		f, err := os.OpenFile(replicaPath(rs.dir, id), os.O_WRONLY|os.O_CREATE|os.O_TRUNC|os.O_APPEND, 0o644)
-		if err != nil {
-			rs.mu.Unlock()
-			return 0, fmt.Errorf("engine: open replica %s: %w", id, err)
-		}
-		if err := fsutil.SyncDir(rs.dir); err != nil {
-			_ = f.Close()
-			rs.mu.Unlock()
-			return 0, err
-		}
-		st = &replicaState{f: f}
+		st = &replicaState{}
 		rs.sessions[id] = st
-	} else if st == nil {
-		// No open state (fresh process or never synced): demand a full
-		// resync rather than guessing at the file's tail.
-		rs.mu.Unlock()
-		return 0, fmt.Errorf("%w: no replica state for %s; resync from create", ErrReplicaGap, id)
 	}
 
 	// Write and fsync under the session's own lock only: the store lock
@@ -410,14 +393,17 @@ func (e *Engine) AppendReplica(ctx context.Context, id string, recs []journalRec
 	rs.mu.Unlock()
 	defer st.mu.Unlock()
 
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
 	seq, gen := st.seq, st.gen
 	for i, rec := range recs {
 		if rec.T == "create" {
+			// Full resync: the owner resends history from the top, and
+			// appendRecords truncates whatever this replica held — the
+			// owner's journal is the authority on content, the replica
+			// only guards gen and seq.
 			if i != 0 {
 				return 0, fmt.Errorf("engine: replica batch for %s: create record not first", id)
 			}
+			seq = 0
 		} else {
 			if rec.Seq != seq+1 {
 				e.replRejects.Inc()
@@ -429,16 +415,10 @@ func (e *Engine) AppendReplica(ctx context.Context, id string, recs []journalRec
 		if rec.Gen > gen {
 			gen = rec.Gen
 		}
-		if err := enc.Encode(rec); err != nil {
-			return 0, fmt.Errorf("engine: encode replica record: %w", err)
-		}
-	}
-	if _, err := st.f.Write(buf.Bytes()); err != nil {
-		return 0, fmt.Errorf("engine: append replica %s: %w", id, err)
 	}
 	//lint:allow lockorder the per-file lock exists to order this file's write+fsync; store-wide lock is already released
-	if err := st.f.Sync(); err != nil {
-		return 0, fmt.Errorf("engine: fsync replica %s: %w", id, err)
+	if err := appendRecords(rs.dir, id, recs); err != nil {
+		return 0, fmt.Errorf("engine: replica %s: %w", id, err)
 	}
 	st.seq, st.gen = seq, gen
 	e.replAccepts.Inc()
@@ -490,14 +470,14 @@ func (e *Engine) PromoteReplica(ctx context.Context, id string, minGen uint64) (
 		return PromotedSession{}, err
 	}
 	if s, ok := e.Session(id); ok {
+		live := s.generation()
+		if live < minGen {
+			return PromotedSession{}, fmt.Errorf("engine: session %s already live at generation %d (< requested %d)", id, live, minGen)
+		}
 		s.mu.Lock()
-		live := s.gen
 		iters, epoch := len(s.actions), s.epoch
 		s.mu.Unlock()
-		if live >= minGen {
-			return PromotedSession{ID: id, Iterations: iters, Epoch: epoch, Gen: live}, nil
-		}
-		return PromotedSession{}, fmt.Errorf("engine: session %s already live at generation %d (< requested %d)", id, live, minGen)
+		return PromotedSession{ID: id, Iterations: iters, Epoch: epoch, Gen: live}, nil
 	}
 
 	rs := e.replicas
@@ -508,10 +488,9 @@ func (e *Engine) PromoteReplica(ctx context.Context, id string, minGen uint64) (
 	}
 	rs.promoting[id] = true
 	if st := rs.sessions[id]; st != nil {
-		st.mu.Lock() // wait out an in-flight append before closing
-		_ = st.f.Close()
-		st.mu.Unlock()
+		st.mu.Lock() // wait out an in-flight append before the rename
 		delete(rs.sessions, id)
+		st.mu.Unlock()
 	}
 	rs.mu.Unlock()
 	defer func() {
@@ -523,7 +502,7 @@ func (e *Engine) PromoteReplica(ctx context.Context, id string, minGen uint64) (
 	// The file ops below block (fsync, rename); they run outside the
 	// store lock, and the promoting marker keeps a concurrent resync from
 	// recreating replica state that this install would silently orphan.
-	src := replicaPath(rs.dir, id)
+	src := journalPath(rs.dir, id)
 	f, err := os.Open(src)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -551,63 +530,36 @@ func (e *Engine) PromoteReplica(ctx context.Context, id string, minGen uint64) (
 		return PromotedSession{}, err
 	}
 
-	st, err := loadSessionState(e.journalDir, id)
+	s, replayed, err := e.restoreSession(id)
 	if err != nil {
 		return PromotedSession{}, err
 	}
-	s, err := e.buildSession(st.cfg.sessionConfig())
-	if err != nil {
-		return PromotedSession{}, fmt.Errorf("engine: rebuild session %s: %w", id, err)
-	}
-	s.id = id
-	if err := e.replaySession(s, st.ops); err != nil {
-		return PromotedSession{}, fmt.Errorf("engine: replay session %s: %w", id, err)
-	}
-	jl, err := reopenJournal(e.journalDir, st, e.tel)
-	if err != nil {
-		return PromotedSession{}, err
-	}
-	newGen := st.gen + 1
-	if newGen < minGen {
-		newGen = minGen
-	}
-	if newGen < 2 {
-		newGen = 2 // v1 replicas recover as gen 1; promotion always moves past the owner
-	}
-	jl.gen = newGen
-	if err := jl.append(journalRecord{T: "gen", Gen: newGen}); err != nil {
-		_ = jl.f.Close()
+	// The restored generation is at least 1 (v1 journals restore as 1),
+	// so the bump always moves past the deposed owner's.
+	newGen := max(s.jl.gen+1, minGen)
+	s.jl.gen = newGen
+	if _, err := s.jl.append(journalRecord{T: "gen", Gen: newGen}); err != nil {
 		return PromotedSession{}, fmt.Errorf("engine: journal generation bump for %s: %w", id, err)
 	}
-	s.jl = jl
-	s.gen = newGen
-
-	e.mu.Lock()
-	if _, taken := e.sessions[id]; taken {
-		e.mu.Unlock()
-		_ = jl.f.Close()
-		return PromotedSession{}, fmt.Errorf("engine: session %q appeared during promotion", id)
+	if err := e.adopt(s, replayed); err != nil {
+		return PromotedSession{}, err
 	}
-	e.sessions[id] = s
-	if n, ok := sessionNum(id); ok && n > e.nextID {
-		e.nextID = n
-	}
-	e.mu.Unlock()
 	e.replPromotions.Inc()
-	if e.tel != nil {
-		e.tel.RecoverySessions.Inc()
-		e.tel.RecoveryReplayedOps.Add(float64(len(st.ops)))
-	}
 	e.tel.Emit("session.promoted", id, obsv.FromContext(ctx).TraceContext().TraceID,
-		map[string]any{"gen": newGen, "iterations": len(s.actions), "replayed_ops": len(st.ops)})
+		map[string]any{"gen": newGen, "iterations": len(s.actions), "replayed_ops": replayed})
 	return PromotedSession{ID: id, Iterations: len(s.actions), Epoch: s.epoch, Gen: newGen}, nil
 }
 
-// generation reads the session's fencing token under its lock.
+// generation reads the session's fencing token under its lock: zero
+// without a journal, which a journaled session lacks only while
+// CreateSession is still writing its create record.
 func (s *Session) generation() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.gen
+	if s.jl == nil {
+		return 0
+	}
+	return s.jl.gen
 }
 
 // Generation exposes the session's current generation (tests, status).

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"strings"
@@ -80,6 +81,65 @@ func TestPromoteReplicaBitIdentical(t *testing.T) {
 
 	if gen, ok := follower.Generation(s.id); !ok || gen != promoted.Gen {
 		t.Fatalf("follower generation (%d, %v), want (%d, true)", gen, ok, promoted.Gen)
+	}
+}
+
+// TestPromoteTornReplicaTail: a follower that crashed mid-append holds
+// a replica file with a torn last line. Promotion drops that line and
+// cuts it from the file before journaling the generation bump, so the
+// bump and every later commit start on lines of their own: a restart
+// recovers the promoted generation — not the deposed owner's, which the
+// fence would then accept again — and every iteration.
+func TestPromoteTornReplicaTail(t *testing.T) {
+	for _, commits := range []int{0, 1} {
+		t.Run(fmt.Sprintf("commits-after-%d", commits), func(t *testing.T) {
+			follower, fsrv := newFollower(t, 1)
+			owner := NewWithOptions(Options{Workers: 1, JournalDir: t.TempDir()})
+			owner.SetReplicaPlanner(plannerTo(fsrv.URL))
+			s, err := owner.CreateSession(SessionConfig{ID: "torn1", ScenarioKey: "b", Strategy: "DC", Seed: 3, Tiles: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				if _, _, err := owner.StepIdem(context.Background(), s.id, ""); err != nil {
+					t.Fatal(err)
+				}
+			}
+			appendTornLine(t, journalPath(follower.replicas.dir, s.id))
+
+			p, err := follower.PromoteReplica(context.Background(), s.id, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Gen != 2 || p.Iterations != 3 {
+				t.Fatalf("promoted %+v, want gen 2 with 3 iterations", p)
+			}
+			for i := 0; i < commits; i++ {
+				if _, _, err := follower.StepIdem(context.Background(), s.id, ""); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := follower.Result(s.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			rec := NewWithOptions(Options{Workers: 1, JournalDir: follower.journalDir})
+			if _, err := rec.Recover(); err != nil {
+				t.Fatalf("recovering the promoted session: %v", err)
+			}
+			if gen, ok := rec.Generation(s.id); !ok || gen != 2 {
+				t.Fatalf("recovered generation (%d, %v), want (2, true)", gen, ok)
+			}
+			got, err := rec.Result(s.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Iterations != 3+commits {
+				t.Fatalf("recovered %d iterations, want %d", got.Iterations, 3+commits)
+			}
+			sameResult(t, "recovered promoted session", want, got)
+		})
 	}
 }
 

@@ -34,18 +34,14 @@ type Session struct {
 	total     float64
 
 	// jl is the session's write-ahead journal (nil when the engine runs
-	// without durability). broken marks a session whose journal append
+	// without durability); it also carries the session's generation,
+	// the fencing token. broken marks a session whose journal append
 	// failed: its in-memory state may be ahead of disk, so it fails
 	// closed — further operations are rejected and the authoritative
 	// state is whatever a restart recovers from the journal.
 	jl     *journal
 	broken bool
 
-	// gen is the session's generation (fencing token). Fresh sessions
-	// start at 1; each supervised promotion bumps it, and the replica
-	// store rejects appends stamped with an older generation, which is
-	// what fences a deposed owner out after failover. Guarded by mu.
-	gen uint64
 	// repl is the session's replication state (nil until the planner
 	// assigns a follower, or when replication is off). Guarded by mu.
 	repl *replicator

@@ -39,8 +39,16 @@ func fnv1a(s string) uint64 {
 	return h
 }
 
-// splitmix64 is the same single-pass mixer the engine uses for jitter:
+// splitmix64 is a single-pass mixer in the style of SplitMix64:
 // deterministic, seedable, and good enough to decorrelate a counter.
+// It is not SplitMix64: its first multiplier is 0xbf58476d1ce4e9b5,
+// where the SplitMix64 in engine, client and chaosnet uses
+// 0xbf58476d1ce4e5b9. Do not change it, not even to the standard
+// constant: it places every session on the ring, deciding which
+// worker's disk holds its journal and which its replica, and it
+// derives router-minted ids, so another constant would move most
+// existing sessions to a different owner (TestRingPlacementGolden pins
+// the placement).
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e9b5

@@ -23,6 +23,44 @@ func TestRingDeterministic(t *testing.T) {
 	}
 }
 
+// TestRingPlacementGolden pins where sessions land across builds: the
+// owner (Lookup) and follower (Follower of the owner) of fixed ids on
+// a fixed three-member ring. Placement decides which worker's disk
+// holds a session's journal and which holds its replica, so a change
+// to the ring hash strands every journal a fleet already wrote.
+// TestRingDeterministic cannot catch that: it compares two rings built
+// by the same binary.
+func TestRingPlacementGolden(t *testing.T) {
+	r, err := NewRing([]string{"w0", "w1", "w2"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ id, owner, follower string }{
+		{"s1", "w1", "w0"},
+		{"s2", "w0", "w1"},
+		{"s3", "w1", "w2"},
+		{"s4", "w0", "w2"},
+		{"s5", "w1", "w2"},
+		{"s6", "w2", "w0"},
+		{"s7", "w1", "w2"},
+		{"s8", "w0", "w1"},
+		{"s9", "w1", "w0"},
+		{"s10", "w1", "w2"},
+		{"fo1", "w0", "w1"},
+		{"torn1", "w1", "w2"},
+		{"r00000000000000a7", "w0", "w1"},
+		{"r9e3779b97f4a7c15", "w0", "w2"},
+		{"x.tmp-1", "w2", "w0"},
+	} {
+		owner := r.Lookup(c.id)
+		follower, ok := r.Follower(c.id, owner)
+		if owner != c.owner || !ok || follower != c.follower {
+			t.Errorf("%s: owner %s, follower %s (%v); pinned %s, %s",
+				c.id, owner, follower, ok, c.owner, c.follower)
+		}
+	}
+}
+
 func TestRingBalance(t *testing.T) {
 	names := []string{"w0", "w1", "w2", "w3"}
 	r, err := NewRing(names, 0) // 0 selects DefaultReplicas
