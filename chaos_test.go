@@ -412,11 +412,11 @@ func chaosRound(t *testing.T, bin string, workers int, ref []engine.SessionResul
 
 // chaosIdemPlan lays a deterministic fault mix on the connection axis:
 // outage windows, mid-stream reset strikes, jitter and slowdown
-// shaping. It starts past the session-create connections, which carry
-// no idempotency key and therefore must not be torn mid-request.
+// shaping. It starts at the first connection, so session creates are
+// torn too: each carries its session id, and a retry replays it.
 func chaosIdemPlan() *faults.Plan {
 	p := &faults.Plan{}
-	for i, at := 0, 5; at < 4096; i, at = i+1, at+8 {
+	for i, at := 0, 0; at < 4096; i, at = i+1, at+8 {
 		switch i % 4 {
 		case 0:
 			p.Events = append(p.Events, faults.Event{
@@ -518,8 +518,7 @@ func chaosClientRound(t *testing.T, bin string, workers int, ref []engine.Sessio
 	}
 
 	// Create the script sessions plus a probe session, sequentially so
-	// IDs map deterministically and the creates stay on clean
-	// connections.
+	// IDs map deterministically.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	sessions := make([]*client.Session, len(chaosSessions))

@@ -449,7 +449,9 @@ func run(cfg config) error {
 		clients[i], err = client.New(client.Config{
 			BaseURL:    base,
 			HTTPClient: hc,
-			Seed:       (uint64(cfg.seed) + uint64(i)) | 1,
+			// Distinct and nonzero per client: the session ids and
+			// idempotency keys it mints derive from its seed.
+			Seed: uint64(cfg.seed)<<8 + uint64(i) + 1,
 			// Chaos and failover runs ride on retries; keep the budget
 			// roomy and let the SLO gates judge the outcome.
 			MaxAttempts: 10,
@@ -704,36 +706,13 @@ func runSession(cfg config, cl *client.Client, col *collector, ver *verifier, me
 
 	var sess *client.Session
 	timed("create", func(ctx context.Context) error {
-		req := client.CreateSessionRequest{
+		var err error
+		sess, err = cl.CreateSession(ctx, client.CreateSessionRequest{
 			Scenario: cfg.scenario,
 			Strategy: cfg.strategy,
 			Seed:     cfg.seed + int64(idx),
 			Tiles:    cfg.tiles,
-		}
-		var err error
-		sess, err = cl.CreateSession(ctx, req)
-		if cfg.spawnShards == 0 {
-			return err
-		}
-		// Fleet mode drives kills: a create torn mid-request by the
-		// victim's SIGKILL has no idempotency key the client could
-		// replay, so the harness retries as a brand-new session — the
-		// router mints a fresh id each attempt, and a first attempt
-		// that committed before the kill is just an idle orphan on the
-		// dead shard. Only genuine unavailability should spend the
-		// error budget.
-		backoff := 100 * time.Millisecond
-		for err != nil && ctx.Err() == nil {
-			select {
-			case <-ctx.Done():
-				return err
-			case <-time.After(backoff):
-			}
-			if backoff < 2*time.Second {
-				backoff *= 2
-			}
-			sess, err = cl.CreateSession(ctx, req)
-		}
+		})
 		return err
 	})
 	if sess == nil {

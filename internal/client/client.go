@@ -3,7 +3,8 @@
 // engine's idempotency contract makes safe:
 //
 //   - every mutating call (step, batch-step, advance-epoch, sweep)
-//     carries a client-generated Idempotency-Key, so retries replay the
+//     carries a client-generated Idempotency-Key, and a create carries
+//     the session id the client minted for it, so retries replay the
 //     journaled result instead of double-applying the operation;
 //   - transient failures (connection resets, 429/502/503/504) back off
 //     exponentially with full jitter and honor the server's Retry-After
@@ -14,10 +15,6 @@
 //     failing hard, probing it once per cooldown until it recovers;
 //   - context deadlines propagate: the client never sleeps past the
 //     caller's deadline, and gives the verdict it has instead.
-//
-// Operations without an idempotency key (session creation) are retried
-// only when the request provably never reached the server (dial errors)
-// or the server refused it before doing work (429, 503).
 //
 // The zero Config is usable; tests inject Now/Sleep for a fake clock.
 package client
@@ -31,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -78,18 +74,13 @@ type Config struct {
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 
-	// Seed fixes the jitter stream and the idempotency-key prefix for
-	// reproducible runs; 0 draws a random instance identity.
+	// Seed fixes the jitter stream and the instance identity for
+	// reproducible runs; 0 draws a random identity. The identity
+	// prefixes every idempotency key and every session id the client
+	// mints, so a fixed seed repeats them across runs: two runs with
+	// one seed against one live server replay each other's creates and
+	// sweeps. Give concurrent clients of one server distinct seeds.
 	Seed uint64
-
-	// Resolve, when set, re-resolves the base URL at every half-open
-	// circuit-breaker probe: by the time the breaker lets a probe
-	// through, the backend may have restarted on a different address
-	// (journal recovery behind a shard router repoints exactly this
-	// way). Returning "" keeps the current target. Calls between probes
-	// keep using the last resolved target — resolution is an
-	// on-failure path, not a per-request lookup.
-	Resolve func() string
 
 	// Now and Sleep inject the clock. Sleep must return early with the
 	// context's error when it is cancelled. Nil selects the wall clock.
@@ -147,7 +138,7 @@ type Stats struct {
 type Client struct {
 	cfg      Config
 	hc       *http.Client
-	base     atomic.Value // string; repointable via SetTarget/Resolve
+	base     string
 	breaker  *breaker
 	budget   *budget // sessionless calls (create, sweep)
 	instance string
@@ -210,29 +201,16 @@ func New(cfg Config) (*Client, error) {
 	if hc == nil {
 		hc = &http.Client{}
 	}
-	c := &Client{
+	return &Client{
 		cfg:      cfg,
 		hc:       hc,
+		base:     strings.TrimRight(cfg.BaseURL, "/"),
 		breaker:  newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		budget:   newBudget(cfg.RetryBudget, cfg.BudgetRefill),
 		instance: fmt.Sprintf("%016x", splitmix64(seed)),
 		jseed:    splitmix64(seed + 1),
-	}
-	c.SetTarget(cfg.BaseURL)
-	return c, nil
+	}, nil
 }
-
-// SetTarget repoints the client at a new base URL. Safe under
-// concurrent calls; requests already in flight finish against the old
-// target. This is the failover hook: when the server restarts on a new
-// address, repoint the handle instead of rebuilding it (sessions,
-// breaker state and budgets carry over).
-func (c *Client) SetTarget(base string) {
-	c.base.Store(strings.TrimRight(base, "/"))
-}
-
-// Target returns the base URL requests currently go to.
-func (c *Client) Target() string { return c.base.Load().(string) }
 
 // defaultSleep waits d on the wall clock, returning early with the
 // context's error when cancelled — that is how caller deadlines cut
@@ -260,9 +238,9 @@ func (c *Client) Snapshot() Stats {
 	}
 }
 
-// nextKey mints a fresh idempotency key: unique per client instance
-// and operation, stable across retries of the same call because it is
-// drawn once before the retry loop.
+// nextKey mints a fresh idempotency key or session id: unique per
+// client instance and operation, stable across retries of the same call
+// because it is drawn once before the retry loop.
 func (c *Client) nextKey() string {
 	return fmt.Sprintf("%s-%d", c.instance, c.seq.Add(1))
 }
@@ -329,15 +307,18 @@ type SweepRequest struct {
 	Seed     int64   `json:"seed,omitempty"`
 }
 
-// CreateSession creates a tuning session. Creation has no idempotency
-// key (the server mints the session identity), so it is retried only
-// when the request provably never committed: dial failures, or a 429 /
-// 503 turn-away.
+// CreateSession creates a tuning session under a session id the client
+// mints, which keys the create as an idempotency key keys any other
+// mutation: a retry replays the session the first attempt made.
 func (c *Client) CreateSession(ctx context.Context, req CreateSessionRequest) (*Session, error) {
 	var info SessionInfo
+	body := struct {
+		ID string `json:"id"`
+		CreateSessionRequest
+	}{c.nextKey(), req}
 	_, err := c.do(ctx, call{
 		method: http.MethodPost, path: "/v1/sessions",
-		body: req, out: &info, budget: c.budget,
+		body: body, out: &info, budget: c.budget,
 	})
 	if err != nil {
 		return nil, err
@@ -453,7 +434,7 @@ func (s *Session) Result(ctx context.Context) (engine.SessionResult, error) {
 	var res engine.SessionResult
 	_, err := s.c.do(ctx, call{
 		method: http.MethodGet, path: "/v1/sessions/" + s.Info.ID,
-		out: &res, read: true, budget: s.budget,
+		out: &res, budget: s.budget,
 	})
 	return res, err
 }
@@ -473,7 +454,7 @@ func (c *Client) Sweep(ctx context.Context, req SweepRequest) (engine.SweepResul
 // Ready reports whether the server answers /readyz with 200, without
 // retries — readiness polling is the caller's loop.
 func (c *Client) Ready(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Target()+"/readyz", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/readyz", nil)
 	if err != nil {
 		return err
 	}
@@ -498,12 +479,8 @@ type call struct {
 	// rawOut, when non-nil, receives the response body verbatim
 	// instead of a JSON decode into out (streaming responses).
 	rawOut *[]byte
-	// key is the idempotency key; non-empty makes the call safe to
-	// retry across ambiguous failures.
-	key string
-	// read marks side-effect-free calls, retried as freely as keyed
-	// ones.
-	read   bool
+	// key is the idempotency key, sent when non-empty.
+	key    string
 	budget *budget
 }
 
@@ -559,17 +536,10 @@ func (c *Client) do(ctx context.Context, op call) (replayed bool, err error) {
 		}
 		if probe {
 			c.cfg.Events.Emit("breaker.half-open", "", sc.TraceContext().TraceID, nil)
-			if c.cfg.Resolve != nil {
-				// Half-open probe: the peer failed hard enough to open the
-				// circuit, so ask where it lives now before testing it.
-				if t := c.cfg.Resolve(); t != "" {
-					c.SetTarget(t)
-				}
-			}
 		}
 		c.attempts.Add(1)
 		replayed, err := c.attempt(ctx, op, enc, sc, attempt)
-		eligible, breakerCounts := classify(err, op.key != "" || op.read)
+		eligible, breakerCounts := classify(err)
 		c.breaker.report(c.cfg.Now(), breakerCounts, c.onTrip)
 		if err == nil {
 			if probe {
@@ -618,7 +588,7 @@ func (c *Client) attempt(ctx context.Context, op call, body []byte, sc *obsv.Spa
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(actx, op.method, c.Target()+op.path, rd)
+	req, err := http.NewRequestWithContext(actx, op.method, c.base+op.path, rd)
 	if err != nil {
 		return false, fmt.Errorf("client: build request: %w", err)
 	}
@@ -666,49 +636,30 @@ func (c *Client) attempt(ctx context.Context, op call, body []byte, sc *obsv.Spa
 }
 
 // classify sorts an attempt error into (retry-eligible,
-// counts-toward-breaker).
-//
-// Safe (keyed or read-only) calls retry on every transport error and
-// on 429/502/503/504. Unsafe calls (no key: session creation) retry
-// only when the request provably never committed: dial failures and
-// 429/503 turn-aways. Ambiguous failures — a reset after the bytes
-// left, a gateway timeout — are returned to the caller, who holds no
-// key to make the retry safe.
+// counts-toward-breaker). Every call is safe to retry — reads have no
+// effect, and each mutation carries its idempotency key or its session
+// id — so every transport error and every 429/502/503/504 is retried.
 //
 // The breaker counts transport errors and 5xx: those say the peer is
 // in trouble. 429 is healthy backpressure and 4xx is our own fault;
 // neither opens the circuit.
-func classify(err error, safe bool) (eligible, breakerCounts bool) {
+func classify(err error) (eligible, breakerCounts bool) {
 	if err == nil {
 		return false, false
 	}
 	var apiErr *APIError
 	if errors.As(err, &apiErr) {
 		switch apiErr.Status {
-		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		case http.StatusTooManyRequests, http.StatusBadGateway,
+			http.StatusServiceUnavailable, http.StatusGatewayTimeout:
 			return true, apiErr.Status != http.StatusTooManyRequests
-		case http.StatusBadGateway, http.StatusGatewayTimeout:
-			return safe, true
 		}
 		return false, apiErr.Status >= 500
 	}
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		// The caller's deadline (not the per-attempt one) is checked by
-		// the sleep on the next loop; an expired parent context ends
-		// the call there.
-		return safe, true
-	}
-	// Transport-level failure. Dial errors never reached the server, so
-	// even unsafe calls may retry them.
-	return safe || requestNeverSent(err), true
-}
-
-// requestNeverSent reports whether the error happened before any byte
-// reached the server, making a retry safe even without an idempotency
-// key.
-func requestNeverSent(err error) bool {
-	var op *net.OpError
-	return errors.As(err, &op) && op.Op == "dial"
+	// A transport failure, or an attempt timeout. The caller's deadline
+	// (not the per-attempt one) is checked by the sleep on the next
+	// loop; an expired parent context ends the call there.
+	return true, true
 }
 
 // retryAfterOf extracts the server's Retry-After hint from the last

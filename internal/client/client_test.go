@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -149,43 +150,70 @@ func TestMutationRetriesReuseIdempotencyKey(t *testing.T) {
 	}
 }
 
-// TestCreateSessionRetryDiscipline pins the unkeyed-mutation rule:
-// creation retries a 503 turn-away (nothing committed) but NOT an
-// ambiguous 502 — without an idempotency key a duplicate session could
-// result.
-func TestCreateSessionRetryDiscipline(t *testing.T) {
-	var mu sync.Mutex
-	var calls int
-	status := http.StatusBadGateway
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		calls++
-		mu.Unlock()
-		w.WriteHeader(status)
-		_, _ = w.Write([]byte(`{"error":"boom"}`))
-	}))
-	defer srv.Close()
+// TestCreateRetriesKeepOneID: a create torn by an ambiguous failure —
+// a 502 from a gateway, or a reset after the request went out — is
+// retried, and every attempt carries the one session id the client
+// minted, so the server replays whatever an earlier attempt made.
+func TestCreateRetriesKeepOneID(t *testing.T) {
+	for _, tear := range []string{"502", "reset"} {
+		t.Run(tear, func(t *testing.T) {
+			var mu sync.Mutex
+			var ids []string
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				var body struct {
+					ID       string `json:"id"`
+					Scenario string `json:"scenario"`
+				}
+				if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+					t.Errorf("decoding create body: %v", err)
+				}
+				mu.Lock()
+				ids = append(ids, body.ID)
+				n := len(ids)
+				mu.Unlock()
+				if n <= 2 {
+					if tear == "502" {
+						w.WriteHeader(http.StatusBadGateway)
+						_, _ = w.Write([]byte(`{"error":"shard unreachable"}`))
+						return
+					}
+					conn, _, err := w.(http.Hijacker).Hijack()
+					if err != nil {
+						t.Errorf("hijack: %v", err)
+						return
+					}
+					_ = conn.(*net.TCPConn).SetLinger(0) // close with RST
+					_ = conn.Close()
+					return
+				}
+				w.Header().Set("Idempotency-Replayed", "true")
+				w.WriteHeader(http.StatusCreated)
+				_ = json.NewEncoder(w).Encode(map[string]any{"id": body.ID, "scenario": body.Scenario})
+			}))
+			defer srv.Close()
 
-	c, _ := testClient(t, srv.URL, func(cfg *Config) { cfg.MaxAttempts = 4 })
-	_, err := c.CreateSession(context.Background(), CreateSessionRequest{Scenario: "b"})
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadGateway {
-		t.Fatalf("create on 502: %v", err)
-	}
-	mu.Lock()
-	if calls != 1 {
-		t.Fatalf("ambiguous 502 was retried: %d calls", calls)
-	}
-	calls = 0
-	status = http.StatusServiceUnavailable
-	mu.Unlock()
-	if _, err := c.CreateSession(context.Background(), CreateSessionRequest{Scenario: "b"}); err == nil {
-		t.Fatal("create against all-503 server succeeded")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if calls != 4 {
-		t.Fatalf("503 turn-away retried %d times, want MaxAttempts=4", calls)
+			c, _ := testClient(t, srv.URL, nil)
+			sess, err := c.CreateSession(context.Background(), CreateSessionRequest{Scenario: "b"})
+			if err != nil {
+				t.Fatalf("create across torn attempts: %v", err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(ids) != 3 {
+				t.Fatalf("%d attempts, want 3", len(ids))
+			}
+			for i, id := range ids {
+				if id == "" || id != ids[0] {
+					t.Fatalf("attempt %d sent id %q, first sent %q", i, id, ids[0])
+				}
+			}
+			if sess.Info.ID != ids[0] {
+				t.Fatalf("session id %q, want %q", sess.Info.ID, ids[0])
+			}
+			if got := c.Snapshot().Replays; got != 1 {
+				t.Fatalf("replays %d, want 1", got)
+			}
+		})
 	}
 }
 
@@ -341,68 +369,5 @@ func TestKeysUniqueAcrossCalls(t *testing.T) {
 			t.Fatalf("duplicate idempotency key %q", k)
 		}
 		seen[k] = true
-	}
-}
-
-// TestResolveOnHalfOpenProbe mirrors chaosnet's SetTarget-across-
-// restart test at the client layer: the backend dies hard enough to
-// open the breaker, comes back on a different address (journal
-// recovery behind a router repoints exactly this way), and the
-// half-open probe re-resolves the target — so the same handle, with
-// its breaker state and session intact, rides through the failover.
-func TestResolveOnHalfOpenProbe(t *testing.T) {
-	replacement := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_ = json.NewEncoder(w).Encode(map[string]any{"iter": 0, "action": 9})
-	}))
-	defer replacement.Close()
-
-	dead := httptest.NewServer(nil)
-	dead.Close() // every dial refuses: the original backend is gone
-
-	var mu sync.Mutex
-	resolves := 0
-	c, _ := testClient(t, dead.URL, func(cfg *Config) {
-		cfg.BreakerThreshold = 2
-		cfg.BreakerCooldown = time.Second
-		cfg.MaxAttempts = 12
-		cfg.Resolve = func() string {
-			mu.Lock()
-			defer mu.Unlock()
-			resolves++
-			return replacement.URL
-		}
-	})
-
-	// One call is enough: dial failures are retry-eligible, two of them
-	// trip the breaker, the cooldown elapses on the fake clock, and the
-	// half-open probe resolves the new address and succeeds.
-	res, err := c.Attach("s-1").Step(context.Background())
-	if err != nil {
-		t.Fatalf("step across failover: %v", err)
-	}
-	if res.Action != 9 {
-		t.Fatalf("step action %d, want 9 (the replacement's answer)", res.Action)
-	}
-	mu.Lock()
-	if resolves == 0 {
-		t.Fatal("Resolve never called on the half-open probe")
-	}
-	mu.Unlock()
-	if c.Target() != replacement.URL {
-		t.Fatalf("target %q, want %q", c.Target(), replacement.URL)
-	}
-	if got := c.Snapshot().BreakerTrips; got != 1 {
-		t.Fatalf("breaker trips %d, want 1", got)
-	}
-
-	// A Resolve that returns "" keeps the current target.
-	c.cfg.Resolve = func() string { return "" }
-	c.breaker.report(c.cfg.Now(), true, nil)
-	c.breaker.report(c.cfg.Now(), true, nil) // re-open
-	if _, err := c.Attach("s-1").Step(context.Background()); err != nil {
-		t.Fatalf("step after empty resolve: %v", err)
-	}
-	if c.Target() != replacement.URL {
-		t.Fatalf("empty Resolve moved the target to %q", c.Target())
 	}
 }

@@ -79,7 +79,7 @@ func (e *Engine) advance(ctx context.Context, id string, sh opShape, k int, key 
 		// NextBatch sizes its proposal slice by k before proposing, so an
 		// unchecked width from a request body could exhaust memory.
 		if n := len(s.ev.Actions()); k > n {
-			return nil, false, fmt.Errorf("engine: batch width %d outside [1, %d]", k, n)
+			return nil, false, fmt.Errorf("%w: batch width %d outside [1, %d]", ErrInvalid, k, n)
 		}
 	}
 	s.mu.Lock()
@@ -99,7 +99,7 @@ func (e *Engine) advance(ctx context.Context, id string, sh opShape, k int, key 
 		return steps, true, nil
 	}
 	if s.broken {
-		return nil, false, fmt.Errorf("engine: session %q failed closed on a journal error", id)
+		return nil, false, fmt.Errorf("%w: %q", ErrFailedClosed, id)
 	}
 	sc := obsv.FromContext(ctx)
 	var opArgs map[string]any

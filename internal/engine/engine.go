@@ -115,8 +115,15 @@ const replicaShipTimeout = 2 * time.Second
 // Telemetry returns the engine's telemetry bundle (nil when disabled).
 func (e *Engine) Telemetry() *obsv.Telemetry { return e.tel }
 
-// ErrClosed is returned by every operation after Close.
-var ErrClosed = errors.New("engine: closed")
+// The engine's error kinds. Errors wrap them, and the HTTP layer picks
+// a status with errors.Is (see statusFor).
+var (
+	ErrClosed       = errors.New("engine: closed")                // every operation after Close
+	ErrNoSession    = errors.New("engine: no session")            // no live session holds the id
+	ErrInvalid      = errors.New("engine: invalid request")       // a bad id, tile count or batch width
+	ErrUnknownName  = errors.New("engine: unknown name")          // an unknown scenario or strategy
+	ErrFailedClosed = errors.New("engine: session failed closed") // by a journal error or a fence
+)
 
 // Close rejects all further operations. It is the second half of
 // graceful shutdown: the HTTP server drains in-flight requests first,
@@ -181,7 +188,7 @@ func resolveScenario(cfg SessionConfig) (platform.Scenario, error) {
 	}
 	sc, ok := platform.ScenarioByKey(cfg.ScenarioKey)
 	if !ok {
-		return platform.Scenario{}, fmt.Errorf("engine: unknown scenario %q", cfg.ScenarioKey)
+		return platform.Scenario{}, fmt.Errorf("%w: scenario %q", ErrUnknownName, cfg.ScenarioKey)
 	}
 	return sc, nil
 }
@@ -192,7 +199,7 @@ func resolveScenario(cfg SessionConfig) (platform.Scenario, error) {
 // the tile count, so an unchecked request could stall a worker.
 func checkTiles(sc platform.Scenario, tiles int) error {
 	if tiles < 0 || tiles > sc.Workload.Tiles {
-		return fmt.Errorf("engine: tiles %d outside [0, %d]", tiles, sc.Workload.Tiles)
+		return fmt.Errorf("%w: tiles %d outside [0, %d]", ErrInvalid, tiles, sc.Workload.Tiles)
 	}
 	return nil
 }
@@ -201,7 +208,9 @@ func checkTiles(sc platform.Scenario, tiles int) error {
 // strategy, driver, evaluator, noise stream — without registering it or
 // touching the journal. CreateSession and restoreSession share it;
 // cfg.Strategy is already resolved (CreateSession fills the default,
-// and a journal records the resolved name).
+// and a journal records the resolved name). The session records that
+// resolved config, so a restored session answers a repeated create
+// exactly as a fresh one does.
 func (e *Engine) buildSession(cfg SessionConfig) (*Session, error) {
 	sc, err := resolveScenario(cfg)
 	if err != nil {
@@ -222,13 +231,20 @@ func (e *Engine) buildSession(cfg SessionConfig) (*Session, error) {
 		LP:         lpf,
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrUnknownName, err)
 	}
 	s := &Session{
 		driver: NewDriver(strat),
 		ev:     ev,
-		seed:   cfg.Seed,
-		noise:  stats.NewRNG(cfg.Seed),
+		cfg: journalConfig{
+			ScenarioKey: cfg.ScenarioKey,
+			Strategy:    cfg.Strategy,
+			Seed:        cfg.Seed,
+			Tiles:       cfg.Tiles,
+			Exact:       cfg.Exact,
+			GenNodes:    cfg.GenNodes,
+		},
+		noise: stats.NewRNG(cfg.Seed),
 	}
 	if e.tel != nil {
 		s.props = e.tel.Reg.Counter("phasetune_strategy_proposals_total",
@@ -240,17 +256,32 @@ func (e *Engine) buildSession(cfg SessionConfig) (*Session, error) {
 // CreateSession builds a session: scenario, LP bound, strategy, driver,
 // evaluator and noise stream. With journaling enabled the session's
 // create record is durable before CreateSession returns. The returned
-// ID addresses the session in every other call.
+// ID addresses the session in every other call. Creating a live id
+// again returns the live session (see SessionConfig.ID).
 func (e *Engine) CreateSession(cfg SessionConfig) (*Session, error) {
+	s, _, err := e.createSession(context.Background(), cfg) //lint:allow ctxflow pre-context API; the ship client carries its own timeout
+	return s, err
+}
+
+// createSession is CreateSession under ctx, which bounds the create
+// record's replication round-trip, and reports whether it replayed a
+// live session. A create is keyed by its id as other mutations are by
+// their idempotency keys: a live id with the same resolved config
+// replays, writing, shipping and emitting nothing, and another config
+// is an ErrIdemConflict. A replay waits on the session's mutex, which
+// its create holds until the record is on both disks or rolled back.
+// A replica of the id held here is an owner's acked create retried past
+// that dead owner: it is promoted, then replayed.
+func (e *Engine) createSession(ctx context.Context, cfg SessionConfig) (*Session, bool, error) {
 	if e.closed.Load() {
-		return nil, ErrClosed
+		return nil, false, ErrClosed
 	}
 	if e.journalDir != "" && cfg.Scenario != nil {
-		return nil, fmt.Errorf("engine: explicit scenarios are not journalable; use a scenario key")
+		return nil, false, fmt.Errorf("%w: explicit scenarios are not journalable; use a scenario key", ErrInvalid)
 	}
 	if cfg.ID != "" {
 		if err := ValidateSessionID(cfg.ID); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 	}
 	if cfg.Strategy == "" {
@@ -258,76 +289,95 @@ func (e *Engine) CreateSession(cfg SessionConfig) (*Session, error) {
 	}
 	sc, err := resolveScenario(cfg)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if err := checkTiles(sc, cfg.Tiles); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	s, err := e.buildSession(cfg)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-
-	e.mu.Lock()
-	if cfg.ID != "" {
-		if _, taken := e.sessions[cfg.ID]; taken {
-			e.mu.Unlock()
-			return nil, fmt.Errorf("engine: session %q already exists", cfg.ID)
-		}
-		s.id = cfg.ID
-	} else {
-		// Mint "s<n>", skipping ids a client already claimed.
-		for {
-			e.nextID++
-			s.id = fmt.Sprintf("s%d", e.nextID)
-			if _, taken := e.sessions[s.id]; !taken {
-				break
-			}
+	if cfg.ID != "" && e.replicas != nil {
+		if _, err := e.PromoteReplica(ctx, cfg.ID, 0); err != nil && !errors.Is(err, ErrNoReplica) {
+			return nil, false, err
 		}
 	}
-	e.sessions[s.id] = s
-	e.mu.Unlock()
+	for {
+		live := e.register(s, cfg.ID)
+		if live == nil {
+			break
+		}
+		// Wait out live's create; a rolled-back one left the registry.
+		live.mu.Lock()
+		cur, _ := e.Session(cfg.ID)
+		live.mu.Unlock()
+		if cur != live {
+			continue
+		}
+		if live.cfg != s.cfg {
+			return nil, false, fmt.Errorf("%w: session %q exists with another config", ErrIdemConflict, cfg.ID)
+		}
+		return live, true, nil
+	}
+	defer s.mu.Unlock()
 
 	if e.journalDir != "" {
-		jl, err := newJournal(e.journalDir, s.id, journalConfig{
-			ScenarioKey: cfg.ScenarioKey,
-			Strategy:    cfg.Strategy,
-			Seed:        cfg.Seed,
-			Tiles:       cfg.Tiles,
-			Exact:       cfg.Exact,
-			GenNodes:    cfg.GenNodes,
-		}, e.tel)
-		if err != nil {
-			e.mu.Lock()
-			delete(e.sessions, s.id)
-			e.mu.Unlock()
-			return nil, err
+		jl, err := newJournal(e.journalDir, s.id, s.cfg, e.tel)
+		if err == nil {
+			s.jl = jl
+			// Ship the create record now, acked-before-visible, like every
+			// other fsync'd record: a session whose owner dies before its
+			// first op commits must still exist on its follower, or the
+			// supervisor would have nothing to promote and the id would be
+			// unservable until an operator intervened. A transport failure
+			// degrades (single-copy, lagging) exactly as op shipping does.
+			err = e.replicate(ctx, s, createRecord(s.cfg, jl.gen))
 		}
-		s.mu.Lock()
-		s.jl = jl
-		// Ship the create record now, acked-before-visible, like every
-		// other fsync'd record: a session whose owner dies before its
-		// first op commits must still exist on its follower, or the
-		// supervisor would have nothing to promote and the id would be
-		// unservable until an operator intervened. A transport failure
-		// degrades (single-copy, lagging) exactly as op shipping does.
-		replErr := e.replicate(context.Background(), s, jl.createRecord()) //lint:allow ctxflow pre-context API; the ship client carries its own timeout
-		s.mu.Unlock()
-		if replErr != nil {
-			// A refusal on a brand-new id means the id is already live
-			// at some generation elsewhere — acking this create would
-			// fork it. The journal file stays behind for forensics; a
-			// restart that replays it is refused the same way on its
-			// first commit.
+		if err != nil {
+			// Roll back. A refusal on a brand-new id means the id is
+			// already live at some generation elsewhere — acking this
+			// create would fork it. The journal file stays behind for
+			// forensics; a restart that replays it is refused the same
+			// way on its first commit. An operation that found s
+			// meanwhile sees it failed closed.
+			s.broken = true
 			e.mu.Lock()
 			delete(e.sessions, s.id)
 			e.mu.Unlock()
-			return nil, replErr
+			return nil, false, err
 		}
 	}
 	e.tel.Emit("session.created", s.id, "",
-		map[string]any{"strategy": s.driver.Name(), "seed": s.seed})
-	return s, nil
+		map[string]any{"strategy": s.driver.Name(), "seed": s.cfg.Seed})
+	return s, false, nil
+}
+
+// register enters s into the registry under id, or under a fresh
+// engine-minted "s<n>" when id is empty, and returns with s.mu held:
+// whoever finds s there waits on it until its create is durable or
+// rolled back. When a live session holds id already, register leaves s
+// out and returns that session instead.
+func (e *Engine) register(s *Session, id string) *Session {
+	s.mu.Lock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if id == "" {
+		// Mint "s<n>", skipping ids a client already claimed.
+		for {
+			e.nextID++
+			id = fmt.Sprintf("s%d", e.nextID)
+			if _, taken := e.sessions[id]; !taken {
+				break
+			}
+		}
+	} else if live, taken := e.sessions[id]; taken {
+		s.mu.Unlock()
+		return live
+	}
+	s.id = id
+	e.sessions[id] = s
+	return nil
 }
 
 // Session returns a session by ID.
@@ -342,7 +392,7 @@ func (e *Engine) Session(id string) (*Session, bool) {
 func (e *Engine) Result(id string) (SessionResult, error) {
 	s, ok := e.Session(id)
 	if !ok {
-		return SessionResult{}, fmt.Errorf("engine: no session %q", id)
+		return SessionResult{}, fmt.Errorf("%w %q", ErrNoSession, id)
 	}
 	return s.result(), nil
 }
@@ -414,7 +464,7 @@ func (e *Engine) checkout(id string) (*Session, error) {
 	}
 	s, ok := e.Session(id)
 	if !ok {
-		return nil, fmt.Errorf("engine: no session %q", id)
+		return nil, fmt.Errorf("%w %q", ErrNoSession, id)
 	}
 	return s, nil
 }
@@ -461,7 +511,7 @@ func (e *Engine) AdvanceEpochIdem(ctx context.Context, id, key string) (int, boo
 		return ent.epoch, true, nil
 	}
 	if s.broken {
-		return 0, false, fmt.Errorf("engine: session %q failed closed on a journal error", id)
+		return 0, false, fmt.Errorf("%w: %q", ErrFailedClosed, id)
 	}
 	s.epoch++
 	e.cache.DropEpochsBelow(s.ev.Fingerprint(), s.epoch)

@@ -63,7 +63,8 @@ const (
 // health and readiness endpoints, and a draining mode for graceful
 // shutdown.
 //
-//	POST /v1/sessions                     create a session (optional client-assigned "id")
+//	POST /v1/sessions                     create a session (optional client-assigned "id";
+//	                                      a repeat of a live id replays it)
 //	GET  /v1/sessions/{id}                session result (trajectory, best, regret)
 //	POST /v1/sessions/{id}/step           one sequential tuning step
 //	POST /v1/sessions/{id}/batch-step     k speculative steps (constant liar)
@@ -474,7 +475,7 @@ func (s *Server) routes() {
 			s.error(w, bodyStatus(err), fmt.Errorf("bad request body: %w", err))
 			return
 		}
-		sess, err := s.e.CreateSession(SessionConfig{
+		sess, replayed, err := s.e.createSession(r.Context(), SessionConfig{
 			ID:          req.ID,
 			ScenarioKey: req.Scenario,
 			Strategy:    req.Strategy,
@@ -487,6 +488,7 @@ func (s *Server) routes() {
 			s.error(w, statusFor(err), err)
 			return
 		}
+		markReplayed(w, replayed)
 		writeJSON(w, http.StatusCreated, createSessionResponse{
 			ID:       sess.id,
 			Scenario: sess.ev.Scenario.Name,
@@ -494,7 +496,7 @@ func (s *Server) routes() {
 			Nodes:    sess.ev.Scenario.Platform.N(),
 			MinNodes: sess.ev.Scenario.MinNodes,
 			Groups:   sess.ev.Scenario.Platform.GroupSizes(),
-			Seed:     sess.seed,
+			Seed:     sess.cfg.Seed,
 		})
 	})
 	s.handle("GET /v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
@@ -519,7 +521,7 @@ func (s *Server) routes() {
 			return
 		}
 		if _, ok := s.e.Session(id); !ok {
-			s.error(w, http.StatusNotFound, fmt.Errorf("engine: no session %q", id))
+			s.error(w, http.StatusNotFound, fmt.Errorf("%w %q", ErrNoSession, id))
 			return
 		}
 		data, ok := s.e.tel.Trace.Export(id)

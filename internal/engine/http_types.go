@@ -7,14 +7,13 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"strings"
 
 	"phasetune/internal/harness"
 	"phasetune/internal/platform"
 )
 
 type createSessionRequest struct {
-	ID       string `json:"id"`       // optional client-assigned id (the shard router mints these)
+	ID       string `json:"id"`       // optional client-assigned id (clients mint these; the router mints one when absent)
 	Scenario string `json:"scenario"` // paper key a..p
 	Strategy string `json:"strategy"` // harness.NewStrategy name
 	Seed     int64  `json:"seed"`
@@ -75,36 +74,23 @@ func simOptions(req sweepRequest) harness.SimOptions {
 	return harness.SimOptions{Tiles: req.Tiles, Exact: req.Exact}
 }
 
-// statusFor maps engine errors onto HTTP statuses: unknown names are
-// client errors, timeouts and shutdown surface as gateway/availability
-// statuses, everything else is a server-side evaluation failure.
+// statusFor maps engine errors onto HTTP statuses by their kind: a
+// missing session or an unknown name is 404, a malformed request 400, a
+// conflicting repeat or a fenced-out session 409; timeouts, shutdown
+// and failed-closed sessions surface as gateway or availability
+// statuses, and everything else is a server-side failure.
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
+	case errors.Is(err, context.Canceled), errors.Is(err, ErrClosed), errors.Is(err, ErrFailedClosed):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, ErrClosed):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, ErrIdemConflict):
+	case errors.Is(err, ErrIdemConflict), errors.Is(err, ErrStaleGeneration), errors.Is(err, ErrReplicaGap):
 		return http.StatusConflict
-	}
-	msg := err.Error()
-	if strings.Contains(msg, "no session") ||
-		strings.Contains(msg, "unknown scenario") ||
-		strings.Contains(msg, "unknown strategy") {
+	case errors.Is(err, ErrNoSession), errors.Is(err, ErrUnknownName):
 		return http.StatusNotFound
-	}
-	if strings.Contains(msg, "outside [") ||
-		strings.Contains(msg, "not journalable") ||
-		strings.Contains(msg, "session id") {
+	case errors.Is(err, ErrInvalid):
 		return http.StatusBadRequest
-	}
-	if strings.Contains(msg, "already exists") || strings.Contains(msg, "fenced out") {
-		return http.StatusConflict
-	}
-	if strings.Contains(msg, "failed closed") {
-		return http.StatusServiceUnavailable
 	}
 	return http.StatusInternalServerError
 }

@@ -112,9 +112,11 @@ type journalRecord struct {
 // future version fails recovery instead of being misread.
 const journalFormatVersion = 2
 
-// journalConfig is the durable form of a SessionConfig. Only
-// key-addressable scenarios can be journaled (an explicit
-// platform.Scenario has no stable name to re-resolve at recovery).
+// journalConfig is the durable form of a SessionConfig, with the
+// strategy resolved: the config a Session records, and the one its
+// journal's create record carries. Only key-addressable scenarios can
+// be journaled (an explicit platform.Scenario has no stable name to
+// re-resolve at recovery).
 type journalConfig struct {
 	ScenarioKey string `json:"scenario_key"`
 	Strategy    string `json:"strategy"`
@@ -149,13 +151,13 @@ type snapshotFile struct {
 }
 
 // journal is where one session's journal file lives and what its next
-// record carries; it holds no descriptor and no records. All methods
-// are called under the owning session's mutex, so the journal itself
-// needs no lock.
+// record carries; it holds no descriptor, no records and no config (the
+// create record is built from the session's own). All methods are
+// called under the owning session's mutex, so the journal itself needs
+// no lock.
 type journal struct {
 	dir string
 	id  string
-	cfg journalConfig
 	seq int64
 	// gen is the session's generation (fencing token), stamped on every
 	// record: fresh sessions start at 1, each promotion bumps it, and
@@ -217,8 +219,8 @@ func appendRecords(dir, id string, recs []journalRecord) error {
 // same ID is removed, durably, before the session is considered
 // durable (recovery would read it ahead of the new journal).
 func newJournal(dir, id string, cfg journalConfig, tel *obsv.Telemetry) (*journal, error) {
-	j := &journal{dir: dir, id: id, cfg: cfg, gen: 1, tel: tel}
-	if err := appendRecords(dir, id, []journalRecord{j.createRecord()}); err != nil {
+	j := &journal{dir: dir, id: id, gen: 1, tel: tel}
+	if err := appendRecords(dir, id, []journalRecord{createRecord(cfg, j.gen)}); err != nil {
 		return nil, err
 	}
 	if err := os.Remove(snapshotPath(dir, id)); err == nil {
@@ -234,9 +236,8 @@ func newJournal(dir, id string, cfg journalConfig, tel *obsv.Telemetry) (*journa
 // createRecord builds the first record of a fresh journal. It is the
 // one place the format version is stamped, so replicas that mirror the
 // create record byte-for-byte inherit the version too.
-func (j *journal) createRecord() journalRecord {
-	cfg := j.cfg
-	return journalRecord{T: "create", V: journalFormatVersion, Gen: j.gen, Config: &cfg}
+func createRecord(cfg journalConfig, gen uint64) journalRecord {
+	return journalRecord{T: "create", V: journalFormatVersion, Gen: gen, Config: &cfg}
 }
 
 // append journals one committed operation under the next sequence
@@ -260,14 +261,14 @@ func (j *journal) append(rec journalRecord) (journalRecord, error) {
 }
 
 // history reads the session's whole history back from disk, as a
-// follower resync ships it: the create record, then every operation
-// (a legacy snapshot's first).
-func (j *journal) history() ([]journalRecord, error) {
+// follower resync ships it: the create record of cfg, the session's
+// config, then every operation (a legacy snapshot's first).
+func (j *journal) history(cfg journalConfig) ([]journalRecord, error) {
 	st, err := loadSessionState(j.dir, j.id)
 	if err != nil {
 		return nil, err
 	}
-	return append([]journalRecord{j.createRecord()}, st.ops...), nil
+	return append([]journalRecord{createRecord(cfg, j.gen)}, st.ops...), nil
 }
 
 // sessionState is one session's durable state as read back from disk.

@@ -88,7 +88,7 @@ func (e *Engine) restoreSession(id string) (*Session, int, error) {
 		}
 	}
 	// v1 journals predate fencing and recover as generation 1.
-	s.jl = &journal{dir: e.journalDir, id: id, cfg: st.cfg, seq: st.seq, gen: max(st.gen, 1), tel: e.tel}
+	s.jl = &journal{dir: e.journalDir, id: id, seq: st.seq, gen: max(st.gen, 1), tel: e.tel}
 	return s, len(st.ops), nil
 }
 

@@ -134,7 +134,7 @@ func (e *Engine) replicate(ctx context.Context, s *Session, rec journalRecord) e
 		recs := []journalRecord{rec}
 		if resync {
 			var err error
-			if recs, err = s.jl.history(); err != nil {
+			if recs, err = s.jl.history(s.cfg); err != nil {
 				return err
 			}
 		}
@@ -550,9 +550,9 @@ func (e *Engine) PromoteReplica(ctx context.Context, id string, minGen uint64) (
 	return PromotedSession{ID: id, Iterations: len(s.actions), Epoch: s.epoch, Gen: newGen}, nil
 }
 
-// generation reads the session's fencing token under its lock: zero
-// without a journal, which a journaled session lacks only while
-// CreateSession is still writing its create record.
+// generation reads the session's fencing token under its lock, so it
+// waits out a create still making the session durable: zero without a
+// journal, which a journaled session lacks only when its create failed.
 func (s *Session) generation() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

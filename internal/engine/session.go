@@ -20,7 +20,10 @@ type Session struct {
 	id     string
 	driver *Driver
 	ev     *harness.Evaluator
-	seed   int64
+	// cfg is the session's resolved config: the body of its journal's
+	// create record, and what a repeated create of its id must match to
+	// replay it.
+	cfg journalConfig
 	// props counts this session's strategy proposals (nil-safe counter;
 	// nil when the engine runs without telemetry).
 	props *obsv.Counter
@@ -55,10 +58,13 @@ type Session struct {
 
 // SessionConfig describes a session to create.
 type SessionConfig struct {
-	// ID, when non-empty, is the client-assigned session id (the shard
-	// router mints these so a session's placement is a pure function of
-	// its id). Must satisfy ValidateSessionID; creating a second session
-	// with a live id fails. Empty lets the engine mint "s<n>".
+	// ID, when non-empty, is the client-assigned session id (clients
+	// mint these, so a session's placement is a pure function of its id
+	// and a retried create can find what its first attempt made). Must
+	// satisfy ValidateSessionID. Creating a live id again replays that
+	// session when the resolved config matches, and is an
+	// ErrIdemConflict when it does not. Empty lets the engine mint
+	// "s<n>".
 	ID string
 	// ScenarioKey selects a paper scenario (a..p); Scenario overrides it
 	// with an explicit platform description.
@@ -83,14 +89,11 @@ const maxSessionIDLen = 64
 // bounded, restricted to [A-Za-z0-9._-], and not starting with a dot
 // (ids name journal files, so no path separators or dotfiles).
 func ValidateSessionID(id string) error {
-	if id == "" {
-		return fmt.Errorf("engine: session id outside [1, %d] bytes", maxSessionIDLen)
-	}
-	if len(id) > maxSessionIDLen {
-		return fmt.Errorf("engine: session id outside [1, %d] bytes", maxSessionIDLen)
+	if id == "" || len(id) > maxSessionIDLen {
+		return fmt.Errorf("%w: session id outside [1, %d] bytes", ErrInvalid, maxSessionIDLen)
 	}
 	if id[0] == '.' {
-		return fmt.Errorf("engine: session id must not start with '.'")
+		return fmt.Errorf("%w: session id must not start with '.'", ErrInvalid)
 	}
 	for i := 0; i < len(id); i++ {
 		c := id[i]
@@ -98,7 +101,7 @@ func ValidateSessionID(id string) error {
 		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
 			c == '.', c == '_', c == '-':
 		default:
-			return fmt.Errorf("engine: session id holds invalid byte 0x%02x at %d", c, i)
+			return fmt.Errorf("%w: session id holds invalid byte 0x%02x at %d", ErrInvalid, c, i)
 		}
 	}
 	return nil

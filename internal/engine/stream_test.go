@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -249,9 +250,10 @@ func TestStreamRecoverPartial(t *testing.T) {
 	}
 }
 
-// TestClientAssignedSessionID: the router mints ids and the engine must
-// honor them — duplicates conflict, invalid ids are rejected, and
-// engine-minted ids skip claimed ones.
+// TestClientAssignedSessionID: clients mint ids and the engine must
+// honor them — a duplicate replays the live session or, with another
+// config, conflicts; invalid ids are rejected, and engine-minted ids
+// skip claimed ones.
 func TestClientAssignedSessionID(t *testing.T) {
 	e := New(1)
 	cfg := SessionConfig{ScenarioKey: "b", Strategy: "DC", Seed: 1, Tiles: 4}
@@ -264,8 +266,13 @@ func TestClientAssignedSessionID(t *testing.T) {
 	if s.id != "r00deadbeef" {
 		t.Fatalf("got id %q", s.id)
 	}
-	if _, err := e.CreateSession(cfg); err == nil || !strings.Contains(err.Error(), "already exists") {
-		t.Fatalf("duplicate id error = %v", err)
+	if again, err := e.CreateSession(cfg); err != nil || again != s {
+		t.Fatalf("duplicate with the same config: %v, want the live session", err)
+	}
+	other := cfg
+	other.Seed = 2
+	if _, err := e.CreateSession(other); !errors.Is(err, ErrIdemConflict) {
+		t.Fatalf("duplicate with another config: %v, want ErrIdemConflict", err)
 	}
 	for _, bad := range []string{"a/b", "..", ".hidden", strings.Repeat("x", 65), "sp ace", "nul\x00"} {
 		cfg.ID = bad

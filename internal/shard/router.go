@@ -96,8 +96,9 @@ func (st *shardState) view() Shard { return Shard{Name: st.name, Addr: st.addrSt
 
 // Router fronts a fleet of tuning workers with one address. Session-
 // addressed requests consistent-hash the session id onto a shard;
-// session creation mints an id first (or honors a client-assigned one)
-// so the create lands on the shard that will own every later request.
+// session creation routes by the id the client sent (or one the router
+// mints for a body without one) so the create lands on the shard that
+// will own every later request.
 // Sweeps hash their Idempotency-Key so a retry replays on the shard
 // holding the committed result. /metrics aggregates the fleet with a
 // shard label plus fleet-summed phasetune_fleet_* families; /readyz is
@@ -358,48 +359,59 @@ func (rt *Router) shardFor(key string) *shardState {
 	return rt.shards[rt.ring.Lookup(key)]
 }
 
+// registeredShard returns the shard the session registry names for
+// id, or nil when the id is not registered.
+func (rt *Router) registeredShard(id string) *shardState {
+	rt.sessMu.Lock()
+	defer rt.sessMu.Unlock()
+	if ent, ok := rt.sess[id]; ok {
+		return rt.shards[ent.owner]
+	}
+	return nil
+}
+
 // sessionShard maps a session id onto the shard serving it: the
 // supervisor's registry wins (a promoted session is served by its
 // follower, not its ring owner), the plain ring otherwise.
 func (rt *Router) sessionShard(id string) *shardState {
-	rt.sessMu.Lock()
-	ent, ok := rt.sess[id]
-	var owner string
-	if ok {
-		owner = ent.owner
-	}
-	rt.sessMu.Unlock()
-	if ok {
-		if st := rt.shards[owner]; st != nil {
-			return st
-		}
+	if st := rt.registeredShard(id); st != nil {
+		return st
 	}
 	return rt.shardFor(id)
 }
 
-// createShard picks where a new session is born. Unsupervised routing
-// is the pure ring owner — placement is predictable from the id alone.
-// A supervisor may skip a dead owner and place the session on the next
-// live member of its chain instead: the registry keeps later requests
-// sticky to wherever the create actually landed, so a fleet running
-// one member short keeps accepting every session id.
+// createShard picks where a create lands. A registered id is a retry
+// of a create that committed: it goes where the session is served now,
+// like every other request for the id, and replays there. A new
+// session is born on its ring owner, so placement is predictable from
+// the id alone — except that a supervisor may skip a dead owner and
+// place the session on the next live member of its chain instead: the
+// registry keeps later requests sticky to wherever the create actually
+// landed, so a fleet running one member short keeps accepting every
+// session id.
 func (rt *Router) createShard(id string) *shardState {
-	if !rt.supervise {
-		return rt.shardFor(id)
+	if st := rt.registeredShard(id); st != nil {
+		return st
 	}
-	chain := rt.ring.LookupN(id, len(rt.ring.Names()))
-	for _, name := range chain {
-		if st := rt.shards[name]; st != nil && st.up.Load() {
-			return st
+	if rt.supervise {
+		for _, name := range rt.ring.LookupN(id, len(rt.ring.Names())) {
+			if st := rt.shards[name]; st != nil && st.up.Load() {
+				return st
+			}
 		}
 	}
 	return rt.shardFor(id)
 }
 
-// registerSession records where a router-created session was born.
+// registerSession records where a router-created session was born. A
+// replayed create of a registered id leaves its entry as it is: the
+// create went to the registered shard, and a promotion that raced it
+// has repointed the entry at a higher generation.
 func (rt *Router) registerSession(id, shard string) {
 	rt.sessMu.Lock()
-	rt.sess[id] = &sessionEntry{owner: shard, gen: 1}
+	if _, ok := rt.sess[id]; !ok {
+		rt.sess[id] = &sessionEntry{owner: shard, gen: 1}
+	}
 	rt.sessMu.Unlock()
 }
 
@@ -680,9 +692,10 @@ const maxCreateBody = 1 << 20
 
 func (rt *Router) routes() {
 	// Session creation: the router must know the id before it can pick
-	// the shard, so a missing id is minted here and injected into the
-	// forwarded body. A client-assigned id passes through and routes by
-	// its own hash.
+	// the shard. A client-assigned id passes through and routes by its
+	// own hash, or to its registered shard when a retry repeats a create
+	// that committed; a body without one (a curl create, say) gets an id
+	// minted here and injected into the forwarded body.
 	rt.mux.HandleFunc("POST /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCreateBody))
 		if err != nil {
@@ -696,7 +709,12 @@ func (rt *Router) routes() {
 				return
 			}
 		}
-		id, _ := fields["id"].(string)
+		// A null id reads as none, as it does at the worker.
+		id, isString := fields["id"].(string)
+		if !isString && fields["id"] != nil {
+			rt.errJSON(w, http.StatusBadRequest, fmt.Errorf("bad request body: id must be a string"))
+			return
+		}
 		if id == "" {
 			id = rt.mintID()
 			fields["id"] = id

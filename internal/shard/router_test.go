@@ -112,6 +112,39 @@ func TestRouterSessionRouting(t *testing.T) {
 	}
 }
 
+// TestRouterRejectsNonStringID: a create whose id is not a JSON string
+// is a bad request at the router, as it is at a worker; the router
+// must not mint an id over it.
+func TestRouterRejectsNonStringID(t *testing.T) {
+	f := newFleet(t, 2)
+	for _, body := range []string{
+		`{"id":5,"scenario":"b","tiles":4}`,
+		`{"id":true,"scenario":"b","tiles":4}`,
+		`{"id":{"n":1},"scenario":"b","tiles":4}`,
+	} {
+		for _, base := range []string{f.front.URL, f.workers[0].URL} {
+			resp, err := http.Post(base+"/v1/sessions", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("create %s at %s: %d %s, want 400", body, base, resp.StatusCode, raw)
+			}
+		}
+	}
+	for i, e := range f.engines {
+		if n := e.Metrics().SessionsTotal; n != 0 {
+			t.Fatalf("worker %d holds %d sessions after rejected creates", i, n)
+		}
+	}
+	// A null id reads as no id at both hops: the router mints one.
+	if id, _ := f.createSession(t, `{"id":null,"scenario":"b","tiles":4}`); !strings.HasPrefix(id, "r") {
+		t.Fatalf("null id came back as %q, want a minted one", id)
+	}
+}
+
 func TestRouterIdempotencyForward(t *testing.T) {
 	f := newFleet(t, 2)
 	id, _ := f.createSession(t, sessionBody)

@@ -358,3 +358,64 @@ func TestRetryAfterOnBadGateway(t *testing.T) {
 		t.Fatalf("Retry-After %q outside [%d, %d] seconds", ra, retryAfterMin, retryAfterMax)
 	}
 }
+
+// TestCreateRetryFollowsRegistry: a create retried after its session
+// was promoted, and after the dead owner came back as a zombie, goes
+// where the registry says the session lives — the promoted follower —
+// and replays there. It does not reach the ring owner, and it leaves
+// the registered generation as the promotion set it.
+func TestCreateRetryFollowsRegistry(t *testing.T) {
+	f := newReplFleet(t, 3, nil)
+	const body = `{"id":"retry-1","scenario":"b","strategy":"GP-discontinuous","seed":5,"tiles":4}`
+	resp, first := f.post(t, "/v1/sessions", body)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d %s", resp.StatusCode, first)
+	}
+	owner := resp.Header.Get("X-Phasetune-Shard")
+	follower := f.ring.LookupN("retry-1", 2)[1]
+	var victim int
+	for i, name := range f.names {
+		if name == owner {
+			victim = i
+		}
+	}
+	f.workers[victim].Close()
+	f.router.CheckNow()
+	f.router.SuperviseNow(context.Background())
+
+	// The owner comes back on a new listener; its engine still holds the
+	// session at generation 1.
+	zombie := httptest.NewServer(engine.NewServer(f.engines[victim]))
+	t.Cleanup(zombie.Close)
+	if resp, raw := f.post(t, "/admin/shards", fmt.Sprintf(`{"name":%q,"addr":%q}`, owner, zombie.URL)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("repoint %s: %d %s", owner, resp.StatusCode, raw)
+	}
+
+	resp, again := f.post(t, "/v1/sessions", body)
+	if resp.StatusCode != http.StatusCreated || resp.Header.Get("Idempotency-Replayed") != "true" {
+		t.Fatalf("retried create: %d replayed=%q %s", resp.StatusCode, resp.Header.Get("Idempotency-Replayed"), again)
+	}
+	if got := resp.Header.Get("X-Phasetune-Shard"); got != follower {
+		t.Fatalf("retried create reached %s, want the registered follower %s", got, follower)
+	}
+	if string(again) != string(first) {
+		t.Fatalf("replayed create body differs:\n%s\nvs\n%s", first, again)
+	}
+
+	sresp, err := http.Get(f.front.URL + "/admin/sessions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sresp.Body.Close()
+	var sessions []struct {
+		ID    string `json:"id"`
+		Shard string `json:"shard"`
+		Gen   uint64 `json:"gen"`
+	}
+	if err := json.NewDecoder(sresp.Body).Decode(&sessions); err != nil {
+		t.Fatal(err)
+	}
+	if len(sessions) != 1 || sessions[0].Shard != follower || sessions[0].Gen < 2 {
+		t.Fatalf("registry %+v, want retry-1 on %s at generation >= 2", sessions, follower)
+	}
+}
