@@ -106,9 +106,16 @@ func (st *shardState) view() Shard { return Shard{Name: st.name, Addr: st.addrSt
 // fleet trace from every process's slice, and GET /v1/events merges
 // the fleet's structured event logs into one causal order.
 //
-// The router holds no tuning state: killing it loses nothing, and two
-// routers over the same fleet route identically (the ring is a pure
-// function of the shard names).
+// The ring is a pure function of the shard names, so two routers over
+// the same fleet place every unregistered session id alike. The session
+// registry is different: it is the only record of where a promotion, or
+// a create that skipped a dead owner, put a session, it lives in this
+// router's memory, and nothing rebuilds it when a router starts. A
+// restarted or second router sends such a session to its ring owner: it
+// answers 502/503 while that owner stays down, and once the owner is back
+// under -recover it serves the owner's stale copy until its first
+// commit is fenced. Addresses repointed through POST /admin/shards are
+// likewise held only here.
 type Router struct {
 	mux    *http.ServeMux
 	ring   *Ring
