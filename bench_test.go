@@ -5,6 +5,7 @@
 package phasetune_test
 
 import (
+	"math"
 	"testing"
 
 	"phasetune"
@@ -293,18 +294,34 @@ func BenchmarkSimulateIteration101(b *testing.B) {
 	}
 }
 
+// BenchmarkLPAllocation solves one allocation LP of the LP bound's shape
+// on a 64-node platform, generation on every node and factorization on
+// the 32 fastest: by the dense two-phase simplex, and by the closed form
+// harness.LPBound uses.
 func BenchmarkLPAllocation(b *testing.B) {
-	costs := make([]float64, 64)
-	for i := range costs {
-		costs[i] = 1 / float64(i%7+1)
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := lp.SolveAllocation([]lp.TaskClass{
-			{Name: "w", Count: 1e5, Costs: costs},
-		}, 64); err != nil {
-			b.Fatal(err)
+	gen := lp.TaskClass{Name: "gen", Count: 1e5, Costs: make([]float64, 64)}
+	fact := lp.TaskClass{Name: "fact", Count: 3e5, Costs: make([]float64, 64)}
+	for i := range gen.Costs {
+		gen.Costs[i] = 1 / float64(i%7+1)
+		fact.Costs[i] = math.Inf(1)
+		if i < 32 {
+			fact.Costs[i] = 1 / float64(64-i)
 		}
 	}
+	b.Run("simplex", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := lp.SolveAllocation([]lp.TaskClass{gen, fact}, 64); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("closed-form", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := lp.TwoClassMakespan(gen, fact); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkTiledCholesky(b *testing.B) {
@@ -348,11 +365,13 @@ func BenchmarkFluidNetwork(b *testing.B) {
 	}
 }
 
-// BenchmarkGPFitPredict times one GP fit plus its predictions in two
-// shapes: 60 distinct inputs with 15 predictions, and the shape of a
-// late GP-discontinuous proposal on the long-tune benchmark workload,
-// 190 history entries on 60 distinct actions (replicates and
-// constant-liar lies) with predictions at 70 allowed actions.
+// BenchmarkGPFitPredict times one GP fit plus its predictions in three
+// shapes: 60 distinct inputs with 15 predictions; the shape of a late
+// GP-discontinuous proposal on the long-tune benchmark workload in
+// strategy model 1, 190 history entries on 60 distinct actions
+// (replicates and constant-liar lies) with predictions at 70 allowed
+// actions; and the same history in model 2, one point per action at the
+// mean of its entries.
 func BenchmarkGPFitPredict(b *testing.B) {
 	b.Run("distinct-60", func(b *testing.B) {
 		rng := stats.NewRNG(2)
@@ -378,32 +397,33 @@ func BenchmarkGPFitPredict(b *testing.B) {
 			}
 		}
 	})
-	b.Run("long-tune", func(b *testing.B) {
-		rng := stats.NewRNG(2)
-		var xs [][]float64
-		var ys []float64
-		for i := 0; i < 190; i++ {
-			// Every one of the 60 actions at least once, then repeats.
-			a := i
-			if i >= 60 {
-				a = rng.Intn(60)
-			}
-			xs = append(xs, []float64{float64(5 + a)})
-			ys = append(ys, 10+0.05*float64(a)+rng.Normal(0, 0.5))
+
+	rng := stats.NewRNG(2)
+	var xs [][]float64
+	var ys []float64
+	for i := 0; i < 190; i++ {
+		// Every one of the 60 actions at least once, then repeats.
+		a := i
+		if i >= 60 {
+			a = rng.Intn(60)
 		}
-		inGroup := func(lo, hi float64) gp.BasisFunc {
-			return gp.IndicatorBasis(func(x []float64) bool { return x[0] > lo && x[0] <= hi })
-		}
-		model := gp.Model{
-			Kernel: gp.Exponential{Alpha: 1, Theta: 1},
-			Noise:  gp.EstimateNoise(xs, ys, 0.25),
-			Basis: []gp.BasisFunc{gp.ConstantBasis(), gp.LinearBasis(0),
-				inGroup(25, 50), inGroup(50, 75)},
-		}
-		preds := make([][]float64, 70)
-		for i := range preds {
-			preds[i] = []float64{float64(5 + i)}
-		}
+		xs = append(xs, []float64{float64(5 + a)})
+		ys = append(ys, 10+0.05*float64(a)+rng.Normal(0, 0.5))
+	}
+	inGroup := func(lo, hi float64) gp.BasisFunc {
+		return gp.IndicatorBasis(func(x []float64) bool { return x[0] > lo && x[0] <= hi })
+	}
+	model := gp.Model{
+		Kernel: gp.Exponential{Alpha: 1, Theta: 1},
+		Noise:  gp.EstimateNoise(xs, ys, 0.25),
+		Basis: []gp.BasisFunc{gp.ConstantBasis(), gp.LinearBasis(0),
+			inGroup(25, 50), inGroup(50, 75)},
+	}
+	preds := make([][]float64, 70)
+	for i := range preds {
+		preds[i] = []float64{float64(5 + i)}
+	}
+	fitPredict := func(b *testing.B, model gp.Model, xs [][]float64, ys []float64) {
 		mean := make([]float64, len(preds))
 		sd := make([]float64, len(preds))
 		b.ReportAllocs()
@@ -415,6 +435,31 @@ func BenchmarkGPFitPredict(b *testing.B) {
 			}
 			fit.PredictAll(preds, mean, sd)
 		}
+	}
+	b.Run("long-tune", func(b *testing.B) { fitPredict(b, model, xs, ys) })
+	b.Run("long-tune-means", func(b *testing.B) {
+		// Group as GP-discontinuous does in model 2: first-occurrence
+		// order, sums in history order.
+		var ux [][]float64
+		var means []float64
+		var reps []int
+		slot := map[float64]int{}
+		for i, x := range xs {
+			j, ok := slot[x[0]]
+			if !ok {
+				j = len(ux)
+				slot[x[0]] = j
+				ux, means, reps = append(ux, x), append(means, 0), append(reps, 0)
+			}
+			means[j] += ys[i]
+			reps[j]++
+		}
+		for j, k := range reps {
+			means[j] /= float64(k)
+		}
+		grouped := model
+		grouped.Reps = reps
+		fitPredict(b, grouped, ux, means)
 	})
 }
 

@@ -82,8 +82,8 @@ func TestCmdServeSmoke(t *testing.T) {
 	if !strings.Contains(out, "selfcheck ok") || !strings.Contains(out, "best n=") {
 		t.Fatalf("serve selfcheck output:\n%s", out)
 	}
-	// The selfcheck probes the whole telemetry surface: Prometheus text
-	// and JSON /metrics, the session trace endpoint, the pprof mux and
+	// The selfcheck probes the whole telemetry surface: the Prometheus
+	// text at /metrics, the session trace endpoint, the pprof mux and
 	// the -trace-dir file written at shutdown.
 	for _, want := range []string{"telemetry ok", "pprof ok", "trace file ok"} {
 		if !strings.Contains(out, want) {

@@ -98,6 +98,11 @@ type GPStrategy struct {
 	variant GPVariant
 	opt     GPOptions
 	hist    *history
+	// means selects strategy model 2 for GP-discontinuous: the surrogate
+	// conditions on one point per distinct action, the mean of its LP
+	// residuals. Model 1 conditions on every history entry; it stays for
+	// the sessions journaled before model 2 (see NewGPDiscontinuousModel1).
+	means bool
 
 	allowed   []int // action set after the LP bound (set after iter 1)
 	initQueue []int // parsimonious initial design (Section IV-D)
@@ -119,7 +124,19 @@ func NewGPUCB(ctx Context, opt GPOptions) *GPStrategy {
 
 // NewGPDiscontinuous builds the paper's proposed strategy.
 func NewGPDiscontinuous(ctx Context, opt GPOptions) *GPStrategy {
-	return newGP(ctx, VariantDiscontinuous, opt)
+	g := newGP(ctx, VariantDiscontinuous, opt)
+	g.means = true
+	return g
+}
+
+// NewGPDiscontinuousModel1 builds GP-discontinuous, paper settings, in
+// strategy model 1: the surrogate conditions on every history entry,
+// replicates and lies included, as it did before model 2. Both models
+// have the same posterior in exact arithmetic but not bit for bit, and
+// a restored session must re-propose its journaled actions, so this is
+// only for sessions whose journals name model 1.
+func NewGPDiscontinuousModel1(ctx Context) *GPStrategy {
+	return newGP(ctx, VariantDiscontinuous, GPOptions{})
 }
 
 func newGP(ctx Context, v GPVariant, opt GPOptions) *GPStrategy {
@@ -344,7 +361,11 @@ func (g *GPStrategy) modelSelect() int {
 		}
 	}
 
-	fit, err := model.FitModel(xs, ys)
+	fitXs, fitYs := xs, ys
+	if g.means {
+		fitXs, fitYs, model.Reps = actionMeans(xs, ys)
+	}
+	fit, err := model.FitModel(fitXs, fitYs)
 	if err != nil {
 		// Singular surrogate (degenerate design): fall back to the
 		// least-measured allowed action to regain information.
@@ -391,6 +412,34 @@ func (g *GPStrategy) modelSelect() int {
 		}
 	}
 	return best
+}
+
+// actionMeans groups 1-D integer inputs: one point per distinct action
+// in first-occurrence order, the mean of its ys, and how many entries
+// it averages. The groups sit in a slice indexed by action, not a map,
+// so the sums run in history order.
+func actionMeans(xs [][]float64, ys []float64) (ux [][]float64, means []float64, reps []int) {
+	lo, hi := int(xs[0][0]), int(xs[0][0])
+	for _, x := range xs {
+		lo, hi = min(lo, int(x[0])), max(hi, int(x[0]))
+	}
+	slot := make([]int, hi-lo+1) // 1 + index of the action's point; 0 = unseen
+	for i, x := range xs {
+		a := int(x[0]) - lo
+		if slot[a] == 0 {
+			ux = append(ux, x)
+			means = append(means, 0)
+			reps = append(reps, 0)
+			slot[a] = len(ux)
+		}
+		j := slot[a] - 1
+		means[j] += ys[i]
+		reps[j]++
+	}
+	for j, k := range reps {
+		means[j] /= float64(k)
+	}
+	return ux, means, reps
 }
 
 // inputs views 1-D values as GP inputs without copying them.

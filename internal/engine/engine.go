@@ -204,33 +204,58 @@ func checkTiles(sc platform.Scenario, tiles int) error {
 	return nil
 }
 
+// freshModel is the strategy model every new session gets and names in
+// its create record. Model 2 solves the LP bound in closed form and fits
+// GP-discontinuous on per-action means. Model 1, the simplex bound and
+// the fit on every history entry, is what a create record naming no
+// model means: journals written before model 2 replay in it. The two
+// agree in exact arithmetic but not bit for bit, and a restored session
+// must re-propose its journaled actions, so the model is journaled and
+// never changes over a session's life.
+const freshModel = 2
+
 // buildSession constructs a session's machinery — scenario, LP bound,
 // strategy, driver, evaluator, noise stream — without registering it or
 // touching the journal. CreateSession and restoreSession share it;
 // cfg.Strategy is already resolved (CreateSession fills the default,
-// and a journal records the resolved name). The session records that
-// resolved config, so a restored session answers a repeated create
-// exactly as a fresh one does.
-func (e *Engine) buildSession(cfg SessionConfig) (*Session, error) {
+// and a journal records the resolved name), and model is the create
+// record's: freshModel for a new session, the journal's for a restored
+// one (0 when it names none). The session records that resolved config,
+// so a restored session answers a repeated create exactly as a fresh
+// one does, and a resync ships its create record unchanged.
+func (e *Engine) buildSession(cfg SessionConfig, model int) (*Session, error) {
 	sc, err := resolveScenario(cfg)
 	if err != nil {
 		return nil, err
 	}
 	opts := harness.SimOptions{Tiles: cfg.Tiles, Exact: cfg.Exact, GenNodes: cfg.GenNodes}
 	ev := harness.NewEvaluator(sc, opts)
-	lpf, err := e.lp.bound(ev.Fingerprint(), func() (func(int) float64, error) {
-		return harness.LPBound(sc, opts)
-	})
+	var lpf func(int) float64
+	switch model {
+	case 0, 1:
+		// The simplex costs up to a second per fingerprint, which a
+		// restart over many model-1 sessions would pay per session.
+		lpf, err = e.lp.bound(ev.Fingerprint(), func() (func(int) float64, error) {
+			return harness.SimplexLPBound(sc, opts)
+		})
+	case 2:
+		lpf, err = harness.LPBound(sc, opts)
+	default:
+		err = fmt.Errorf("engine: strategy model %d is unknown to this binary", model)
+	}
 	if err != nil {
 		return nil, err
 	}
-	strat, err := harness.NewStrategy(cfg.Strategy, core.Context{
+	sctx := core.Context{
 		N:          sc.Platform.N(),
 		Min:        sc.MinNodes,
 		GroupSizes: sc.Platform.GroupSizes(),
 		LP:         lpf,
-	})
-	if err != nil {
+	}
+	var strat core.Strategy
+	if model != 2 && cfg.Strategy == "GP-discontinuous" {
+		strat = core.NewGPDiscontinuousModel1(sctx)
+	} else if strat, err = harness.NewStrategy(cfg.Strategy, sctx); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrUnknownName, err)
 	}
 	s := &Session{
@@ -243,6 +268,7 @@ func (e *Engine) buildSession(cfg SessionConfig) (*Session, error) {
 			Tiles:       cfg.Tiles,
 			Exact:       cfg.Exact,
 			GenNodes:    cfg.GenNodes,
+			Model:       model,
 		},
 		noise: stats.NewRNG(cfg.Seed),
 	}
@@ -266,9 +292,9 @@ func (e *Engine) CreateSession(cfg SessionConfig) (*Session, error) {
 // createSession is CreateSession under ctx, which bounds the create
 // record's replication round-trip, and reports whether it replayed a
 // live session. A create is keyed by its id as other mutations are by
-// their idempotency keys: a live id with the same resolved config
-// replays, writing, shipping and emitting nothing, and another config
-// is an ErrIdemConflict. A replay waits on the session's mutex, which
+// their idempotency keys: a live id with the same resolved config,
+// whatever its strategy model, replays, writing, shipping and emitting
+// nothing, and another config is an ErrIdemConflict. A replay waits on the session's mutex, which
 // its create holds until the record is on both disks or rolled back.
 // A replica of the id held here is an owner's acked create retried past
 // that dead owner: it is promoted, then replayed.
@@ -294,7 +320,7 @@ func (e *Engine) createSession(ctx context.Context, cfg SessionConfig) (*Session
 	if err := checkTiles(sc, cfg.Tiles); err != nil {
 		return nil, false, err
 	}
-	s, err := e.buildSession(cfg)
+	s, err := e.buildSession(cfg, freshModel)
 	if err != nil {
 		return nil, false, err
 	}
@@ -315,7 +341,7 @@ func (e *Engine) createSession(ctx context.Context, cfg SessionConfig) (*Session
 		if cur != live {
 			continue
 		}
-		if live.cfg != s.cfg {
+		if !live.cfg.sameRequest(s.cfg) {
 			return nil, false, fmt.Errorf("%w: session %q exists with another config", ErrIdemConflict, cfg.ID)
 		}
 		return live, true, nil

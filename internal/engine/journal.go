@@ -27,8 +27,9 @@ import (
 // observations double as an integrity check (a replayed observation
 // that does not reproduce bit-identically means the journal and the
 // binary disagree).
-// GP-discontinuous refits on the whole observation history, so replay
-// needs every record and no compaction could drop one.
+// GP-discontinuous refits on the whole observation history (both
+// strategy models: model 2 condenses it into per-action means), so
+// replay needs every record and no compaction could drop one.
 //
 // Record grammar (field presence by type):
 //
@@ -79,7 +80,10 @@ import (
 // (absent on v1 journals, which predate replication); gen is the
 // session's generation (fencing token), stamped on every record so a
 // replica can reject appends from a deposed owner. Both fields are
-// omitempty, so v1 journals replay unchanged.
+// omitempty, so v1 journals replay unchanged. The create record's
+// config carries the session's strategy model (v3; see freshModel):
+// fresh sessions write "model":2, and a config without a model, as
+// every v1 and v2 journal has, means model 1.
 //
 // Torn tails are expected: a crash mid-append leaves a partial final
 // line, which recovery drops (the operation never committed) and then
@@ -107,10 +111,12 @@ type journalRecord struct {
 }
 
 // journalFormatVersion is the version stamped on fresh create records.
-// v2 added the generation (fencing) field and the "gen" record type;
-// v1 journals (no version field) replay unchanged, and a journal from a
-// future version fails recovery instead of being misread.
-const journalFormatVersion = 2
+// v2 added the generation (fencing) field and the "gen" record type; v3
+// added the strategy model to the config. v1 and v2 journals replay
+// unchanged, and a journal from a future version fails recovery instead
+// of being misread: a binary that reads up to v2 refuses a model-2
+// journal rather than replay it in model 1.
+const journalFormatVersion = 3
 
 // journalConfig is the durable form of a SessionConfig, with the
 // strategy resolved: the config a Session records, and the one its
@@ -124,6 +130,17 @@ type journalConfig struct {
 	Tiles       int    `json:"tiles,omitempty"`
 	Exact       bool   `json:"exact,omitempty"`
 	GenNodes    int    `json:"gen_nodes,omitempty"`
+	// Model is the strategy model (freshModel for new sessions); 0, as
+	// journals written before model 2 read back, means model 1.
+	Model int `json:"model,omitempty"`
+}
+
+// sameRequest reports whether two configs answer the same create
+// request. The engine picks the model, not the client, so a repeated
+// create of a session restored in model 1 replays it.
+func (c journalConfig) sameRequest(o journalConfig) bool {
+	c.Model, o.Model = 0, 0
+	return c == o
 }
 
 func (c journalConfig) sessionConfig() SessionConfig {

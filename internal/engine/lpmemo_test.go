@@ -102,8 +102,10 @@ func TestLPMemoBounded(t *testing.T) {
 	}
 }
 
-// TestCreateSessionMemoizesLPBound: sessions on one fingerprint share
-// one LP solve; another tile count is another fingerprint.
+// TestCreateSessionMemoizesLPBound: model-2 creates solve the bound in
+// closed form and leave the memo alone, while model-1 sessions restored
+// on one fingerprint share one simplex solve; another tile count is
+// another fingerprint.
 func TestCreateSessionMemoizesLPBound(t *testing.T) {
 	e := New(1)
 	for _, tiles := range []int{4, 4, 6} {
@@ -111,7 +113,17 @@ func TestCreateSessionMemoizesLPBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := len(e.lp.entries); n != 2 {
-		t.Fatalf("memo holds %d fingerprints after creates on two, want 2", n)
+	if n := len(e.lp.entries); n != 0 {
+		t.Fatalf("memo holds %d fingerprints after model-2 creates, want 0", n)
+	}
+
+	dir := t.TempDir()
+	for i, tiles := range []int{4, 4, 4, 6} {
+		cfg := legacyConfig
+		cfg.Tiles = tiles
+		writeLegacyJournal(t, dir, fmt.Sprintf("leg%d", i), cfg)
+	}
+	if n := len(recoverLegacy(t, dir).lp.entries); n != 2 {
+		t.Fatalf("memo holds %d fingerprints after restores on two, want 2", n)
 	}
 }

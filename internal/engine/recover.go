@@ -74,7 +74,7 @@ func (e *Engine) restoreSession(id string) (*Session, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	s, err := e.buildSession(st.cfg.sessionConfig())
+	s, err := e.buildSession(st.cfg.sessionConfig(), st.cfg.Model)
 	if err != nil {
 		return nil, 0, fmt.Errorf("engine: rebuild session %s: %w", id, err)
 	}

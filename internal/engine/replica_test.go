@@ -353,29 +353,27 @@ func TestAppendReplicaValidation(t *testing.T) {
 }
 
 // TestJournalV1Compat: journals written before the version/generation
-// fields existed (v1) recover unchanged, as generation 1.
+// fields existed (v1) recover unchanged, as generation 1, in strategy
+// model 1.
 func TestJournalV1Compat(t *testing.T) {
 	dir := t.TempDir()
-	live := NewWithOptions(Options{Workers: 2, JournalDir: dir})
-	s, err := live.CreateSession(SessionConfig{
+	writeLegacyJournal(t, dir, "v1s", journalConfig{
 		ScenarioKey: "b", Strategy: "GP-discontinuous", Seed: 42, Tiles: 4,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := stepScript(t, live, s.id)
+	live := recoverLegacy(t, dir)
+	before := stepScript(t, live, "v1s")
 
 	// Rewrite the journal as a v1 binary would have written it: no
 	// version on the create record, no generation anywhere.
-	path := journalPath(dir, s.id)
+	path := journalPath(dir, "v1s")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	v1 := strings.ReplaceAll(string(data), `"v":2,`, "")
 	v1 = strings.ReplaceAll(v1, `"gen":1,`, "")
-	if v1 == string(data) {
-		t.Fatal("journal rewrite was a no-op; the format must have changed")
+	if !strings.Contains(string(data), `"v":2,`) || strings.Contains(v1, `"gen"`) {
+		t.Fatalf("journal rewrite left a version or generation; the format must have changed:\n%s", v1)
 	}
 	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
 		t.Fatal(err)
@@ -386,12 +384,12 @@ func TestJournalV1Compat(t *testing.T) {
 	if _, err := rec.Recover(); err != nil {
 		t.Fatalf("v1 journal must recover: %v", err)
 	}
-	after, err := rec.Result(s.id)
+	after, err := rec.Result("v1s")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResult(t, "v1 recovery", after, before)
-	if gen, ok := rec.Generation(s.id); !ok || gen != 1 {
+	if gen, ok := rec.Generation("v1s"); !ok || gen != 1 {
 		t.Fatalf("v1 journal generation (%d, %v), want (1, true)", gen, ok)
 	}
 }
@@ -413,7 +411,7 @@ func TestJournalVersionGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	future := strings.Replace(string(data), `"v":2`, `"v":99`, 1)
+	future := strings.Replace(string(data), fmt.Sprintf(`"v":%d`, journalFormatVersion), `"v":99`, 1)
 	if err := os.WriteFile(path, []byte(future), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,8 @@ type Session struct {
 	driver *Driver
 	ev     *harness.Evaluator
 	// cfg is the session's resolved config: the body of its journal's
-	// create record, and what a repeated create of its id must match to
-	// replay it.
+	// create record, strategy model included, and what a repeated
+	// create of its id must match, model aside, to replay it.
 	cfg journalConfig
 	// props counts this session's strategy proposals (nil-safe counter;
 	// nil when the engine runs without telemetry).

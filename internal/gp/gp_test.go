@@ -216,6 +216,53 @@ func TestFitErrors(t *testing.T) {
 	if _, err := (Model{}).FitModel(X1(1), []float64{1}); err == nil {
 		t.Fatal("nil kernel should error")
 	}
+	if _, err := (Model{Kernel: Exponential{1, 1}, Reps: []int{1, 2}}).FitModel(X1(1), []float64{1}); err == nil {
+		t.Fatal("replicate count length mismatch should error")
+	}
+	if _, err := (Model{Kernel: Exponential{1, 1}, Reps: []int{0}}).FitModel(X1(1), []float64{1}); err == nil {
+		t.Fatal("a mean of zero observations should error")
+	}
+}
+
+// TestFitOnMeansMatchesReplicates: conditioning on each input's mean,
+// with its noise divided by its replicate count, gives the posterior of
+// conditioning on every replicate, up to rounding.
+func TestFitOnMeansMatchesReplicates(t *testing.T) {
+	rng := stats.NewRNG(3)
+	var xs, ux [][]float64
+	var ys, means []float64
+	var reps []int
+	for a := 0; a < 12; a++ {
+		k := 1 + a%4
+		sum := 0.0
+		for r := 0; r < k; r++ {
+			y := 0.3*float64(a) + rng.Normal(0, 0.5)
+			xs, ys = append(xs, []float64{float64(a)}), append(ys, y)
+			sum += y
+		}
+		ux, means, reps = append(ux, []float64{float64(a)}), append(means, sum/float64(k)), append(reps, k)
+	}
+	model := Model{
+		Kernel: Exponential{Alpha: 1.5, Theta: 2},
+		Noise:  EstimateNoise(xs, ys, 0.25),
+		Basis:  []BasisFunc{ConstantBasis(), LinearBasis(0)},
+	}
+	full, err := model.FitModel(xs, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model.Reps = reps
+	grouped, err := model.FitModel(ux, means)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for x := -2.0; x <= 14; x += 0.5 {
+		m1, s1 := full.Predict([]float64{x})
+		m2, s2 := grouped.Predict([]float64{x})
+		if math.Abs(m1-m2) > 1e-12*math.Abs(m1) || math.Abs(s1-s2) > 1e-12*s1 {
+			t.Fatalf("at %v: replicates give (%v, %v), means (%v, %v)", x, m1, s1, m2, s2)
+		}
+	}
 }
 
 func TestFitHandlesReplicatedPoints(t *testing.T) {

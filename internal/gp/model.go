@@ -40,7 +40,12 @@ func IndicatorBasis(pred func(x []float64) bool) BasisFunc {
 type Model struct {
 	Kernel Kernel
 	Noise  float64 // observation noise variance sigma_N^2
-	Basis  []BasisFunc
+	// Reps, when set, gives each conditioning point the number of
+	// observations it is the mean of: point i then has noise variance
+	// Noise/Reps[i], DiceKriging's noise.var for a mean of replicates.
+	// Nil means one observation per point.
+	Reps  []int
+	Basis []BasisFunc
 }
 
 // Fit is a conditioned Gaussian process ready for prediction.
@@ -81,6 +86,14 @@ func (m Model) FitModel(xs [][]float64, ys []float64) (*Fit, error) {
 	if m.Noise < 0 {
 		return nil, fmt.Errorf("gp: negative noise variance %v", m.Noise)
 	}
+	if m.Reps != nil && len(m.Reps) != n {
+		return nil, fmt.Errorf("gp: %d inputs but %d replicate counts", n, len(m.Reps))
+	}
+	for i, r := range m.Reps {
+		if r < 1 {
+			return nil, fmt.Errorf("gp: point %d is the mean of %d observations", i, r)
+		}
+	}
 	jitter := jitterFrac * (m.Kernel.Variance() + 1)
 	ids, uniq := groupInputs(xs)
 	nu := len(uniq)
@@ -92,7 +105,10 @@ func (m Model) FitModel(xs [][]float64, ys []float64) (*Fit, error) {
 			cov[b*nu+a] = v
 		}
 	}
-	// Cholesky reads only the lower triangle.
+	// Cholesky reads only the lower triangle. A mean of k replicates
+	// takes 1/k of the noise and of the jitter, so conditioning on means
+	// gives the posterior of conditioning on every replicate, in exact
+	// arithmetic.
 	k := getMatrix(&factorPool, n, n)
 	for i := 0; i < n; i++ {
 		ci := cov[ids[i]*nu : (ids[i]+1)*nu]
@@ -100,7 +116,11 @@ func (m Model) FitModel(xs [][]float64, ys []float64) (*Fit, error) {
 		for j := range row {
 			row[j] = ci[ids[j]]
 		}
-		row[i] += m.Noise + jitter
+		reps := 1
+		if m.Reps != nil {
+			reps = m.Reps[i]
+		}
+		row[i] += (m.Noise + jitter) / float64(reps)
 	}
 	chol := getMatrix(&factorPool, n, n)
 	if err := linalg.CholeskyTo(chol, k); err != nil {

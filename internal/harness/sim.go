@@ -123,8 +123,29 @@ func simulateIteration(sc platform.Scenario, nFact int, opts SimOptions,
 // action: the task-allocation LP over the generation work (all nodes,
 // CPU-only) and the factorization work (the n fastest nodes), sharing
 // per-node capacity. Communications and the critical path are ignored —
-// exactly the optimism the bound mechanism relies on.
+// exactly the optimism the bound mechanism relies on. The LP has two
+// task classes, so lp.TwoClassMakespan solves it in closed form.
 func LPBound(sc platform.Scenario, opts SimOptions) (func(n int) float64, error) {
+	return lpBound(sc, opts, lp.TwoClassMakespan)
+}
+
+// SimplexLPBound is LPBound solved by the dense two-phase simplex, one LP
+// per action. The two agree to rounding but not bit for bit, so this is
+// the bound of sessions whose journals name strategy model 1, and the
+// oracle LPBound is tested against.
+func SimplexLPBound(sc platform.Scenario, opts SimOptions) (func(n int) float64, error) {
+	return lpBound(sc, opts, func(gen, fact lp.TaskClass) (float64, error) {
+		alloc, err := lp.SolveAllocation([]lp.TaskClass{gen, fact}, len(gen.Costs))
+		if err != nil {
+			return 0, err
+		}
+		return alloc.Makespan, nil
+	})
+}
+
+// lpBound tabulates the bound at every action with solve.
+func lpBound(sc platform.Scenario, opts SimOptions,
+	solve func(gen, fact lp.TaskClass) (float64, error)) (func(n int) float64, error) {
 	p := sc.Platform
 	tiles := opts.tiles(sc)
 	b := float64(sc.Workload.TileSize)
@@ -148,14 +169,12 @@ func LPBound(sc platform.Scenario, opts SimOptions) (func(n int) float64, error)
 				factCosts[i] = math.Inf(1)
 			}
 		}
-		alloc, err := lp.SolveAllocation([]lp.TaskClass{
-			{Name: "gen", Count: genWork, Costs: genCosts},
-			{Name: "fact", Count: factWork, Costs: factCosts},
-		}, p.N())
+		mk, err := solve(lp.TaskClass{Name: "gen", Count: genWork, Costs: genCosts},
+			lp.TaskClass{Name: "fact", Count: factWork, Costs: factCosts})
 		if err != nil {
 			return nil, fmt.Errorf("harness: LP bound at n=%d: %w", n, err)
 		}
-		cache[n] = alloc.Makespan
+		cache[n] = mk
 	}
 	return func(n int) float64 {
 		if n < 1 {

@@ -1,8 +1,10 @@
 package lp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -116,6 +118,78 @@ func SolveAllocation(classes []TaskClass, nNodes int) (*Allocation, error) {
 		out.Tasks[k.p][k.i] = sol.X[j]
 	}
 	return out, nil
+}
+
+// TwoClassMakespan returns the Makespan SolveAllocation finds for the two
+// classes {a, b}, in closed form. For a fixed makespan M every node has
+// M seconds to split between the classes, and placing all of b so that
+// the most a-work still fits is a fractional knapsack: b goes first to
+// the nodes that give up the least a-rate per unit of b-rate. The a-work
+// that fits then grows piecewise linearly with M, one segment per node
+// that runs b only, and the optimal M is where it reaches a.Count. Over
+// n nodes this costs one sort, where the simplex pivots over 2n+1 dense
+// columns.
+func TwoClassMakespan(a, b TaskClass) (float64, error) {
+	if len(a.Costs) != len(b.Costs) {
+		return 0, fmt.Errorf("lp: classes %q and %q cost %d and %d nodes",
+			a.Name, b.Name, len(a.Costs), len(b.Costs))
+	}
+	type node struct{ ra, rb, ratio float64 }
+	var bNodes []node // the nodes that can run b
+	otherA, totalA := 0.0, 0.0
+	for i := range a.Costs {
+		ra, rb := rateOf(a.Costs[i]), rateOf(b.Costs[i])
+		totalA += ra
+		if rb > 0 {
+			bNodes = append(bNodes, node{ra, rb, ra / rb})
+		} else {
+			otherA += ra
+		}
+	}
+	if a.Count > 0 && totalA == 0 {
+		return 0, fmt.Errorf("lp: class %q cannot run on any node", a.Name)
+	}
+	if b.Count <= 0 {
+		if a.Count <= 0 {
+			return 0, nil
+		}
+		return a.Count / totalA, nil
+	}
+	if len(bNodes) == 0 {
+		return 0, fmt.Errorf("lp: class %q cannot run on any node", b.Name)
+	}
+	slices.SortStableFunc(bNodes, func(x, y node) int { return cmp.Compare(x.ratio, y.ratio) })
+	m := len(bNodes)
+	prefB := make([]float64, m+1) // prefB[k]: b-rate of bNodes[:k]
+	for k, nd := range bNodes {
+		prefB[k+1] = prefB[k] + nd.rb
+	}
+	// The smallest M that fits b has every b-capable node run b only.
+	if otherA*b.Count >= a.Count*prefB[m] {
+		return b.Count / prefB[m], nil
+	}
+	// Walk up in M. On segment k, bNodes[:k] run b only, bNodes[k]
+	// splits its time, and restA is the a-rate of every other node, k's
+	// included. The segment ends at M = b.Count/prefB[k]; at the first
+	// one whose end fits a.Count, the a-work that fits,
+	// restA*M - ratio*(b.Count - prefB[k]*M), equals a.Count at the M
+	// returned. Segment 0 never ends, so the walk stops there at last.
+	restA := otherA
+	for k := m - 1; ; k-- {
+		nd := bNodes[k]
+		restA += nd.ra
+		if k == 0 || restA*b.Count >= a.Count*prefB[k] {
+			return (a.Count + nd.ratio*b.Count) / (restA + nd.ratio*prefB[k]), nil
+		}
+	}
+}
+
+// rateOf is the tasks per second of a per-task cost; +Inf gives 0.
+func rateOf(cost float64) float64 {
+	if math.IsInf(cost, 1) {
+		return 0
+	}
+	return 1 / cost
 }
 
 // RoundCounts converts a fractional allocation row into integer task

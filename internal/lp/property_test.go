@@ -110,3 +110,44 @@ func TestAllocationMakespanIsTightLowerBound(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTwoClassMakespanMatchesSimplex compares the closed form with the
+// simplex on random two-class problems: arbitrary per-node costs, nodes
+// that cannot run one class (+Inf), and empty classes.
+func TestTwoClassMakespanMatchesSimplex(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(12)
+		class := func(name string) TaskClass {
+			c := TaskClass{Name: name, Count: rng.Float64() * 100, Costs: make([]float64, n)}
+			if rng.Intn(8) == 0 {
+				c.Count = 0
+			}
+			for i := range c.Costs {
+				c.Costs[i] = 0.1 + rng.Float64()*5
+				if rng.Intn(4) == 0 {
+					c.Costs[i] = math.Inf(1)
+				}
+			}
+			return c
+		}
+		a, b := class("a"), class("b")
+		got, gotErr := TwoClassMakespan(a, b)
+		alloc, wantErr := SolveAllocation([]TaskClass{a, b}, n)
+		if gotErr != nil || wantErr != nil {
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Logf("seed %d: closed form error %v, simplex error %v", seed, gotErr, wantErr)
+				return false
+			}
+			return true
+		}
+		if math.Abs(got-alloc.Makespan) > 1e-9*math.Max(1, alloc.Makespan) {
+			t.Logf("seed %d: closed form %v, simplex %v", seed, got, alloc.Makespan)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
