@@ -38,21 +38,13 @@
 // journal needs closing: each append closes its file). Snapshot files an
 // earlier version left in -journal-dir are read on -recover, never
 // written.
-//
-// -selfcheck starts the server on a loopback port and drives the whole
-// lifecycle — health endpoints, a session, graceful shutdown, recovery
-// from the journal — then exits; a deployment smoke test.
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -66,7 +58,6 @@ import (
 
 	"phasetune/internal/engine"
 	"phasetune/internal/fsutil"
-	"phasetune/internal/obsv"
 	"phasetune/internal/obsv/events"
 	"phasetune/internal/obsv/wallclock"
 	"phasetune/internal/shard"
@@ -103,16 +94,8 @@ func main() {
 	flag.StringVar(&cfg.pprofAddr, "pprof-addr", "", "net/http/pprof listen address on its own mux, never the API listener (empty = off; a bare port binds loopback only)")
 	flag.StringVar(&cfg.peers, "peers", "", "comma-separated base URLs of shard peers whose evaluation caches answer local misses (empty = no peer lookups; repointable at POST /v1/cache/peers)")
 	flag.DurationVar(&cfg.peerTimeout, "peer-timeout", 0, "per-peer cache probe timeout (0 = 75ms); past it the worker simulates locally")
-	selfcheck := flag.Bool("selfcheck", false, "run the full lifecycle (serve, session, shutdown, recover) on a loopback port, exit")
 	flag.Parse()
 
-	if *selfcheck {
-		if err := runSelfcheck(cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "selfcheck failed:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
@@ -125,7 +108,7 @@ func run(cfg config) error {
 		return errors.New("-recover requires -journal-dir")
 	}
 	tel := wallclock.NewTelemetry()
-	evlog, err := newEventsLog(cfg.eventsFile)
+	evlog, err := events.NewFile(cfg.eventsFile, wallclock.Nanos)
 	if err != nil {
 		return err
 	}
@@ -240,7 +223,7 @@ func run(cfg config) error {
 // routes that let a fleet operator repoint the peer list as workers
 // move. Wired even with no initial peers so a worker can join a fleet
 // after the fact.
-func wirePeers(cfg config, eng *engine.Engine, srv *engine.Server) *shard.PeerSet {
+func wirePeers(cfg config, eng *engine.Engine, srv *engine.Server) {
 	ps := shard.NewPeerSet(cfg.peerTimeout)
 	if list := splitPeers(cfg.peers); len(list) > 0 {
 		ps.SetPeers(list)
@@ -261,7 +244,6 @@ func wirePeers(cfg config, eng *engine.Engine, srv *engine.Server) *shard.PeerSe
 		ps.SetPeers(req.Peers)
 		srv.WriteJSON(w, http.StatusOK, map[string]any{"peers": ps.Peers()})
 	})
-	return ps
 }
 
 // wireReplicaFleet mounts the replication topology routes. The
@@ -300,21 +282,6 @@ func wireReplicaFleet(eng *engine.Engine, srv *engine.Server) {
 		}
 		srv.WriteJSON(w, http.StatusOK, req)
 	})
-}
-
-// newEventsLog builds the process's structured event log: in-memory
-// always (so GET /v1/events and the router's fleet merge work out of
-// the box), additionally appending fsync'd JSON lines when a path is
-// configured.
-func newEventsLog(path string) (*events.Log, error) {
-	if path == "" {
-		return events.New(wallclock.Nanos), nil
-	}
-	l, err := events.NewFile(path, wallclock.Nanos)
-	if err != nil {
-		return nil, fmt.Errorf("events file: %w", err)
-	}
-	return l, nil
 }
 
 // splitPeers parses the -peers flag: comma-separated base URLs, blanks
@@ -385,339 +352,4 @@ func writeSessionTraces(eng *engine.Engine, dir string) error {
 		fmt.Printf("  wrote trace %s\n", path)
 	}
 	return nil
-}
-
-// runSelfcheck exercises the full service lifecycle on an ephemeral
-// loopback port: health endpoints, a journaled session driven through
-// the real HTTP stack, draining readiness, graceful shutdown, and a
-// recovery that must reproduce the session's state exactly.
-func runSelfcheck(cfg config) error {
-	dir := cfg.journalDir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "phasetune-selfcheck-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-	}
-
-	tel := wallclock.NewTelemetry()
-	tel.Events = events.New(wallclock.Nanos)
-	eng := engine.NewWithOptions(engine.Options{Workers: cfg.workers, JournalDir: dir, Telemetry: tel})
-	srv := engine.NewServerWithOptions(eng, engine.ServerOptions{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-
-	// pprof always runs during selfcheck (loopback, ephemeral port) so
-	// the separate-mux wiring is exercised on every deployment check.
-	pprofAddr := cfg.pprofAddr
-	if pprofAddr == "" {
-		pprofAddr = "127.0.0.1:0"
-	}
-	pprofLn, err := startPprof(pprofAddr)
-	if err != nil {
-		return err
-	}
-	defer pprofLn.Close()
-	httpSrv := &http.Server{Handler: srv}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-	base := "http://" + ln.Addr().String()
-
-	if err := expectStatus(base+"/healthz", http.StatusOK); err != nil {
-		return err
-	}
-	if err := expectStatus(base+"/readyz", http.StatusOK); err != nil {
-		return err
-	}
-
-	body, err := json.Marshal(map[string]any{
-		"scenario": "b", "strategy": "DC", "seed": 42, "tiles": 6,
-	})
-	if err != nil {
-		return err
-	}
-	var created struct {
-		ID    string `json:"id"`
-		Nodes int    `json:"nodes"`
-	}
-	if err := postJSON(base+"/v1/sessions", body, &created); err != nil {
-		return fmt.Errorf("create session: %w", err)
-	}
-	for i := 0; i < 4; i++ {
-		var step struct {
-			Action   int     `json:"action"`
-			Duration float64 `json:"duration"`
-		}
-		if err := postJSON(base+"/v1/sessions/"+created.ID+"/step", []byte("{}"), &step); err != nil {
-			return fmt.Errorf("step %d: %w", i, err)
-		}
-		fmt.Printf("iter %d: n=%-3d duration %.2f s\n", i, step.Action, step.Duration)
-	}
-	var batch struct {
-		Steps []struct {
-			Action int `json:"action"`
-		} `json:"steps"`
-	}
-	if err := postJSON(base+"/v1/sessions/"+created.ID+"/batch-step", []byte(`{"k":2}`), &batch); err != nil {
-		return fmt.Errorf("batch-step: %w", err)
-	}
-	fmt.Printf("batch-step: %d speculative steps\n", len(batch.Steps))
-
-	var before engine.SessionResult
-	if err := getJSON(base+"/v1/sessions/"+created.ID, &before); err != nil {
-		return fmt.Errorf("result: %w", err)
-	}
-
-	// Telemetry surfaces: /metrics serves Prometheus text, the session
-	// trace endpoint serves Chrome trace-event JSON, and pprof answers
-	// on its own listener.
-	status, text, err := fetch(base + "/metrics")
-	if err != nil || status != http.StatusOK {
-		return fmt.Errorf("metrics text: status %d, err %v", status, err)
-	}
-	if !strings.HasPrefix(string(text), "# HELP") || !strings.Contains(string(text), "phasetune_") {
-		return fmt.Errorf("metrics text does not look like Prometheus exposition: %.80s", text)
-	}
-	status, traceData, err := fetch(base + "/v1/sessions/" + created.ID + "/trace")
-	if err != nil || status != http.StatusOK {
-		return fmt.Errorf("session trace: status %d, err %v", status, err)
-	}
-	if !bytes.Contains(traceData, []byte("traceEvents")) || !bytes.Contains(traceData, []byte("des.eval")) {
-		return fmt.Errorf("session trace missing expected spans: %.120s", traceData)
-	}
-	fmt.Printf("telemetry ok: %d bytes of Prometheus text, %d bytes of session trace\n",
-		len(text), len(traceData))
-	var evResp struct {
-		Events []events.Event `json:"events"`
-	}
-	if err := getJSON(base+"/v1/events", &evResp); err != nil {
-		return fmt.Errorf("event log: %w", err)
-	}
-	createdSeen := false
-	for _, ev := range evResp.Events {
-		if ev.Type == "session.created" && ev.Session == created.ID {
-			createdSeen = true
-		}
-	}
-	if !createdSeen {
-		return fmt.Errorf("event log missing session.created for %s (%d events)", created.ID, len(evResp.Events))
-	}
-	fmt.Printf("event log ok: %d events, session.created recorded\n", len(evResp.Events))
-	status, _, err = fetch("http://" + pprofLn.Addr().String() + "/debug/pprof/cmdline")
-	if err != nil || status != http.StatusOK {
-		return fmt.Errorf("pprof cmdline: status %d, err %v", status, err)
-	}
-	fmt.Printf("pprof ok on %s (separate mux)\n", pprofLn.Addr())
-
-	// Idempotent replay through the real HTTP stack: the same key must
-	// return the journaled response byte-for-byte, marked as a replay,
-	// without committing a second step.
-	beforeIdem := before.Iterations
-	status, first, _, err := postKeyed(base+"/v1/sessions/"+created.ID+"/step", "selfcheck-idem-1")
-	if err != nil || status != http.StatusOK {
-		return fmt.Errorf("keyed step: status %d, err %v", status, err)
-	}
-	status, again, replayed, err := postKeyed(base+"/v1/sessions/"+created.ID+"/step", "selfcheck-idem-1")
-	if err != nil || status != http.StatusOK {
-		return fmt.Errorf("replayed step: status %d, err %v", status, err)
-	}
-	if !replayed || !bytes.Equal(first, again) {
-		return fmt.Errorf("idempotent replay broken: replayed=%t, bodies equal=%t", replayed, bytes.Equal(first, again))
-	}
-	var idemCheck engine.SessionResult
-	if err := getJSON(base+"/v1/sessions/"+created.ID, &idemCheck); err != nil {
-		return err
-	}
-	if idemCheck.Iterations != beforeIdem+1 {
-		return fmt.Errorf("retried key double-applied: %d iterations, want %d", idemCheck.Iterations, beforeIdem+1)
-	}
-	before = idemCheck
-	fmt.Println("idempotent replay ok: retried key served the journaled result")
-
-	// The readiness lifecycle tells "not yet recovered" apart from
-	// "draining", each with a machine-readable reason, and the starting
-	// state blocks the API surface.
-	srv.SetStarting()
-	st, reason, err := readyzState(base)
-	if err != nil || st != "starting" || !strings.Contains(reason, "recovery") {
-		return fmt.Errorf("starting readyz: status %q reason %q, err %v", st, reason, err)
-	}
-	if err := expectStatus(base+"/v1/sessions/"+created.ID, http.StatusServiceUnavailable); err != nil {
-		return fmt.Errorf("API surface while starting: %w", err)
-	}
-	srv.SetReady()
-	if err := expectStatus(base+"/readyz", http.StatusOK); err != nil {
-		return fmt.Errorf("readiness after SetReady: %w", err)
-	}
-	fmt.Println("readyz lifecycle ok: starting blocks the API and names recovery")
-
-	// Graceful shutdown: readiness must flip before the listener stops,
-	// with the draining reason — while the API keeps serving admitted
-	// work.
-	srv.SetDraining(true)
-	st, reason, err = readyzState(base)
-	if err != nil || st != "draining" || !strings.Contains(reason, "shutdown") {
-		return fmt.Errorf("draining readyz: status %q reason %q, err %v", st, reason, err)
-	}
-	if err := expectStatus(base+"/v1/sessions/"+created.ID, http.StatusOK); err != nil {
-		return fmt.Errorf("API surface while draining: %w", err)
-	}
-	if err := expectStatus(base+"/healthz", http.StatusOK); err != nil {
-		return fmt.Errorf("liveness while draining: %w", err)
-	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutCtx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-serveErr; !errors.Is(err, http.ErrServerClosed) {
-		return fmt.Errorf("serve: %w", err)
-	}
-	if err := eng.Close(); err != nil {
-		return fmt.Errorf("close engine: %w", err)
-	}
-	if cfg.traceDir != "" {
-		if err := writeSessionTraces(eng, cfg.traceDir); err != nil {
-			return fmt.Errorf("writing traces: %w", err)
-		}
-		p := filepath.Join(cfg.traceDir, created.ID+".trace.json")
-		if _, err := os.Stat(p); err != nil {
-			return fmt.Errorf("trace file missing after shutdown: %w", err)
-		}
-		fmt.Printf("trace file ok: %s\n", p)
-	}
-
-	// Recovery: a fresh engine on the same journal dir must reproduce
-	// the session bit-for-bit and keep stepping.
-	eng2 := engine.NewWithOptions(engine.Options{Workers: cfg.workers, JournalDir: dir})
-	infos, err := eng2.Recover()
-	if err != nil {
-		return fmt.Errorf("recover: %w", err)
-	}
-	if len(infos) != 1 {
-		return fmt.Errorf("recover after graceful shutdown: %+v (want 1 session)", infos)
-	}
-	after, err := eng2.Result(created.ID)
-	if err != nil {
-		return fmt.Errorf("recovered result: %w", err)
-	}
-	if after.Iterations != before.Iterations ||
-		math.Float64bits(after.Total) != math.Float64bits(before.Total) ||
-		after.BestAction != before.BestAction {
-		return fmt.Errorf("recovered session diverged: %+v vs %+v", after, before)
-	}
-	if _, _, err := eng2.StepIdem(context.Background(), created.ID, ""); err != nil {
-		return fmt.Errorf("step after recovery: %w", err)
-	}
-	if err := eng2.Close(); err != nil {
-		return fmt.Errorf("close recovered engine: %w", err)
-	}
-
-	fmt.Printf("selfcheck ok: %d nodes, %d iterations, best n=%d, recovered and resumed from journal\n",
-		created.Nodes, before.Iterations, before.BestAction)
-	return nil
-}
-
-// fetch GETs url and returns the status and full body.
-func fetch(url string) (int, []byte, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return resp.StatusCode, nil, err
-	}
-	return resp.StatusCode, body, nil
-}
-
-func expectStatus(url string, want int) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != want {
-		return fmt.Errorf("GET %s: status %d, want %d", url, resp.StatusCode, want)
-	}
-	return nil
-}
-
-// selfcheckTrace is the trace context every selfcheck POST carries,
-// so the server records the selfcheck's steps; a step without a
-// context runs untraced.
-const selfcheckTrace = "5e1fc4ec5e1fc4ec-00000000000000a1"
-
-func postJSON(url string, body []byte, out any) error {
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(obsv.TraceHeader, selfcheckTrace)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return fmt.Errorf("status %s", resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// postKeyed POSTs an empty JSON body under an Idempotency-Key and
-// returns the status, raw body, and whether the server marked the
-// response as a journal replay.
-func postKeyed(url, key string) (int, []byte, bool, error) {
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader([]byte("{}")))
-	if err != nil {
-		return 0, nil, false, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Idempotency-Key", key)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return 0, nil, false, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return resp.StatusCode, nil, false, err
-	}
-	return resp.StatusCode, body, resp.Header.Get("Idempotency-Replayed") == "true", nil
-}
-
-// readyzState fetches /readyz and returns its JSON status and reason.
-func readyzState(base string) (status, reason string, err error) {
-	resp, err := http.Get(base + "/readyz")
-	if err != nil {
-		return "", "", err
-	}
-	defer resp.Body.Close()
-	var m struct {
-		Status string `json:"status"`
-		Reason string `json:"reason"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return "", "", err
-	}
-	return m.Status, m.Reason, nil
-}
-
-func getJSON(url string, out any) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return fmt.Errorf("status %s", resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }

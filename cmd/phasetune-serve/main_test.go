@@ -2,6 +2,9 @@ package main
 
 import (
 	"io/fs"
+	"net"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -38,5 +41,40 @@ func TestWriteSessionTracesStaysInDir(t *testing.T) {
 	}
 	if want := []string{filepath.Join("traces", "s1.trace.json")}; !reflect.DeepEqual(files, want) {
 		t.Fatalf("wrote %v, want %v", files, want)
+	}
+}
+
+// TestStartPprofLoopbackOnly: an address without a host, ":0" or a bare
+// port, binds pprof to 127.0.0.1 on its own listener, which serves
+// /debug/pprof/cmdline, while the API handler run serves has no
+// /debug/pprof/ route.
+func TestStartPprofLoopbackOnly(t *testing.T) {
+	for _, addr := range []string{":0", "0"} {
+		ln, err := startPprof(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		if ip := ln.Addr().(*net.TCPAddr).IP; !ip.Equal(net.IPv4(127, 0, 0, 1)) {
+			t.Fatalf("startPprof(%q) bound %v, want 127.0.0.1", addr, ln.Addr())
+		}
+		resp, err := http.Get("http://" + ln.Addr().String() + "/debug/pprof/cmdline")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("pprof cmdline on %s: status %d", ln.Addr(), resp.StatusCode)
+		}
+	}
+
+	eng := engine.New(1)
+	srv := engine.NewServerWithOptions(eng, engine.ServerOptions{})
+	wirePeers(config{}, eng, srv)
+	wireReplicaFleet(eng, srv)
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/pprof/cmdline", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("API handler answered /debug/pprof/cmdline with %d, want 404", rec.Code)
 	}
 }

@@ -72,26 +72,6 @@ func TestCmdFaultsSmoke(t *testing.T) {
 	}
 }
 
-func TestCmdServeSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	traceDir := t.TempDir()
-	out := runTool(t, "./cmd/phasetune-serve", "-selfcheck", "-workers", "4",
-		"-pprof-addr", "127.0.0.1:0", "-trace-dir", traceDir)
-	if !strings.Contains(out, "selfcheck ok") || !strings.Contains(out, "best n=") {
-		t.Fatalf("serve selfcheck output:\n%s", out)
-	}
-	// The selfcheck probes the whole telemetry surface: the Prometheus
-	// text at /metrics, the session trace endpoint, the pprof mux and
-	// the -trace-dir file written at shutdown.
-	for _, want := range []string{"telemetry ok", "pprof ok", "trace file ok"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("serve selfcheck missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestCmdCompareSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -100,19 +80,5 @@ func TestCmdCompareSmoke(t *testing.T) {
 		"-scenarios", "b", "-tiles", "8", "-iters", "10", "-reps", "2")
 	if !strings.Contains(out, "GP-discontinuous") {
 		t.Fatalf("compare output:\n%s", out)
-	}
-}
-
-func TestCmdShardSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	out := runTool(t, "./cmd/phasetune-shard", "-selfcheck")
-	for _, want := range []string{
-		"routing ok", "idempotency ok", "metrics ok", "failover ok", "selfcheck ok",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("shard selfcheck output missing %q:\n%s", want, out)
-		}
 	}
 }

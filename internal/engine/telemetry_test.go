@@ -182,6 +182,9 @@ func TestSessionTraceEndToEnd(t *testing.T) {
 	if _, err := obsvtest.ValidateChromeTrace(data); err != nil {
 		t.Fatalf("trace invalid: %v", err)
 	}
+	if err := obsvtest.WriteArtifact(*artifacts, created.ID+".trace.json", data); err != nil {
+		t.Fatal(err)
+	}
 
 	var doc struct {
 		TraceEvents []struct {

@@ -17,6 +17,7 @@ package events
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -78,20 +79,24 @@ func New(nowNanos func() int64) *Log {
 	return &Log{now: nowNanos, max: defaultMaxEvents}
 }
 
-// NewFile builds an event log that additionally appends each event as
-// one JSON line to the file at path, fsync'd per append (events are
+// NewFile builds the event log a server process keeps. An empty path
+// gives the in-memory log New builds. Any other path also appends each
+// event as one JSON line to that file, fsync'd per append (events are
 // rare — failovers, breaker flips — so durability is cheap). The
 // file's directory is synced once at creation so the new file itself
 // survives a crash.
 func NewFile(path string, nowNanos func() int64) (*Log, error) {
 	l := New(nowNanos)
+	if path == "" {
+		return l, nil
+	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("events file: %w", err)
 	}
 	if err := fsutil.SyncDir(filepath.Dir(path)); err != nil {
 		_ = f.Close()
-		return nil, err
+		return nil, fmt.Errorf("events file: %w", err)
 	}
 	l.f = f
 	return l, nil

@@ -114,6 +114,19 @@ func TestFileAppendJSONL(t *testing.T) {
 	if g, ok := lines[1].Fields["gen"].(float64); !ok || g != 2 {
 		t.Fatalf("gen field: %+v", lines[1].Fields)
 	}
+
+	// An empty path keeps the log in memory only.
+	mem, err := NewFile("", fakeNanos())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem.Emit("shard.up", "", "", nil)
+	if evs := mem.Events(); len(evs) != 1 || mem.f != nil {
+		t.Fatalf("in-memory log: %d events, file %v", len(evs), mem.f)
+	}
+	if err := mem.Close(); err != nil {
+		t.Fatalf("close in-memory log: %v", err)
+	}
 }
 
 func TestConcurrentEmit(t *testing.T) {

@@ -9,9 +9,24 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 )
+
+// WriteArtifact copies data to dir/name, creating dir, so a test can
+// hand a sample it validated to CI for upload. An empty dir writes
+// nothing.
+func WriteArtifact(dir, name string, data []byte) error {
+	if dir == "" {
+		return nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	return os.WriteFile(filepath.Join(dir, name), data, 0o644)
+}
 
 // Sample is one exposition line: a sample name (which may carry a
 // _bucket/_sum/_count suffix), its labels, and the value.

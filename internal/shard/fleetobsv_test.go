@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"phasetune/internal/engine"
 	"phasetune/internal/obsv"
 	"phasetune/internal/obsv/events"
 	"phasetune/internal/obsv/obsvtest"
@@ -81,6 +82,9 @@ func TestFleetTraceStitchedAcrossProcesses(t *testing.T) {
 			procs, verr := obsvtest.ValidateFleetTrace(fraw, 3)
 			if verr == nil {
 				t.Logf("fleet trace: %d processes, %d bytes", procs, len(fraw))
+				if err := obsvtest.WriteArtifact(*artifacts, "fleet-trace.json", fraw); err != nil {
+					t.Fatal(err)
+				}
 				return
 			}
 			lastErr = verr
@@ -207,10 +211,11 @@ func TestFleetTraceBadRequests(t *testing.T) {
 
 // TestFleetEventsCausalChain drives the in-process failover story and
 // asserts the fleet-merged event log tells it in causal order: the
-// router sees the owner die (shard.down), the supervisor promotes the
-// session on its follower at a bumped generation (session.promoted),
-// and the revived zombie's stale-generation ship is refused by the
-// follower's fence (repl.fenced).
+// owner creates the session (session.created), the router sees the
+// owner die (shard.down), the supervisor promotes the session on its
+// follower at a bumped generation (session.promoted), and the revived
+// zombie's stale-generation ship is refused by the follower's fence
+// (repl.fenced).
 func TestFleetEventsCausalChain(t *testing.T) {
 	f := newReplFleet(t, 3, sharedNanos())
 
@@ -252,6 +257,14 @@ func TestFleetEventsCausalChain(t *testing.T) {
 		!strings.Contains(err.Error(), "fenced out") {
 		t.Fatalf("zombie owner's commit: %v, want fenced out", err)
 	}
+	// The merged view reads live processes only. The zombie comes back
+	// on a new listener and its name repoints, so the view reads its
+	// events again, session.created among them.
+	zombie := httptest.NewServer(engine.NewServer(f.engines[victim]))
+	t.Cleanup(zombie.Close)
+	if resp, raw := f.post(t, "/admin/shards", fmt.Sprintf(`{"name":%q,"addr":%q}`, owner, zombie.URL)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("repoint %s: %d %s", owner, resp.StatusCode, raw)
+	}
 
 	eresp, err := http.Get(f.front.URL + "/v1/events")
 	if err != nil {
@@ -262,15 +275,20 @@ func TestFleetEventsCausalChain(t *testing.T) {
 	if eresp.StatusCode != http.StatusOK {
 		t.Fatalf("fleet events: %d %s", eresp.StatusCode, eraw)
 	}
+	if err := obsvtest.WriteArtifact(*artifacts, "fleet-events.json", eraw); err != nil {
+		t.Fatal(err)
+	}
 	var elog struct {
 		Events []events.Event `json:"events"`
 	}
 	if err := json.Unmarshal(eraw, &elog); err != nil {
 		t.Fatal(err)
 	}
-	idxDown, idxPromoted, idxFenced := -1, -1, -1
+	idxCreated, idxDown, idxPromoted, idxFenced := -1, -1, -1, -1
 	for i, ev := range elog.Events {
 		switch {
+		case idxCreated < 0 && ev.Type == "session.created" && ev.Session == id && ev.Shard == owner:
+			idxCreated = i
 		case idxDown < 0 && ev.Type == "shard.down" && ev.Fields["shard"] == owner:
 			idxDown = i
 		case idxPromoted < 0 && ev.Type == "session.promoted" && ev.Session == id:
@@ -282,13 +300,13 @@ func TestFleetEventsCausalChain(t *testing.T) {
 			idxFenced = i
 		}
 	}
-	if idxDown < 0 || idxPromoted < 0 || idxFenced < 0 {
-		t.Fatalf("causal chain incomplete: shard.down@%d session.promoted@%d repl.fenced@%d in\n%s",
-			idxDown, idxPromoted, idxFenced, eraw)
+	if idxCreated < 0 || idxDown < 0 || idxPromoted < 0 || idxFenced < 0 {
+		t.Fatalf("causal chain incomplete: session.created@%d shard.down@%d session.promoted@%d repl.fenced@%d in\n%s",
+			idxCreated, idxDown, idxPromoted, idxFenced, eraw)
 	}
-	if !(idxDown < idxPromoted && idxPromoted < idxFenced) {
-		t.Fatalf("causal chain out of order: shard.down@%d session.promoted@%d repl.fenced@%d",
-			idxDown, idxPromoted, idxFenced)
+	if !(idxCreated < idxDown && idxDown < idxPromoted && idxPromoted < idxFenced) {
+		t.Fatalf("causal chain out of order: session.created@%d shard.down@%d session.promoted@%d repl.fenced@%d",
+			idxCreated, idxDown, idxPromoted, idxFenced)
 	}
 }
 

@@ -37,7 +37,8 @@ type Options struct {
 	// Replicas is the ring's virtual-node count per shard (<= 0 selects
 	// DefaultReplicas).
 	Replicas int
-	// Seed drives minted session ids and Retry-After jitter.
+	// Seed drives Retry-After and health-loop jitter, and seeds the
+	// stream of minted session ids together with one reading of Now.
 	Seed int64
 	// HealthInterval is the background health-check cadence (<= 0
 	// selects 500ms; set very large to effectively disable the loop —
@@ -72,8 +73,11 @@ type Options struct {
 	// fleet-merged GET /v1/events view. Nil records nothing (the view
 	// still merges the shards' logs).
 	Events *events.Log
-	// Now is the nanosecond clock behind takeover timing. Nil selects
-	// the wall clock; tests inject a fake.
+	// Now is the nanosecond clock behind takeover timing. Its reading
+	// when the router is built also enters every minted session id, so
+	// a restarted router, or a second one over the same fleet, mints
+	// ids the first never gave out. Nil selects the wall clock; tests
+	// inject a fake.
 	Now func() int64
 }
 
@@ -124,6 +128,7 @@ type Router struct {
 	probe  *http.Client // health checks + metrics scrapes, short timeout
 
 	seed     uint64
+	idBase   uint64 // seed and construction clock reading, mixed
 	idSeq    atomic.Uint64
 	retrySeq atomic.Uint64
 	rrSeq    atomic.Uint64 // round-robin for unkeyed sweeps
@@ -204,6 +209,7 @@ func New(opts Options) (*Router, error) {
 		client:    client,
 		probe:     &http.Client{Timeout: opts.HealthTimeout},
 		seed:      uint64(opts.Seed),
+		idBase:    uint64(opts.Seed) ^ uint64(now())*0x9e3779b97f4a7c15,
 		reg:       obsv.NewRegistry(),
 		sess:      map[string]*sessionEntry{},
 		supervise: opts.Supervise,
@@ -687,10 +693,13 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, st *shardState) 
 }
 
 // mintID returns a fresh router-minted session id: 16 hex digits under
-// an "r" prefix, valid under the engine's session-id rules and
-// collision-free per router (seeded counter stream).
+// an "r" prefix, valid under the engine's session-id rules. It runs a
+// counter, offset by the router's id base, through splitmix64, a
+// bijection: one router never repeats an id, and two routers built at
+// different clock readings start a random-looking 64-bit distance
+// apart, so their streams do not meet in practice.
 func (rt *Router) mintID() string {
-	return fmt.Sprintf("r%016x", splitmix64(rt.seed^rt.idSeq.Add(1)))
+	return fmt.Sprintf("r%016x", splitmix64(rt.idBase+rt.idSeq.Add(1)))
 }
 
 // maxCreateBody bounds the create-session body the router is willing
@@ -735,13 +744,11 @@ func (rt *Router) routes() {
 		r2.Body = io.NopCloser(bytes.NewReader(forward))
 		r2.ContentLength = int64(len(forward))
 		target := rt.createShard(id)
-		cw := &statusCapture{ResponseWriter: w, code: http.StatusOK}
-		rt.proxy(cw, r2, target)
-		if cw.code == http.StatusCreated && target != nil {
+		rt.proxy(&onCreated{ResponseWriter: w, fn: func() {
 			// The create committed: from here on this shard serves the
 			// session (and the supervisor watches it).
 			rt.registerSession(id, target.name)
-		}
+		}}, r2, target)
 	})
 
 	// Everything addressed to a session routes by the id's hash — the
@@ -880,21 +887,25 @@ func (rt *Router) routes() {
 	})
 }
 
-// statusCapture records the proxied response status so the create
-// handler can tell whether a session actually committed (201) before
-// registering it. Flush passes through — stream responses must not
-// buffer behind the wrapper.
-type statusCapture struct {
+// onCreated runs fn when the proxied response's status is 201, before
+// any byte of the response reaches the client, so the create handler
+// registers a session before its creator can act on the 201 (were the
+// owner to die at once, the supervisor must already know the session).
+// Flush passes through — stream responses must not buffer behind the
+// wrapper.
+type onCreated struct {
 	http.ResponseWriter
-	code int
+	fn func()
 }
 
-func (w *statusCapture) WriteHeader(code int) {
-	w.code = code
+func (w *onCreated) WriteHeader(code int) {
+	if code == http.StatusCreated {
+		w.fn()
+	}
 	w.ResponseWriter.WriteHeader(code)
 }
 
-func (w *statusCapture) Flush() {
+func (w *onCreated) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}

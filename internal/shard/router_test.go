@@ -12,12 +12,14 @@ import (
 	"time"
 
 	"phasetune/internal/engine"
+	"phasetune/internal/obsv/events"
 )
 
 // fleet is a router over n in-process workers, everything on httptest
 // listeners.
 type fleet struct {
 	router  *Router
+	opts    Options          // the router's options, to build a second router alike
 	front   *httptest.Server // the router's listener
 	engines []*engine.Engine
 	workers []*httptest.Server
@@ -38,7 +40,11 @@ func newFleet(t *testing.T, n int) *fleet {
 		f.names = append(f.names, name)
 		shards = append(shards, Shard{Name: name, Addr: srv.URL})
 	}
-	rt, err := New(Options{Shards: shards, Seed: 7, HealthInterval: time.Hour})
+	// A fake clock fixes the minted-id base, so the ids, and how many
+	// sessions each shard owns, are the same on every run.
+	clock := sharedNanos()
+	f.opts = Options{Shards: shards, Seed: 7, HealthInterval: time.Hour, Now: clock, Events: events.New(clock)}
+	rt, err := New(f.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,6 +115,54 @@ func TestRouterSessionRouting(t *testing.T) {
 	id, _ := f.createSession(t, `{"id":"mine-1","scenario":"b","strategy":"GP-discontinuous","seed":5,"tiles":4}`)
 	if id != "mine-1" {
 		t.Fatalf("client-assigned id came back as %q", id)
+	}
+}
+
+// TestMintedIDsUniqueAcrossRouters: a second router built from the same
+// options over the same fleet, as a restarted router or a second front
+// door is, mints ids the first never gave out. Were the id stream a
+// function of the seed alone, the second router's first create would
+// replay the first router's session to a new caller (201,
+// Idempotency-Replayed), or answer 409 for another body.
+func TestMintedIDsUniqueAcrossRouters(t *testing.T) {
+	f := newFleet(t, 2)
+	first, _ := f.createSession(t, sessionBody)
+
+	rt, err := New(f.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	front := httptest.NewServer(rt)
+	t.Cleanup(front.Close)
+	resp, err := http.Post(front.URL+"/v1/sessions", "application/json", strings.NewReader(sessionBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated || resp.Header.Get("Idempotency-Replayed") != "" {
+		t.Fatalf("second router's create: %d replayed=%q %s",
+			resp.StatusCode, resp.Header.Get("Idempotency-Replayed"), raw)
+	}
+	var second struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(raw, &second); err != nil {
+		t.Fatal(err)
+	}
+	if second.ID == first {
+		t.Fatalf("both routers minted %s", first)
+	}
+
+	seen := map[string]bool{}
+	for i := 0; i < 1000; i++ {
+		seen[f.router.mintID()] = true
+	}
+	for i := 0; i < 1000; i++ {
+		if id := rt.mintID(); seen[id] {
+			t.Fatalf("second router's mint %d repeats %s", i, id)
+		}
 	}
 }
 
@@ -321,6 +375,16 @@ func TestRouterFailover(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("readyz after repoint: %d", resp.StatusCode)
+	}
+	// The router logged the shard going down, then coming back up.
+	var transitions []string
+	for _, ev := range f.router.events.Events() {
+		if ev.Fields["shard"] == shard {
+			transitions = append(transitions, ev.Type)
+		}
+	}
+	if got := strings.Join(transitions, " "); got != "shard.down shard.up" {
+		t.Fatalf("events for %s: %q, want shard.down then shard.up", shard, got)
 	}
 	resp, err = http.Post(f.front.URL+"/v1/sessions/"+id+"/step", "application/json", nil)
 	if err != nil {
