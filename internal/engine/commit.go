@@ -19,26 +19,32 @@ import (
 // consumed in the same order at 1 worker and at 8, so a streamed
 // session reproduces a batch-stepped one bit-for-bit.
 //
-// The shapes differ only in what becomes durable, and when:
+// Results commit in groups: a group's records go to the journal in one
+// append (one write, one fsync) and to the follower in one ship, and
+// no step of a group is delivered before the whole group is on both
+// disks. The shapes differ only in how the groups fall:
 //
-//   - Atomic (step, batch-step) waits for every evaluation and journals
-//     the whole operation as one "step" or "batch" record, so a crash
-//     keeps all of it or none. If any evaluation fails, nothing commits
-//     and one "abort" record carries the consumed proposals (and lies),
-//     so recovery replays the same Next/lie sequence.
+//   - Atomic (step, batch-step) is a single group: it waits for every
+//     evaluation and journals the whole operation as one "step" or
+//     "batch" record, so a crash keeps all of it or none. If any
+//     evaluation fails, nothing commits and one "abort" record carries
+//     the consumed proposals (and lies), so recovery replays the same
+//     Next/lie sequence.
 //   - Streaming (stream-step) removes the batch barrier, where the
-//     slowest evaluation gates every result. The proposals and their
-//     lies are journaled up front in one "spropose" record, and each
-//     step commits with its own "scommit" record the moment it becomes
-//     the oldest uncommitted proposal. A failure mid-stream keeps the
-//     committed prefix; the spropose record already accounts for the
-//     rest, so no abort record is needed.
+//     slowest evaluation gates every result. Each group starts at the
+//     oldest uncommitted proposal once its evaluation lands and takes
+//     every later one that has already landed, stopping at the first
+//     still running or failed, one "scommit" record per step. The
+//     first group also carries the "spropose" record with every
+//     proposal and lie, so a failure after it keeps the committed
+//     prefix and needs no abort record. If the first evaluation fails,
+//     spropose is journaled alone, as an abort.
 //
 // Step and batch stay single records rather than a propose record plus
-// one record per step: every record is an fsync and a replica
-// round-trip before the caller sees its result, so the per-step form
-// would roughly double the commit cost of a short session while
-// buying nothing an atomic operation can use.
+// one record per step: an atomic operation is one group either way, so
+// the per-step form would cost the same append and ship while adding
+// records to write and replay, and buy an early delivery an atomic
+// operation cannot use.
 
 // opShape names one of the three operations advance serves.
 type opShape struct {
@@ -55,9 +61,48 @@ var (
 
 // evalOut is one evaluation's outcome in a commit fan-out.
 type evalOut struct {
-	v   float64
-	hit bool
-	err error
+	v    float64
+	hit  bool
+	err  error
+	done chan struct{} // closed once the fields above are set
+}
+
+// landed reports, without blocking, whether out's evaluation finished.
+func (out *evalOut) landed() bool {
+	select {
+	case <-out.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// nextGroup returns the end of the commit group that starts at
+// proposal from (see above), blocking until it is known. An atomic
+// group waits for every evaluation; a stream's waits only for its
+// first. A group that cannot commit ends at from and carries the
+// error: the first failed evaluation in proposal order.
+func nextGroup(stream bool, outs []evalOut, from int) (int, error) {
+	if !stream {
+		for i := range outs {
+			<-outs[i].done
+		}
+		for _, out := range outs {
+			if out.err != nil {
+				return from, out.err
+			}
+		}
+		return len(outs), nil
+	}
+	<-outs[from].done
+	if err := outs[from].err; err != nil {
+		return from, err
+	}
+	to := from + 1
+	for to < len(outs) && outs[to].landed() && outs[to].err == nil {
+		to++
+	}
+	return to, nil
 }
 
 // advance is the engine's one commit path (see above). k is the batch
@@ -65,11 +110,12 @@ type evalOut struct {
 // otherwise the request's width, bounded by the session's action
 // count. A key that already committed the same operation replays its
 // journaled steps and reports replayed=true. onStart (optional) fires
-// once the operation is admitted — for a stream, after its proposals
-// are durable — and onStep (optional) receives each step as a stream
-// commits it, or each replayed step. The returned steps are the ones
-// committed (and delivered); a failed stream returns its committed
-// prefix alongside the error.
+// once, before any step is delivered: at once for a replay, otherwise
+// after the first group is durable, so an operation that commits
+// nothing returns its error without it. onStep (optional) receives
+// each step once its group is durable, or each replayed step. The
+// returned steps are the ones committed (and delivered); a failed
+// stream returns its committed prefix alongside the error.
 func (e *Engine) advance(ctx context.Context, id string, sh opShape, k int, key string, onStart func(replayed bool), onStep func(StepResult)) ([]StepResult, bool, error) {
 	s, err := e.checkout(id)
 	if err != nil {
@@ -119,101 +165,107 @@ func (e *Engine) advance(ctx context.Context, id string, sh opShape, k int, key 
 		endPropose(nil)
 	}
 
-	if sh.stream {
-		// Durable before any evaluation runs: whatever happens next,
-		// recovery replays this exact Next/lie sequence, and committed
-		// steps stack on top via their own scommit records.
-		if err := e.commitOp(ctx, s, journalRecord{
-			T: "spropose", Epoch: epoch, K: k, Actions: actions, Lies: lies, Key: key,
-		}); err != nil {
-			return nil, false, err
+	outs := make([]evalOut, len(actions))
+	evalAt := func(i int) {
+		v, hit, err := e.eval(ctx, s.ev, epoch, actions[i])
+		outs[i].v, outs[i].hit, outs[i].err = v, hit, err
+		close(outs[i].done)
+	}
+	// Cached proposals evaluate on this goroutine before any other
+	// starts, so an all-cached operation lands as one group whatever the
+	// scheduler does. The rest run on goroutines of their own, except
+	// the first proposal: it commits first, so it evaluates here while
+	// the others run beside it. A later one evaluated here would hold
+	// back the landed steps before it.
+	var cold []int
+	for i, a := range actions {
+		outs[i].done = make(chan struct{})
+		if _, ok := e.cache.Peek(CacheKey{Fingerprint: fp, Epoch: epoch, Action: a}); ok {
+			evalAt(i)
+		} else if i > 0 {
+			cold = append(cold, i)
 		}
 	}
-	if onStart != nil {
-		onStart(false)
-	}
-
-	outs := make([]evalOut, len(actions))
-	done := make([]chan struct{}, len(actions))
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-	evalAt := func(i int) {
-		defer close(done[i])
-		v, hit, err := e.eval(ctx, s.ev, epoch, actions[i])
-		outs[i] = evalOut{v: v, hit: hit, err: err}
-	}
-	for i := 1; i < len(actions); i++ {
+	for _, i := range cold {
 		go evalAt(i)
 	}
-	// The first proposal commits first in either shape, so it evaluates
-	// on this goroutine while the rest run beside it; a step spawns none.
-	evalAt(0)
-	if !sh.stream {
-		for _, ch := range done {
-			<-ch
-		}
-		for _, out := range outs {
-			if out.err == nil {
-				continue
-			}
-			// The abort carries no key: a failed operation commits
-			// nothing, so a retry must re-attempt, not replay.
-			if jerr := e.commitOp(ctx, s, journalRecord{T: "abort", Epoch: epoch, Actions: actions, Lies: lies}); jerr != nil {
-				return nil, false, errors.Join(out.err, jerr)
-			}
-			return nil, false, out.err
-		}
+	if !outs[0].landed() {
+		evalAt(0)
 	}
 
+	var recs []journalRecord
+	if sh.stream {
+		recs = append(recs, journalRecord{
+			T: "spropose", Epoch: epoch, K: k, Actions: actions, Lies: lies, Key: key,
+		})
+	}
 	first := len(s.actions)
 	steps := make([]StepResult, 0, len(actions))
 	hits := make([]bool, 0, len(actions))
-	for i, a := range actions {
-		<-done[i]
-		out := outs[i]
-		if out.err != nil {
-			// Only a stream gets here. Later evaluations, if any
-			// succeed, only warm the cache.
-			return steps, false, out.err
-		}
-		d := s.observe(out.v)
-		s.driver.Observe(a, d)
-		res := s.record(a, d, out.v)
-		res.CacheHit = out.hit
-		hits = append(hits, out.hit)
-		if sh.stream {
-			if err := e.commitOp(ctx, s, journalRecord{
-				T: "scommit", Epoch: epoch, Iter: res.Iter,
-				Actions: []int{a}, Sims: []float64{out.v}, Obs: []float64{d}, Hits: []bool{out.hit},
-			}); err != nil {
+	for from := 0; from < len(actions); from = len(steps) {
+		to, err := nextGroup(sh.stream, outs, from)
+		if to == from {
+			if from > 0 {
+				// A stream keeps its committed prefix. Later evaluations,
+				// if any succeed, only warm the cache.
 				return steps, false, err
 			}
-			// Progressive registration: after each durable step the key
-			// replays exactly this prefix.
-			s.registerIdem(key, idemEntry{
-				op: sh.op, first: first, n: len(hits), k: k,
-				hits: append([]bool(nil), hits...),
-			})
-			if onStep != nil {
-				onStep(res)
+			// Nothing committed, but the strategy consumed proposals (and
+			// lies): journal them alone so recovery replays the same
+			// Next/lie sequence. An abort carries no key, and a spropose
+			// without scommits registers none, so a retry re-attempts.
+			rec := journalRecord{T: "abort", Epoch: epoch, Actions: actions, Lies: lies}
+			if sh.stream {
+				rec = recs[0]
 			}
-		}
-		steps = append(steps, res)
-	}
-	if !sh.stream {
-		sims := make([]float64, len(steps))
-		obs := make([]float64, len(steps))
-		for i, r := range steps {
-			sims[i], obs[i] = r.Sim, r.Duration
-		}
-		if err := e.commitOp(ctx, s, journalRecord{
-			T: sh.op, Epoch: epoch, Iter: first, K: k, Key: key,
-			Actions: actions, Lies: lies, Sims: sims, Obs: obs, Hits: hits,
-		}); err != nil {
+			if jerr := e.commitOp(ctx, s, rec); jerr != nil {
+				return nil, false, errors.Join(err, jerr)
+			}
 			return nil, false, err
 		}
-		s.registerIdem(key, idemEntry{op: sh.op, first: first, n: len(steps), k: k, hits: hits})
+		for i := from; i < to; i++ {
+			a, out := actions[i], outs[i]
+			d := s.observe(out.v)
+			s.driver.Observe(a, d)
+			res := s.record(a, d, out.v)
+			res.CacheHit = out.hit
+			steps = append(steps, res)
+			hits = append(hits, out.hit)
+			if sh.stream {
+				recs = append(recs, journalRecord{
+					T: "scommit", Epoch: epoch, Iter: res.Iter,
+					Actions: []int{a}, Sims: []float64{out.v}, Obs: []float64{d}, Hits: []bool{out.hit},
+				})
+			}
+		}
+		if !sh.stream {
+			sims := make([]float64, len(steps))
+			obs := make([]float64, len(steps))
+			for i, r := range steps {
+				sims[i], obs[i] = r.Sim, r.Duration
+			}
+			recs = append(recs, journalRecord{
+				T: sh.op, Epoch: epoch, Iter: first, K: k, Key: key,
+				Actions: actions, Lies: lies, Sims: sims, Obs: obs, Hits: hits,
+			})
+		}
+		if err := e.commitOp(ctx, s, recs...); err != nil {
+			return steps[:from], false, err
+		}
+		recs = recs[:0]
+		// After each durable group the key replays exactly the committed
+		// prefix.
+		s.registerIdem(key, idemEntry{
+			op: sh.op, first: first, n: len(steps), k: k, hits: hits,
+		})
+		if from == 0 && onStart != nil {
+			onStart(false)
+		}
+		if onStep != nil {
+			for _, r := range steps[from:] {
+				onStep(r)
+			}
+		}
 	}
 	if sc != nil {
 		opArgs = map[string]any{"k": width, "steps": len(steps), "first_iter": first}
@@ -250,13 +302,16 @@ func (e *Engine) BatchStepIdem(ctx context.Context, id string, k int, key string
 }
 
 // StreamBatchStepIdem is BatchStepIdem without the batch barrier: each
-// step is delivered through onStep as it commits. onStart (optional)
-// fires once after the operation is admitted, before the first onStep,
-// with replayed=true when an idempotency key replays previously
-// committed steps. The returned count is the number of steps delivered.
+// step is delivered through onStep once it commits, in a group with
+// every later step whose evaluation had already landed. onStart
+// (optional) fires once before the first onStep: when the first group
+// is durable, or at once with replayed=true when an idempotency key
+// replays previously committed steps. A stream whose first evaluation
+// fails commits nothing and returns the error without firing onStart.
+// The returned count is the number of steps delivered.
 //
-// On a mid-stream evaluation failure the committed prefix stays
-// committed (each step was already durable and delivered) and the
+// On a later evaluation failure the committed prefix stays committed
+// (each of its groups was already durable and delivered) and the
 // error is returned after the last good step. An idempotency key
 // registers progressively: a retried key replays exactly the prefix
 // that durably committed, while a stream that failed before its first

@@ -358,7 +358,7 @@ func (e *Engine) createSession(ctx context.Context, cfg SessionConfig) (*Session
 			// supervisor would have nothing to promote and the id would be
 			// unservable until an operator intervened. A transport failure
 			// degrades (single-copy, lagging) exactly as op shipping does.
-			err = e.replicate(ctx, s, createRecord(s.cfg, jl.gen))
+			err = e.replicate(ctx, s, []journalRecord{createRecord(s.cfg, jl.gen)})
 		}
 		if err != nil {
 			// Roll back. A refusal on a brand-new id means the id is
@@ -495,23 +495,24 @@ func (e *Engine) checkout(id string) (*Session, error) {
 	return s, nil
 }
 
-// commitOp journals one committed (or aborted) operation under the
-// session lock and ships it to the session's follower before the
-// caller sees the result (acked-before-visible; see replica.go). On
-// local append failure the session fails closed: its in-memory state
-// is ahead of disk and the journal is the source of truth, so
-// continuing to serve would let the divergence compound. ctx bounds
-// the replication round-trip, never the local fsync.
-func (e *Engine) commitOp(ctx context.Context, s *Session, rec journalRecord) error {
+// commitOp journals one commit group — recs, the records of one
+// committed (or aborted) operation or of one group of a stream — under
+// the session lock, in one append, and ships them to the session's
+// follower in one batch before the caller sees the result
+// (acked-before-visible; see replica.go). On local append failure the
+// session fails closed: its in-memory state is ahead of disk and the
+// journal is the source of truth, so continuing to serve would let the
+// divergence compound. ctx bounds the replication round-trip, never
+// the local fsync.
+func (e *Engine) commitOp(ctx context.Context, s *Session, recs ...journalRecord) error {
 	if s.jl == nil {
 		return nil
 	}
-	rec, err := s.jl.append(rec)
-	if err != nil {
+	if err := s.jl.append(recs); err != nil {
 		s.broken = true
 		return fmt.Errorf("engine: session %s fails closed (journal unwritable, restart with recovery): %w", s.id, err)
 	}
-	return e.replicate(ctx, s, rec)
+	return e.replicate(ctx, s, recs)
 }
 
 // AdvanceEpochIdem bumps the session's platform epoch and evicts the

@@ -618,12 +618,13 @@ func (s *Server) routes() {
 		defer done()
 
 		// The response is ndjson: one line per committed step, flushed
-		// immediately, then a terminal {"done":true,"steps":N} line. The
-		// 200 header goes out when the operation is admitted (after the
-		// proposals are durable), so errors before that point use the
-		// normal JSON statuses while a mid-stream failure arrives
-		// in-band as {"error":...,"status":...} after the committed
-		// prefix — the prefix stays committed either way.
+		// as its commit group becomes durable, then a terminal
+		// {"done":true,"steps":N} line. The 200 header goes out with the
+		// first group, once it is on both disks, so a stream that
+		// commits nothing (its first evaluation failed) answers with the
+		// normal JSON status, as batch-step does, while a later failure
+		// arrives in-band as {"error":...,"status":...} after the
+		// committed prefix — the prefix stays committed either way.
 		flusher, _ := w.(http.Flusher)
 		enc := json.NewEncoder(w)
 		started := false

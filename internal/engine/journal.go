@@ -45,9 +45,10 @@ import (
 //	                                                  the strategy consumed Next/lie calls
 //	                                                  but no observation was committed
 //	{"t":"spropose","seq":N,"epoch":E,"k":K,
-//	 "actions":[...],"lies":[...],"key":"..."}        a streaming batch's proposals, durable
-//	                                                  before any evaluation runs; followed by
-//	                                                  0..len(actions) scommit records (fewer
+//	 "actions":[...],"lies":[...],"key":"..."}        a streaming batch's proposals, in the
+//	                                                  same append as its first scommit (alone
+//	                                                  if its first evaluation failed); followed
+//	                                                  by 0..len(actions) scommit records (fewer
 //	                                                  than len(actions) means the stream
 //	                                                  failed or crashed mid-flight — the
 //	                                                  uncommitted suffix aborts implicitly)
@@ -61,13 +62,17 @@ import (
 //	                                                  is rejected from this record on
 //
 // The one commit path (commit.go) writes the operation records in two
-// shapes. Step and batch-step are atomic: one step or batch record, or
-// one abort record if any evaluation failed. Stream-step writes
-// spropose first and then one scommit per step in proposal order.
-// Step and batch keep a single record because every record is an fsync
-// and a replica round-trip before the caller sees its result; the
-// per-step form buys a stream its early delivery, which an atomic
-// operation cannot use.
+// shapes, each as a sequence of commit groups: one append (one write,
+// one fsync) and one replica ship per group, whatever its record count.
+// Step and batch-step are atomic, one group of one record: a step or
+// batch record, or an abort record if any evaluation failed.
+// Stream-step writes spropose first and then one scommit per step in
+// proposal order; its first group holds spropose and the scommits of
+// every evaluation that had landed in order, and each later group the
+// next run of landed ones. A crash can therefore tear a group: the
+// intact lines before the torn one are a prefix the live stream would
+// have produced had it failed there, so recovery replays them as it
+// does any spropose with fewer scommits than proposals.
 //
 // key is the client's idempotency key when the committing request
 // carried one (absent otherwise); hits are the per-step cache-hit
@@ -257,24 +262,27 @@ func createRecord(cfg journalConfig, gen uint64) journalRecord {
 	return journalRecord{T: "create", V: journalFormatVersion, Gen: gen, Config: &cfg}
 }
 
-// append journals one committed operation under the next sequence
-// number and the journal's generation, and returns the record as
-// written.
-func (j *journal) append(rec journalRecord) (journalRecord, error) {
-	rec.Seq = j.seq + 1
-	rec.Gen = j.gen
+// append journals recs, one commit group, in a single appendRecords
+// call (one write, one fsync): it stamps them in place with the next
+// sequence numbers and the journal's generation, so the caller ships
+// them as written.
+func (j *journal) append(recs []journalRecord) error {
+	for i := range recs {
+		recs[i].Seq = j.seq + int64(i) + 1
+		recs[i].Gen = j.gen
+	}
 	var t0 int64
 	if j.tel != nil {
 		t0 = j.tel.Now()
 	}
-	if err := appendRecords(j.dir, j.id, []journalRecord{rec}); err != nil {
-		return rec, err
+	if err := appendRecords(j.dir, j.id, recs); err != nil {
+		return err
 	}
 	if j.tel != nil {
 		j.tel.JournalAppend.Observe(j.tel.Seconds(t0))
 	}
-	j.seq++
-	return rec, nil
+	j.seq += int64(len(recs))
+	return nil
 }
 
 // history reads the session's whole history back from disk, as a

@@ -19,12 +19,13 @@ import (
 )
 
 // Replication: every fsync'd journal record of a session is shipped,
-// synchronously and acked-before-visible, to a follower node so that
-// losing the owner — process, disk and all — loses no committed
-// operation. The follower stores the records verbatim in a replica
-// journal; promotion moves that file into the live journal directory
-// and runs the ordinary Recover replay path over it, so a promoted
-// session is bit-identical to one that was never interrupted.
+// synchronously and acked-before-visible, in one batch per commit
+// group (see commit.go), to a follower node so that losing the owner
+// — process, disk and all — loses no committed operation. The
+// follower stores the records verbatim in a replica journal; promotion
+// moves that file into the live journal directory and runs the
+// ordinary Recover replay path over it, so a promoted session is
+// bit-identical to one that was never interrupted.
 //
 // Fencing: each session carries a generation (see journal.go). The
 // owner stamps its generation on every shipped record, and the replica
@@ -95,16 +96,16 @@ type replicator struct {
 	lagOps int
 }
 
-// replicate ships rec, the record the session's journal just wrote, to
-// the session's follower: alone while the follower is in sync, or
-// after the whole history read back from the journal file when it is
-// not (a resync). Called under the session mutex, after the local
-// fsync succeeded — the caller's response is not sent until this
+// replicate ships recs, the commit group the session's journal just
+// wrote, to the session's follower: as one batch while the follower is
+// in sync, or after the whole history read back from the journal file
+// when it is not (a resync). Called under the session mutex, after the
+// local fsync succeeded — the caller's response is not sent until this
 // returns, so an acked operation is on two disks (or the session is
 // explicitly lagging). A refused ship (stale generation) fails the
 // session closed: the refusal proves a newer generation owns the
 // session elsewhere, and this node must stop acking.
-func (e *Engine) replicate(ctx context.Context, s *Session, rec journalRecord) error {
+func (e *Engine) replicate(ctx context.Context, s *Session, recs []journalRecord) error {
 	if s.jl == nil {
 		return nil
 	}
@@ -131,14 +132,14 @@ func (e *Engine) replicate(ctx context.Context, s *Session, rec journalRecord) e
 	// A failed read of the history counts as a failed ship: the local
 	// commit is already durable, so the session degrades to lagging.
 	ship := func(resync bool) error {
-		recs := []journalRecord{rec}
+		batch := recs
 		if resync {
 			var err error
-			if recs, err = s.jl.history(s.cfg); err != nil {
+			if batch, err = s.jl.history(s.cfg); err != nil {
 				return err
 			}
 		}
-		return e.shipSpan(ctx, sc, s.repl.addr, s.id, recs)
+		return e.shipSpan(ctx, sc, s.repl.addr, s.id, batch)
 	}
 	resync := !s.repl.synced
 	start := e.tel.Now()
@@ -538,7 +539,7 @@ func (e *Engine) PromoteReplica(ctx context.Context, id string, minGen uint64) (
 	// so the bump always moves past the deposed owner's.
 	newGen := max(s.jl.gen+1, minGen)
 	s.jl.gen = newGen
-	if _, err := s.jl.append(journalRecord{T: "gen", Gen: newGen}); err != nil {
+	if err := s.jl.append([]journalRecord{{T: "gen", Gen: newGen}}); err != nil {
 		return PromotedSession{}, fmt.Errorf("engine: journal generation bump for %s: %w", id, err)
 	}
 	if err := e.adopt(s, replayed); err != nil {

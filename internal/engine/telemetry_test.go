@@ -425,47 +425,61 @@ const overheadBound = 0.02
 
 // TestDisabledTelemetryOverheadBound measures the cost of the nil-hook
 // ensemble against the latency of a real cache-missing engine step and
-// asserts the documented <2% bound with a heavy safety margin.
+// asserts the documented <2% bound with a heavy safety margin. Each is
+// timed as its minimum over interleaved rounds: go test runs packages
+// side by side, and load from them inflates a measurement only if it
+// covers every round of it.
 func TestDisabledTelemetryOverheadBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing measurement")
 	}
 	// Cost of one full hook ensemble, disabled path.
-	var sink int
 	ctx := context.Background()
 	const ensembleRuns = 200000
-	start := time.Now()
-	for i := 0; i < ensembleRuns; i++ {
-		disabledHooks(ctx, &sink)
-	}
-	hookNs := float64(time.Since(start).Nanoseconds()) / ensembleRuns
-	if sink != 0 {
-		t.Fatalf("disabled hooks took an enabled branch (%d)", sink)
+	hooks := func() float64 {
+		var sink int
+		start := time.Now()
+		for i := 0; i < ensembleRuns; i++ {
+			disabledHooks(ctx, &sink)
+		}
+		if sink != 0 {
+			t.Fatalf("disabled hooks took an enabled branch (%d)", sink)
+		}
+		return float64(time.Since(start).Nanoseconds()) / ensembleRuns
 	}
 
 	// Latency of real steps on a fresh engine (every eval a cache miss),
 	// at 12 tiles, the smallest size the benchmark workloads run. Since
 	// the iteration graph is built once per shape, a 4-tile step costs
 	// 30-55 µs, too little to stand for a real one.
-	e := New(1)
-	s, err := e.CreateSession(SessionConfig{
-		ScenarioKey: "b", Strategy: "DC", Seed: 7, Tiles: 12,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const steps = 8
-	start = time.Now()
-	for i := 0; i < steps; i++ {
-		if _, _, err := e.StepIdem(context.Background(), s.id, ""); err != nil {
+	step := func() float64 {
+		e := New(1)
+		s, err := e.CreateSession(SessionConfig{
+			ScenarioKey: "b", Strategy: "DC", Seed: 7, Tiles: 12,
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
+		start := time.Now()
+		for i := 0; i < steps; i++ {
+			if _, _, err := e.StepIdem(ctx, s.id, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return float64(time.Since(start).Nanoseconds()) / steps
 	}
-	stepNs := float64(time.Since(start).Nanoseconds()) / steps
+
+	const rounds = 5
+	hookNs, stepNs := hooks(), step()
+	for r := 1; r < rounds; r++ {
+		hookNs = min(hookNs, hooks())
+		stepNs = min(stepNs, step())
+	}
 
 	frac := hookNs * hooksPerStep / stepNs
-	t.Logf("disabled hooks: %.1f ns/ensemble, step: %.0f ns, overhead fraction %.5f (bound %.2f)",
-		hookNs, stepNs, frac, overheadBound)
+	t.Logf("disabled hooks: %.1f ns/ensemble, step: %.0f ns (minima over %d rounds), overhead fraction %.5f (bound %.2f)",
+		hookNs, stepNs, rounds, frac, overheadBound)
 	if frac >= overheadBound {
 		t.Fatalf("disabled-telemetry overhead %.4f exceeds documented bound %.2f", frac, overheadBound)
 	}

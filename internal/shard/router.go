@@ -611,6 +611,13 @@ func copyHeaders(dst, src http.Header) {
 	}
 }
 
+// copyBufs recycles the 32 KiB buffers proxy streams responses
+// through, so a proxied call allocates none of its own.
+var copyBufs = sync.Pool{New: func() any {
+	b := make([]byte, 32<<10)
+	return &b
+}}
+
 // proxy forwards the request to st, streaming the response through
 // with a flush per chunk (the worker's stream-step emits ndjson lines
 // that must not sit in a proxy buffer until the stream ends).
@@ -675,7 +682,9 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, st *shardState) 
 	w.Header().Set("X-Phasetune-Shard", st.name)
 	w.WriteHeader(resp.StatusCode)
 	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 32<<10)
+	bp := copyBufs.Get().(*[]byte)
+	defer copyBufs.Put(bp)
+	buf := *bp
 	for {
 		n, rerr := resp.Body.Read(buf)
 		if n > 0 {
