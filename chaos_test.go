@@ -501,17 +501,13 @@ func chaosClientRound(t *testing.T, bin string, workers int, ref []engine.Sessio
 	// connection; per-request connections keep the fault plan's
 	// connection axis advancing.
 	cl, err := client.New(client.Config{
-		BaseURL:          "http://" + proxy.Addr(),
-		HTTPClient:       &http.Client{Transport: &http.Transport{DisableKeepAlives: true}},
-		Seed:             2026,
-		MaxAttempts:      30,
-		BaseDelay:        20 * time.Millisecond,
-		MaxDelay:         400 * time.Millisecond,
-		AttemptTimeout:   15 * time.Second,
-		RetryBudget:      200,
-		BudgetRefill:     1,
-		BreakerThreshold: 8,
-		BreakerCooldown:  200 * time.Millisecond,
+		BaseURL:        "http://" + proxy.Addr(),
+		HTTPClient:     &http.Client{Transport: &http.Transport{DisableKeepAlives: true}},
+		Seed:           2026,
+		MaxAttempts:    30,
+		BaseDelay:      20 * time.Millisecond,
+		MaxDelay:       400 * time.Millisecond,
+		AttemptTimeout: 15 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -374,10 +374,9 @@ func run(cfg config) error {
 		// Nonzero: the session ids and idempotency keys the client
 		// mints derive from its seed.
 		Seed: uint64(cfg.seed)<<8 + 1,
-		// Chaos and failover runs ride on retries; keep the budget
-		// roomy and let the gates judge the outcome.
+		// Chaos and failover runs ride on retries; let the gates
+		// judge the outcome.
 		MaxAttempts: 10,
-		RetryBudget: 64,
 		// Don't let one black-holed connection eat a whole op deadline.
 		AttemptTimeout: cfg.opTimeout / 3,
 	})

@@ -8,15 +8,15 @@
 //     journaled result instead of double-applying the operation;
 //   - transient failures (connection resets, 429/502/503/504) back off
 //     exponentially with full jitter and honor the server's Retry-After
-//     hint;
-//   - a per-session retry budget bounds the extra load a misbehaving
-//     backend can extract from one client;
-//   - a half-open circuit breaker stops hammering a peer that is
-//     failing hard, probing it once per cooldown until it recovers;
+//     hint, for at most MaxAttempts attempts per call;
 //   - context deadlines propagate: the client never sleeps past the
 //     caller's deadline, and gives the verdict it has instead.
 //
-// The zero Config is usable; tests inject Now/Sleep for a fake clock.
+// That is the only bound on retries. Shedding load is the server's
+// job, where the load is known: a worker's admission gate answers 429
+// and the router 503, each with a Retry-After the backoff honors.
+//
+// The zero Config is usable; tests inject Sleep for a fake clock.
 package client
 
 import (
@@ -36,11 +36,10 @@ import (
 
 	"phasetune/internal/engine"
 	"phasetune/internal/obsv"
-	"phasetune/internal/obsv/events"
 )
 
-// Config tunes the client's resilience machinery. Zero values select
-// the documented defaults.
+// Config tunes the client's retry loop. Zero values select the
+// documented defaults.
 type Config struct {
 	// BaseURL roots every request, e.g. "http://127.0.0.1:8080".
 	BaseURL string
@@ -60,20 +59,6 @@ type Config struct {
 	// black-holed connection costs one attempt, not the whole deadline.
 	AttemptTimeout time.Duration
 
-	// RetryBudget is the per-session (and client-wide, for sessionless
-	// calls) token bucket: each retry spends one token, each success
-	// earns back BudgetRefill, and an empty bucket fails fast instead
-	// of amplifying an outage (default 16 tokens, 0.5 refill).
-	RetryBudget  float64
-	BudgetRefill float64
-
-	// BreakerThreshold consecutive eligible failures open the circuit
-	// breaker (default 5); while open, calls fail fast for
-	// BreakerCooldown (default 1s), then a single half-open probe
-	// decides between closing it and another cooldown.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-
 	// Seed fixes the jitter stream and the instance identity for
 	// reproducible runs; 0 draws a random identity. The identity
 	// prefixes every idempotency key and every session id the client
@@ -82,9 +67,8 @@ type Config struct {
 	// sweeps. Give concurrent clients of one server distinct seeds.
 	Seed uint64
 
-	// Now and Sleep inject the clock. Sleep must return early with the
+	// Sleep injects the backoff clock. It must return early with the
 	// context's error when it is cancelled. Nil selects the wall clock.
-	Now   func() time.Time
 	Sleep func(ctx context.Context, d time.Duration) error
 
 	// Trace, when set, makes the client the first hop of fleet traces:
@@ -94,21 +78,7 @@ type Config struct {
 	// Nil — the default — disables tracing entirely: no header is
 	// emitted and the hot path allocates nothing.
 	Trace *obsv.TraceRecorder
-	// Events, when set, records the circuit breaker's state changes
-	// (breaker.open / breaker.half-open / breaker.close) as structured
-	// events. Nil disables event recording.
-	Events *events.Log
 }
-
-// Sentinel errors surfaced (wrapped) by the retry loop.
-var (
-	// ErrBreakerOpen marks calls refused locally while the circuit
-	// breaker cools down.
-	ErrBreakerOpen = errors.New("client: circuit breaker open")
-	// ErrBudgetExhausted marks calls abandoned because the retry
-	// budget ran dry.
-	ErrBudgetExhausted = errors.New("client: retry budget exhausted")
-)
 
 // APIError is a non-2xx response decoded from the server's
 // {"error": ...} body.
@@ -122,15 +92,13 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("client: server answered %d: %s", e.Status, e.Message)
 }
 
-// Stats counts what the resilience machinery did, for load harnesses
-// and tests. Read them through Snapshot.
+// Stats counts what the retry loop did, for load harnesses and tests.
+// Read them through Snapshot.
 type Stats struct {
-	Calls        uint64 // top-level API calls
-	Attempts     uint64 // HTTP attempts, first tries included
-	Retries      uint64 // attempts beyond the first
-	Replays      uint64 // responses served from the idempotency journal
-	BreakerTrips uint64 // closed->open transitions
-	BudgetDenied uint64 // calls abandoned on an empty retry budget
+	Calls    uint64 // top-level API calls
+	Attempts uint64 // HTTP attempts, first tries included
+	Retries  uint64 // attempts beyond the first
+	Replays  uint64 // responses served from the idempotency journal
 }
 
 // Client is a resilient phasetune-serve API client. Safe for
@@ -139,19 +107,15 @@ type Client struct {
 	cfg      Config
 	hc       *http.Client
 	base     string
-	breaker  *breaker
-	budget   *budget // sessionless calls (create, sweep)
 	instance string
 	seq      atomic.Uint64 // idempotency-key counter
 	jitter   atomic.Uint64 // jitter stream counter
 	jseed    uint64
 
-	calls        atomic.Uint64
-	attempts     atomic.Uint64
-	retries      atomic.Uint64
-	replays      atomic.Uint64
-	breakerTrips atomic.Uint64
-	budgetDenied atomic.Uint64
+	calls    atomic.Uint64
+	attempts atomic.Uint64
+	retries  atomic.Uint64
+	replays  atomic.Uint64
 }
 
 // New returns a client for the phasetune-serve instance at
@@ -168,23 +132,6 @@ func New(cfg Config) (*Client, error) {
 	}
 	if cfg.MaxDelay <= 0 {
 		cfg.MaxDelay = 2 * time.Second
-	}
-	if cfg.RetryBudget <= 0 {
-		cfg.RetryBudget = 16
-	}
-	if cfg.BudgetRefill <= 0 {
-		cfg.BudgetRefill = 0.5
-	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = 5
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = time.Second
-	}
-	if cfg.Now == nil {
-		cfg.Now = func() time.Time {
-			return time.Now() //lint:allow determinism wall-clock default; deterministic tests inject a fake clock
-		}
 	}
 	if cfg.Sleep == nil {
 		cfg.Sleep = defaultSleep
@@ -205,8 +152,6 @@ func New(cfg Config) (*Client, error) {
 		cfg:      cfg,
 		hc:       hc,
 		base:     strings.TrimRight(cfg.BaseURL, "/"),
-		breaker:  newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		budget:   newBudget(cfg.RetryBudget, cfg.BudgetRefill),
 		instance: fmt.Sprintf("%016x", splitmix64(seed)),
 		jseed:    splitmix64(seed + 1),
 	}, nil
@@ -226,15 +171,13 @@ func defaultSleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Snapshot returns the client's resilience counters.
+// Snapshot returns the client's retry counters.
 func (c *Client) Snapshot() Stats {
 	return Stats{
-		Calls:        c.calls.Load(),
-		Attempts:     c.attempts.Load(),
-		Retries:      c.retries.Load(),
-		Replays:      c.replays.Load(),
-		BreakerTrips: c.breakerTrips.Load(),
-		BudgetDenied: c.budgetDenied.Load(),
+		Calls:    c.calls.Load(),
+		Attempts: c.attempts.Load(),
+		Retries:  c.retries.Load(),
+		Replays:  c.replays.Load(),
 	}
 }
 
@@ -268,12 +211,10 @@ func (c *Client) backoffDelay(attempt, retryAfterSecs int) time.Duration {
 	return d
 }
 
-// Session is a handle on one server-side tuning session, carrying its
-// own retry budget.
+// Session is a handle on one server-side tuning session.
 type Session struct {
-	c      *Client
-	budget *budget
-	Info   SessionInfo
+	c    *Client
+	Info SessionInfo
 }
 
 // SessionInfo mirrors the create-session response.
@@ -318,26 +259,18 @@ func (c *Client) CreateSession(ctx context.Context, req CreateSessionRequest) (*
 	}{c.nextKey(), req}
 	_, err := c.do(ctx, call{
 		method: http.MethodPost, path: "/v1/sessions",
-		body: body, out: &info, budget: c.budget,
+		body: body, out: &info,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Session{
-		c:      c,
-		budget: newBudget(c.cfg.RetryBudget, c.cfg.BudgetRefill),
-		Info:   info,
-	}, nil
+	return &Session{c: c, Info: info}, nil
 }
 
 // Attach returns a handle on an existing session (for example one that
 // survived a server restart) without a create round-trip.
 func (c *Client) Attach(id string) *Session {
-	return &Session{
-		c:      c,
-		budget: newBudget(c.cfg.RetryBudget, c.cfg.BudgetRefill),
-		Info:   SessionInfo{ID: id},
-	}
+	return &Session{c: c, Info: SessionInfo{ID: id}}
 }
 
 // Step runs one tuning step. Retried freely under a fresh idempotency
@@ -346,7 +279,7 @@ func (s *Session) Step(ctx context.Context) (engine.StepResult, error) {
 	var res engine.StepResult
 	_, err := s.c.do(ctx, call{
 		method: http.MethodPost, path: "/v1/sessions/" + s.Info.ID + "/step",
-		out: &res, key: s.c.nextKey(), budget: s.budget,
+		out: &res, key: s.c.nextKey(),
 	})
 	return res, err
 }
@@ -358,7 +291,7 @@ func (s *Session) BatchStep(ctx context.Context, k int) ([]engine.StepResult, er
 	}
 	_, err := s.c.do(ctx, call{
 		method: http.MethodPost, path: "/v1/sessions/" + s.Info.ID + "/batch-step",
-		body: map[string]int{"k": k}, out: &res, key: s.c.nextKey(), budget: s.budget,
+		body: map[string]int{"k": k}, out: &res, key: s.c.nextKey(),
 	})
 	return res.Steps, err
 }
@@ -373,7 +306,7 @@ func (s *Session) StreamStep(ctx context.Context, k int) ([]engine.StepResult, e
 	var raw []byte
 	_, err := s.c.do(ctx, call{
 		method: http.MethodPost, path: "/v1/sessions/" + s.Info.ID + "/stream-step",
-		body: map[string]int{"k": k}, rawOut: &raw, key: s.c.nextKey(), budget: s.budget,
+		body: map[string]int{"k": k}, rawOut: &raw, key: s.c.nextKey(),
 	})
 	if err != nil {
 		return nil, err
@@ -424,7 +357,7 @@ func (s *Session) AdvanceEpoch(ctx context.Context) (int, error) {
 	}
 	_, err := s.c.do(ctx, call{
 		method: http.MethodPost, path: "/v1/sessions/" + s.Info.ID + "/advance-epoch",
-		out: &res, key: s.c.nextKey(), budget: s.budget,
+		out: &res, key: s.c.nextKey(),
 	})
 	return res.Epoch, err
 }
@@ -434,7 +367,7 @@ func (s *Session) Result(ctx context.Context) (engine.SessionResult, error) {
 	var res engine.SessionResult
 	_, err := s.c.do(ctx, call{
 		method: http.MethodGet, path: "/v1/sessions/" + s.Info.ID,
-		out: &res, budget: s.budget,
+		out: &res,
 	})
 	return res, err
 }
@@ -446,7 +379,7 @@ func (c *Client) Sweep(ctx context.Context, req SweepRequest) (engine.SweepResul
 	var res engine.SweepResult
 	_, err := c.do(ctx, call{
 		method: http.MethodPost, path: "/v1/sweep",
-		body: req, out: &res, key: c.nextKey(), budget: c.budget,
+		body: req, out: &res, key: c.nextKey(),
 	})
 	return res, err
 }
@@ -480,8 +413,7 @@ type call struct {
 	// instead of a JSON decode into out (streaming responses).
 	rawOut *[]byte
 	// key is the idempotency key, sent when non-empty.
-	key    string
-	budget *budget
+	key string
 }
 
 // do runs the retry loop around one API call and reports whether the
@@ -506,63 +438,28 @@ func (c *Client) do(ctx context.Context, op call) (replayed bool, err error) {
 	}
 	var lastErr error
 	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
-		// A breaker rejection already waited out the cooldown and never
-		// touched the server: no budget spent, no extra backoff.
-		if attempt > 1 && !errors.Is(lastErr, ErrBreakerOpen) {
-			// Paying for a retry: spend budget, back off (honoring any
-			// Retry-After), and never sleep past the caller's deadline.
-			if !op.budget.take() {
-				c.budgetDenied.Add(1)
-				return false, fmt.Errorf("%w after %d attempts: %w", ErrBudgetExhausted, attempt-1, lastErr)
-			}
+		if attempt > 1 {
+			// A retry: back off (honoring any Retry-After), and never
+			// sleep past the caller's deadline.
 			c.retries.Add(1)
 			if err := c.cfg.Sleep(ctx, c.backoffDelay(attempt-1, retryAfterOf(lastErr))); err != nil {
 				return false, fmt.Errorf("client: giving up during backoff: %w (last attempt: %w)", err, lastErr)
 			}
 		}
-		wait, probe, berr := c.breaker.allow(c.cfg.Now())
-		if berr != nil {
-			// Open breaker: this attempt is refused locally. Wait out
-			// the cooldown (bounded by MaxDelay) and loop; no budget
-			// spent, the server saw nothing.
-			lastErr = berr
-			if wait > c.cfg.MaxDelay {
-				wait = c.cfg.MaxDelay
-			}
-			if err := c.cfg.Sleep(ctx, wait); err != nil {
-				return false, fmt.Errorf("client: giving up while breaker open: %w", err)
-			}
-			continue
-		}
-		if probe {
-			c.cfg.Events.Emit("breaker.half-open", "", sc.TraceContext().TraceID, nil)
-		}
 		c.attempts.Add(1)
 		replayed, err := c.attempt(ctx, op, enc, sc, attempt)
-		eligible, breakerCounts := classify(err)
-		c.breaker.report(c.cfg.Now(), breakerCounts, c.onTrip)
 		if err == nil {
-			if probe {
-				// The half-open probe succeeded: the breaker is closed again.
-				c.cfg.Events.Emit("breaker.close", "", sc.TraceContext().TraceID, nil)
-			}
-			op.budget.earn()
 			if replayed {
 				c.replays.Add(1)
 			}
 			return replayed, nil
 		}
-		lastErr = err
-		if !eligible {
+		if !retryable(err) {
 			return false, err
 		}
+		lastErr = err
 	}
 	return false, fmt.Errorf("client: %d attempts exhausted: %w", c.cfg.MaxAttempts, lastErr)
-}
-
-func (c *Client) onTrip() {
-	c.breakerTrips.Add(1)
-	c.cfg.Events.Emit("breaker.open", "", "", nil)
 }
 
 // attempt performs one HTTP exchange. Each attempt is its own hop span
@@ -635,31 +532,26 @@ func (c *Client) attempt(ctx context.Context, op call, body []byte, sc *obsv.Spa
 	return resp.Header.Get("Idempotency-Replayed") == "true", nil
 }
 
-// classify sorts an attempt error into (retry-eligible,
-// counts-toward-breaker). Every call is safe to retry — reads have no
-// effect, and each mutation carries its idempotency key or its session
-// id — so every transport error and every 429/502/503/504 is retried.
-//
-// The breaker counts transport errors and 5xx: those say the peer is
-// in trouble. 429 is healthy backpressure and 4xx is our own fault;
-// neither opens the circuit.
-func classify(err error) (eligible, breakerCounts bool) {
-	if err == nil {
-		return false, false
-	}
+// retryable reports whether an attempt error is worth another try.
+// Every call is safe to retry — reads have no effect, and each mutation
+// carries its idempotency key or its session id — so every transport
+// error and every 429/502/503/504 is retried. Any other status is the
+// server's verdict on the request itself, and another try would get
+// the same answer.
+func retryable(err error) bool {
 	var apiErr *APIError
 	if errors.As(err, &apiErr) {
 		switch apiErr.Status {
 		case http.StatusTooManyRequests, http.StatusBadGateway,
 			http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-			return true, apiErr.Status != http.StatusTooManyRequests
+			return true
 		}
-		return false, apiErr.Status >= 500
+		return false
 	}
 	// A transport failure, or an attempt timeout. The caller's deadline
 	// (not the per-attempt one) is checked by the sleep on the next
 	// loop; an expired parent context ends the call there.
-	return true, true
+	return true
 }
 
 // retryAfterOf extracts the server's Retry-After hint from the last

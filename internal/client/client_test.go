@@ -4,30 +4,21 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// fakeClock drives the client's injected Now/Sleep deterministically:
-// Sleep advances time instead of waiting, and records every wait.
+// fakeClock is the client's injected Sleep made deterministic: it
+// records every wait and returns at once instead of waiting.
 type fakeClock struct {
 	mu     sync.Mutex
-	now    time.Time
 	sleeps []time.Duration
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{now: time.Unix(1_000_000, 0)}
-}
-
-func (f *fakeClock) Now() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.now
 }
 
 func (f *fakeClock) Sleep(ctx context.Context, d time.Duration) error {
@@ -38,28 +29,20 @@ func (f *fakeClock) Sleep(ctx context.Context, d time.Duration) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.now = f.now.Add(d)
 	f.sleeps = append(f.sleeps, d)
 	return nil
-}
-
-func (f *fakeClock) sleepCount() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.sleeps)
 }
 
 // testClient wires a client to srv with the fake clock and a fixed
 // seed so jitter (and keys) are reproducible.
 func testClient(t *testing.T, url string, mut func(*Config)) (*Client, *fakeClock) {
 	t.Helper()
-	clk := newFakeClock()
+	clk := &fakeClock{}
 	cfg := Config{
 		BaseURL:   url,
 		Seed:      42,
 		BaseDelay: 10 * time.Millisecond,
 		MaxDelay:  500 * time.Millisecond,
-		Now:       clk.Now,
 		Sleep:     clk.Sleep,
 	}
 	if mut != nil {
@@ -235,36 +218,18 @@ func TestCreateSessionRetriesDialErrors(t *testing.T) {
 	}
 }
 
-func TestRetryBudgetExhaustion(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}))
-	defer srv.Close()
-
-	c, _ := testClient(t, srv.URL, func(cfg *Config) {
-		cfg.MaxAttempts = 100
-		cfg.RetryBudget = 3
-	})
-	_, err := c.Attach("s-1").Step(context.Background())
-	if !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("err %v, want ErrBudgetExhausted", err)
-	}
-	st := c.Snapshot()
-	if st.Retries != 3 || st.BudgetDenied != 1 {
-		t.Fatalf("retries %d denied %d, want 3 / 1", st.Retries, st.BudgetDenied)
-	}
-}
-
-func TestBreakerOpensFailsFastAndRecovers(t *testing.T) {
+// TestFailuresOnOneSessionDoNotStallAnother: the failures one session
+// meets cost the client's other sessions nothing. After five 500s on
+// one session, a step on another goes out at once, with no wait
+// before it: the only retry bound is per call.
+func TestFailuresOnOneSessionDoNotStallAnother(t *testing.T) {
 	var mu sync.Mutex
-	healthy := false
-	var calls int
+	var paths []string
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
-		calls++
-		ok := healthy
+		paths = append(paths, r.URL.Path)
 		mu.Unlock()
-		if !ok {
+		if strings.HasPrefix(r.URL.Path, "/v1/sessions/wedged/") {
 			w.WriteHeader(http.StatusInternalServerError)
 			_, _ = w.Write([]byte(`{"error":"wedged"}`))
 			return
@@ -273,45 +238,35 @@ func TestBreakerOpensFailsFastAndRecovers(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c, clk := testClient(t, srv.URL, func(cfg *Config) {
-		cfg.BreakerThreshold = 3
-		cfg.BreakerCooldown = time.Second
-	})
-	s := c.Attach("s-1")
-	// 500s are not retryable, so each call is one attempt; three of
-	// them trip the breaker.
-	for i := 0; i < 3; i++ {
-		if _, err := s.Step(context.Background()); err == nil {
-			t.Fatal("step against wedged server succeeded")
+	c, clk := testClient(t, srv.URL, nil)
+	wedged := c.Attach("wedged")
+	for i := 0; i < 5; i++ {
+		// A 500 is the server's verdict, not a transient: one attempt.
+		var apiErr *APIError
+		if _, err := wedged.Step(context.Background()); !errors.As(err, &apiErr) || apiErr.Status != http.StatusInternalServerError {
+			t.Fatalf("step %d on the wedged session: %v, want its 500", i, err)
 		}
 	}
-	if got := c.Snapshot().BreakerTrips; got != 1 {
-		t.Fatalf("breaker trips %d, want 1", got)
+	res, err := c.Attach("healthy").Step(context.Background())
+	if err != nil {
+		t.Fatalf("step on the healthy session: %v", err)
 	}
-	// While open, the next call waits out the cooldown locally, then
-	// sends the single half-open probe — which still fails, re-opening.
+	if res.Action != 1 {
+		t.Fatalf("step action %d, want 1", res.Action)
+	}
+	clk.mu.Lock()
+	sleeps := append([]time.Duration(nil), clk.sleeps...)
+	clk.mu.Unlock()
+	if len(sleeps) != 0 {
+		t.Fatalf("client waited %v before sending the healthy step, want no wait", sleeps)
+	}
 	mu.Lock()
-	before := calls
-	mu.Unlock()
-	if _, err := s.Step(context.Background()); err == nil {
-		t.Fatal("probe against wedged server succeeded")
+	defer mu.Unlock()
+	if len(paths) != 6 || paths[5] != "/v1/sessions/healthy/step" {
+		t.Fatalf("server saw %v, want five wedged steps then the healthy one", paths)
 	}
-	mu.Lock()
-	if calls != before+1 {
-		t.Fatalf("open breaker let %d calls through, want 1 probe", calls-before)
-	}
-	healthy = true
-	mu.Unlock()
-	if clk.sleepCount() == 0 {
-		t.Fatal("open breaker never waited out its cooldown")
-	}
-	// Healthy again: the next probe closes the circuit and the call
-	// succeeds within the same client call.
-	if _, err := s.Step(context.Background()); err != nil {
-		t.Fatalf("step after recovery: %v", err)
-	}
-	if _, err := s.Step(context.Background()); err != nil {
-		t.Fatalf("step with closed breaker: %v", err)
+	if st := c.Snapshot(); st.Attempts != 6 || st.Retries != 0 {
+		t.Fatalf("attempts %d retries %d, want 6 / 0", st.Attempts, st.Retries)
 	}
 }
 
@@ -369,5 +324,84 @@ func TestKeysUniqueAcrossCalls(t *testing.T) {
 			t.Fatalf("duplicate idempotency key %q", k)
 		}
 		seen[k] = true
+	}
+}
+
+// TestStreamStepDecoding drives StreamStep against canned ndjson
+// bodies: one answer per attempt, each a status and a body.
+func TestStreamStepDecoding(t *testing.T) {
+	type answer struct {
+		status int
+		body   string
+	}
+	steps := func(n int) string {
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, `{"iter":%d,"action":%d,"duration":1.5,"sim":1.25}`+"\n", i, 10+i)
+		}
+		return b.String()
+	}
+	full := answer{http.StatusOK, steps(3) + `{"done":true,"steps":3}` + "\n"}
+	cases := []struct {
+		name    string
+		answers []answer
+		// wantSteps steps come back; wantStatus is the *APIError status
+		// expected, 0 for none, -1 for an error that is no APIError.
+		wantSteps, wantStatus int
+		wantAttempts          uint64
+	}{
+		{"full stream", []answer{full}, 3, 0, 1},
+		{"in-band error after two steps", []answer{{http.StatusOK,
+			steps(2) + `{"error":"evaluation timed out","status":504,"steps":2}` + "\n"}}, 2, http.StatusGatewayTimeout, 1},
+		{"no terminal line", []answer{{http.StatusOK, steps(2)}}, 2, -1, 1},
+		{"503 before any line", []answer{{http.StatusServiceUnavailable, `{"error":"draining"}`}, full}, 3, 0, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			var keys []string
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != "/v1/sessions/s-1/stream-step" {
+					t.Errorf("request to %s", r.URL.Path)
+				}
+				mu.Lock()
+				keys = append(keys, r.Header.Get("Idempotency-Key"))
+				a := tc.answers[min(len(keys), len(tc.answers))-1]
+				mu.Unlock()
+				w.WriteHeader(a.status)
+				_, _ = w.Write([]byte(a.body))
+			}))
+			defer srv.Close()
+
+			c, _ := testClient(t, srv.URL, nil)
+			got, err := c.Attach("s-1").StreamStep(context.Background(), 3)
+			if len(got) != tc.wantSteps {
+				t.Fatalf("%d steps, want %d (err %v)", len(got), tc.wantSteps, err)
+			}
+			for i, r := range got {
+				if r.Iter != i || r.Action != 10+i || r.Duration != 1.5 || r.Sim != 1.25 {
+					t.Fatalf("step %d decoded as %+v", i, r)
+				}
+			}
+			var apiErr *APIError
+			switch {
+			case tc.wantStatus == 0 && err != nil:
+				t.Fatalf("err %v, want none", err)
+			case tc.wantStatus == -1 && (err == nil || errors.As(err, &apiErr)):
+				t.Fatalf("err %v, want a decoding error", err)
+			case tc.wantStatus > 0 && (!errors.As(err, &apiErr) || apiErr.Status != tc.wantStatus):
+				t.Fatalf("err %v, want an APIError with status %d", err, tc.wantStatus)
+			}
+			if st := c.Snapshot(); st.Attempts != tc.wantAttempts || st.Retries != tc.wantAttempts-1 {
+				t.Fatalf("attempts %d retries %d, want %d / %d", st.Attempts, st.Retries, tc.wantAttempts, tc.wantAttempts-1)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for i, k := range keys {
+				if k == "" || k != keys[0] {
+					t.Fatalf("attempt %d sent key %q, first sent %q", i, k, keys[0])
+				}
+			}
+		})
 	}
 }

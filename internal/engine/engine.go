@@ -120,7 +120,7 @@ func (e *Engine) Telemetry() *obsv.Telemetry { return e.tel }
 var (
 	ErrClosed       = errors.New("engine: closed")                // every operation after Close
 	ErrNoSession    = errors.New("engine: no session")            // no live session holds the id
-	ErrInvalid      = errors.New("engine: invalid request")       // a bad id, tile count or batch width
+	ErrInvalid      = errors.New("engine: invalid request")       // a bad id, tile count, batch width or rep count
 	ErrUnknownName  = errors.New("engine: unknown name")          // an unknown scenario or strategy
 	ErrFailedClosed = errors.New("engine: session failed closed") // by a journal error or a fence
 )
@@ -502,8 +502,9 @@ func (e *Engine) checkout(id string) (*Session, error) {
 // (acked-before-visible; see replica.go). On local append failure the
 // session fails closed: its in-memory state is ahead of disk and the
 // journal is the source of truth, so continuing to serve would let the
-// divergence compound. ctx bounds the replication round-trip, never
-// the local fsync.
+// divergence compound. ctx carries the request's trace span; it bounds
+// neither the local fsync nor the replication round-trip, which
+// replicaShipTimeout bounds.
 func (e *Engine) commitOp(ctx context.Context, s *Session, recs ...journalRecord) error {
 	if s.jl == nil {
 		return nil
@@ -577,13 +578,21 @@ type SweepOptions struct {
 	// NoiseSD > 0 additionally draws Reps noisy observations per action
 	// (a parallel stand-in for Curve.Pool); the noise stream of action a
 	// is derived with DeriveSeed(Seed, a), so the sweep is bit-for-bit
-	// reproducible at any worker count.
+	// reproducible at any worker count. Reps may not exceed
+	// maxSweepReps.
 	NoiseSD float64
 	Reps    int
 	Seed    int64
 	// Epoch keys the cache entries (default 0).
 	Epoch int
 }
+
+// maxSweepReps bounds SweepOptions.Reps. The result holds Reps floats
+// per action, and a keyed sweep keeps its result in the idempotency
+// store, so an unbounded count would let one request exhaust a
+// worker's memory. The paper's methodology repeats each measurement
+// 30 times.
+const maxSweepReps = 1000
 
 // SweepPoint is one action's sweep outcome.
 type SweepPoint struct {
@@ -614,6 +623,9 @@ func (e *Engine) SweepCtx(ctx context.Context, sc platform.Scenario, opts harnes
 	}
 	if err := checkTiles(sc, opts.Tiles); err != nil {
 		return nil, err
+	}
+	if so.Reps > maxSweepReps {
+		return nil, fmt.Errorf("%w: reps %d above %d", ErrInvalid, so.Reps, maxSweepReps)
 	}
 	ev := harness.NewEvaluator(sc, opts)
 	actions := ev.Actions()

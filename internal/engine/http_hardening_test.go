@@ -57,6 +57,8 @@ func TestHTTPBodyHardening(t *testing.T) {
 		{"batch empty body defaults", batchURL, ``, http.StatusOK},
 		{"sweep unknown field", srv.URL + "/v1/sweep", `{"scenario":"b","tiles":4,"parallel":true}`, http.StatusBadRequest},
 		{"sweep oversized", srv.URL + "/v1/sweep", `{"scenario":"` + strings.Repeat("b", 600) + `"}`, http.StatusRequestEntityTooLarge},
+		{"sweep reps at the cap", srv.URL + "/v1/sweep", `{"scenario":"b","tiles":4,"noise_sd":1,"reps":1000}`, http.StatusOK},
+		{"sweep reps over the cap", srv.URL + "/v1/sweep", `{"scenario":"b","tiles":4,"noise_sd":1,"reps":1001}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -129,6 +129,13 @@ func (e *Engine) replicate(ctx context.Context, s *Session, recs []journalRecord
 	}
 
 	sc := obsv.FromContext(ctx)
+	// The local commit is already durable, so the ship must not die
+	// with the request: an evaluation that ran past its deadline, or a
+	// caller that hung up, would otherwise fail it at once and leave
+	// the session single-copy while its follower is up. The replica
+	// client's timeout (replicaShipTimeout) bounds it alone; the
+	// detached context keeps the trace span.
+	ctx = context.WithoutCancel(ctx)
 	// A failed read of the history counts as a failed ship: the local
 	// commit is already durable, so the session degrades to lagging.
 	ship := func(resync bool) error {

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
+	"time"
 )
 
 // newFollower builds an engine with a journal directory and serves it
@@ -283,6 +285,52 @@ func TestReplicationDegradedThenResync(t *testing.T) {
 	st := follower.ReplicaStatus()
 	if len(st) != 1 || st[0].ID != s.id || st[0].Seq != 2 {
 		t.Fatalf("follower replica status %+v, want [%s seq 2]", st, s.id)
+	}
+}
+
+// TestShipOutlivesRequestDeadline: a step whose evaluation lands after
+// the request's deadline still commits (a running simulation is never
+// cancelled), and its ship must reach the live follower. A ship on the
+// expired request context would fail at once, be taken for a transport
+// failure, and leave the session lagging and single-copy.
+func TestShipOutlivesRequestDeadline(t *testing.T) {
+	follower, fsrv := newFollower(t, 1)
+	owner := NewWithOptions(Options{Workers: 1, JournalDir: t.TempDir()})
+	defer owner.Close()
+	owner.SetReplicaPlanner(plannerTo(fsrv.URL))
+	s, err := owner.CreateSession(SessionConfig{ID: "late1", ScenarioKey: "b", Seed: 5, Tiles: 48})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A 48-tile evaluation takes several milliseconds, so the 2 ms
+	// deadline expires while it runs.
+	srv := httptest.NewServer(NewServerWithOptions(owner, ServerOptions{EvalTimeout: 2 * time.Millisecond}))
+	defer srv.Close()
+	status := 0
+	// A deadline that expires before the evaluation even starts
+	// answers 504 with nothing evaluated; try again until a step gets
+	// through to its commit.
+	for try := 0; try < 20 && status != http.StatusOK; try++ {
+		status = postRaw(t, srv.URL+"/v1/sessions/"+s.id+"/step", "").StatusCode
+		if status != http.StatusOK && status != http.StatusGatewayTimeout {
+			t.Fatalf("step status %d, want 200 (or 504 before the evaluation)", status)
+		}
+	}
+	if status != http.StatusOK {
+		t.Fatal("no step reached its commit in 20 tries")
+	}
+	if owner.ReplicationLagging(s.id) {
+		t.Fatal("a step that outlived its deadline left replication lagging with the follower up")
+	}
+	s.mu.Lock()
+	seq := s.jl.seq
+	s.mu.Unlock()
+	st := follower.ReplicaStatus()
+	if len(st) != 1 || st[0].ID != s.id || st[0].Seq != seq {
+		t.Fatalf("follower replica status %+v, want [%s seq %d]", st, s.id, seq)
+	}
+	if res, err := owner.Result(s.id); err != nil || res.Iterations != 1 {
+		t.Fatalf("owner result %+v, %v; want one committed step", res, err)
 	}
 }
 

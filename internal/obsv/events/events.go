@@ -1,8 +1,8 @@
 // Package events is phasetune's structured fleet event log: an
 // append-only, bounded, nil-safe recorder for the discrete facts that
 // explain a fleet's behavior after the fact — session created /
-// promoted / fenced, replication degraded / recovered, circuit-breaker
-// transitions, shard down / up, supervisor promotion batches. Metrics
+// promoted / fenced, replication degraded / recovered, shard down /
+// up, supervisor promotion batches. Metrics
 // answer "how much"; traces answer "where did the time go"; the event
 // log answers "what happened, in what order" — the causal chain of a
 // failover without diffing process logs.
@@ -35,8 +35,8 @@ type Event struct {
 	// reading; it restarts at 1 per process.
 	Seq uint64 `json:"seq"`
 	// Type names the fact, dot-separated subsystem first: e.g.
-	// "shard.down", "session.promoted", "repl.degraded",
-	// "breaker.open". METRICS.md lists every type.
+	// "shard.down", "session.promoted", "repl.degraded". METRICS.md
+	// lists every type.
 	Type string `json:"type"`
 	// Shard labels the emitting process in fleet-merged views; the
 	// emitting process leaves it empty and the merger stamps it.
@@ -82,7 +82,7 @@ func New(nowNanos func() int64) *Log {
 // NewFile builds the event log a server process keeps. An empty path
 // gives the in-memory log New builds. Any other path also appends each
 // event as one JSON line to that file, fsync'd per append (events are
-// rare — failovers, breaker flips — so durability is cheap). The
+// rare — failovers, promotions, fences — so durability is cheap). The
 // file's directory is synced once at creation so the new file itself
 // survives a crash.
 func NewFile(path string, nowNanos func() int64) (*Log, error) {
