@@ -365,13 +365,14 @@ func BenchmarkFluidNetwork(b *testing.B) {
 	}
 }
 
-// BenchmarkGPFitPredict times one GP fit plus its predictions in three
+// BenchmarkGPFitPredict times one GP fit plus its predictions in four
 // shapes: 60 distinct inputs with 15 predictions; the shape of a late
 // GP-discontinuous proposal on the long-tune benchmark workload in
 // strategy model 1, 190 history entries on 60 distinct actions
 // (replicates and constant-liar lies) with predictions at 70 allowed
-// actions; and the same history in model 2, one point per action at the
-// mean of its entries.
+// actions; the same history in model 2, one point per action at the
+// mean of its entries; and the same means in model 3, through the
+// exponential kernel's chain (gp.FitChain) instead of a dense factor.
 func BenchmarkGPFitPredict(b *testing.B) {
 	b.Run("distinct-60", func(b *testing.B) {
 		rng := stats.NewRNG(2)
@@ -420,12 +421,14 @@ func BenchmarkGPFitPredict(b *testing.B) {
 			inGroup(25, 50), inGroup(50, 75)},
 	}
 	preds := make([][]float64, 70)
+	predActions := make([]int, len(preds))
 	for i := range preds {
 		preds[i] = []float64{float64(5 + i)}
+		predActions[i] = 5 + i
 	}
+	mean := make([]float64, len(preds))
+	sd := make([]float64, len(preds))
 	fitPredict := func(b *testing.B, model gp.Model, xs [][]float64, ys []float64) {
-		mean := make([]float64, len(preds))
-		sd := make([]float64, len(preds))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -437,29 +440,44 @@ func BenchmarkGPFitPredict(b *testing.B) {
 		}
 	}
 	b.Run("long-tune", func(b *testing.B) { fitPredict(b, model, xs, ys) })
-	b.Run("long-tune-means", func(b *testing.B) {
-		// Group as GP-discontinuous does in model 2: first-occurrence
-		// order, sums in history order.
-		var ux [][]float64
-		var means []float64
-		var reps []int
-		slot := map[float64]int{}
-		for i, x := range xs {
-			j, ok := slot[x[0]]
-			if !ok {
-				j = len(ux)
-				slot[x[0]] = j
-				ux, means, reps = append(ux, x), append(means, 0), append(reps, 0)
+
+	// Group as GP-discontinuous does in models 2 and 3: first-occurrence
+	// order, sums in history order.
+	var ux [][]float64
+	var actions []int
+	var means []float64
+	var reps []int
+	slot := map[int]int{}
+	for i, x := range xs {
+		a := int(x[0])
+		j, ok := slot[a]
+		if !ok {
+			j = len(ux)
+			slot[a] = j
+			ux, actions = append(ux, x), append(actions, a)
+			means, reps = append(means, 0), append(reps, 0)
+		}
+		means[j] += ys[i]
+		reps[j]++
+	}
+	for j, k := range reps {
+		means[j] /= float64(k)
+	}
+	grouped := model
+	grouped.Reps = reps
+	b.Run("long-tune-means", func(b *testing.B) { fitPredict(b, grouped, ux, means) })
+	b.Run("long-tune-markov", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			fit, err := grouped.FitChain(actions, means)
+			if err != nil {
+				b.Fatal(err)
 			}
-			means[j] += ys[i]
-			reps[j]++
+			if err := fit.PredictAll(predActions, mean, sd); err != nil {
+				b.Fatal(err)
+			}
+			fit.Release()
 		}
-		for j, k := range reps {
-			means[j] /= float64(k)
-		}
-		grouped := model
-		grouped.Reps = reps
-		fitPredict(b, grouped, ux, means)
 	})
 }
 

@@ -98,11 +98,16 @@ type GPStrategy struct {
 	variant GPVariant
 	opt     GPOptions
 	hist    *history
-	// means selects strategy model 2 for GP-discontinuous: the surrogate
-	// conditions on one point per distinct action, the mean of its LP
-	// residuals. Model 1 conditions on every history entry; it stays for
-	// the sessions journaled before model 2 (see NewGPDiscontinuousModel1).
-	means bool
+	// means and chain select GP-discontinuous's strategy model. With
+	// means, the surrogate conditions on one point per distinct action,
+	// the mean of its LP residuals; model 1 conditions on every history
+	// entry. chain solves the means through the exponential kernel's
+	// tridiagonal precision (gp.FitChain) instead of a dense Cholesky
+	// (gp.FitModel). Model 3, the model of new sessions, sets both;
+	// model 2 sets means alone and model 1 neither. Models 1 and 2 stay
+	// for the sessions journaled in them (see NewGPDiscontinuousModel1
+	// and NewGPDiscontinuousModel2).
+	means, chain bool
 
 	allowed   []int // action set after the LP bound (set after iter 1)
 	initQueue []int // parsimonious initial design (Section IV-D)
@@ -122,19 +127,34 @@ func NewGPUCB(ctx Context, opt GPOptions) *GPStrategy {
 	return newGP(ctx, VariantGPUCB, opt)
 }
 
-// NewGPDiscontinuous builds the paper's proposed strategy.
+// NewGPDiscontinuous builds the paper's proposed strategy in strategy
+// model 3: the surrogate conditions on the mean of each distinct
+// action through the exponential kernel's tridiagonal precision, in
+// O(n + m) for n distinct actions and m allowed ones.
 func NewGPDiscontinuous(ctx Context, opt GPOptions) *GPStrategy {
 	g := newGP(ctx, VariantDiscontinuous, opt)
+	g.means, g.chain = true, true
+	return g
+}
+
+// NewGPDiscontinuousModel2 builds GP-discontinuous, paper settings, in
+// strategy model 2: the surrogate conditions on the mean of each
+// distinct action through a dense Cholesky factor, as it did before
+// model 3. All models have the same posterior in exact arithmetic but
+// not bit for bit, and a restored session must re-propose its
+// journaled actions, so this is only for sessions whose journals name
+// model 2.
+func NewGPDiscontinuousModel2(ctx Context) *GPStrategy {
+	g := newGP(ctx, VariantDiscontinuous, GPOptions{})
 	g.means = true
 	return g
 }
 
 // NewGPDiscontinuousModel1 builds GP-discontinuous, paper settings, in
 // strategy model 1: the surrogate conditions on every history entry,
-// replicates and lies included, as it did before model 2. Both models
-// have the same posterior in exact arithmetic but not bit for bit, and
-// a restored session must re-propose its journaled actions, so this is
-// only for sessions whose journals name model 1.
+// replicates and lies included, as it did before model 2. It is only
+// for sessions whose journals name model 1 (see
+// NewGPDiscontinuousModel2).
 func NewGPDiscontinuousModel1(ctx Context) *GPStrategy {
 	return newGP(ctx, VariantDiscontinuous, GPOptions{})
 }
@@ -365,8 +385,7 @@ func (g *GPStrategy) modelSelect() int {
 	if g.means {
 		fitXs, fitYs, model.Reps = actionMeans(xs, ys)
 	}
-	fit, err := model.FitModel(fitXs, fitYs)
-	if err != nil {
+	if err := g.predict(model, fitXs, fitYs); err != nil {
 		// Singular surrogate (degenerate design): fall back to the
 		// least-measured allowed action to regain information.
 		return g.leastMeasured()
@@ -383,14 +402,6 @@ func (g *GPStrategy) modelSelect() int {
 		}
 	}
 
-	actions := make([]float64, len(g.allowed))
-	for i, n := range g.allowed {
-		actions[i] = float64(n)
-	}
-	g.lastMean = make([]float64, len(g.allowed))
-	g.lastSD = make([]float64, len(g.allowed))
-	fit.PredictAll(inputs(actions), g.lastMean, g.lastSD)
-	fit.Release()
 	best, bestScore := g.allowed[0], math.Inf(1)
 	for i, n := range g.allowed {
 		if useTrendBaseline {
@@ -412,6 +423,45 @@ func (g *GPStrategy) modelSelect() int {
 		}
 	}
 	return best
+}
+
+// predict conditions model on (xs, ys) and sets lastMean and lastSD
+// to its posterior mean and sd at every allowed action: through the
+// exponential kernel's chain in model 3, through the dense factor
+// otherwise. It leaves them as they were when the fit fails.
+func (g *GPStrategy) predict(model gp.Model, xs [][]float64, ys []float64) error {
+	mean, sd := g.lastMean, g.lastSD
+	if len(mean) != len(g.allowed) {
+		mean, sd = make([]float64, len(g.allowed)), make([]float64, len(g.allowed))
+	}
+	if g.chain {
+		actions := make([]int, len(xs))
+		for i, x := range xs {
+			actions[i] = int(x[0])
+		}
+		fit, err := model.FitChain(actions, ys)
+		if err != nil {
+			return err
+		}
+		err = fit.PredictAll(g.allowed, mean, sd)
+		fit.Release()
+		if err != nil {
+			return err
+		}
+	} else {
+		fit, err := model.FitModel(xs, ys)
+		if err != nil {
+			return err
+		}
+		actions := make([]float64, len(g.allowed))
+		for i, n := range g.allowed {
+			actions[i] = float64(n)
+		}
+		fit.PredictAll(inputs(actions), mean, sd)
+		fit.Release()
+	}
+	g.lastMean, g.lastSD = mean, sd
+	return nil
 }
 
 // actionMeans groups 1-D integer inputs: one point per distinct action

@@ -205,14 +205,18 @@ func checkTiles(sc platform.Scenario, tiles int) error {
 }
 
 // freshModel is the strategy model every new session gets and names in
-// its create record. Model 2 solves the LP bound in closed form and fits
-// GP-discontinuous on per-action means. Model 1, the simplex bound and
-// the fit on every history entry, is what a create record naming no
-// model means: journals written before model 2 replay in it. The two
-// agree in exact arithmetic but not bit for bit, and a restored session
-// must re-propose its journaled actions, so the model is journaled and
-// never changes over a session's life.
-const freshModel = 2
+// its create record. Model 3 solves the LP bound in closed form and
+// fits GP-discontinuous on per-action means through the exponential
+// kernel's tridiagonal precision. Model 2 fits the same means through a
+// dense Cholesky factor; journals written before model 3 replay in it.
+// Model 1, the simplex bound and the fit on every history entry, is
+// what a create record naming no model means: journals written before
+// model 2 replay in it. The models agree in exact arithmetic but not
+// bit for bit, and a restored session must re-propose its journaled
+// actions, so the model is journaled and never changes over a session's
+// life. A binary that knows fewer models refuses a journal naming a
+// later one (see buildSession) instead of replaying it in another.
+const freshModel = 3
 
 // buildSession constructs a session's machinery — scenario, LP bound,
 // strategy, driver, evaluator, noise stream — without registering it or
@@ -238,7 +242,7 @@ func (e *Engine) buildSession(cfg SessionConfig, model int) (*Session, error) {
 		lpf, err = e.lp.bound(ev.Fingerprint(), func() (func(int) float64, error) {
 			return harness.SimplexLPBound(sc, opts)
 		})
-	case 2:
+	case 2, 3:
 		lpf, err = harness.LPBound(sc, opts)
 	default:
 		err = fmt.Errorf("engine: strategy model %d is unknown to this binary", model)
@@ -253,10 +257,15 @@ func (e *Engine) buildSession(cfg SessionConfig, model int) (*Session, error) {
 		LP:         lpf,
 	}
 	var strat core.Strategy
-	if model != 2 && cfg.Strategy == "GP-discontinuous" {
+	switch {
+	case cfg.Strategy == "GP-discontinuous" && model < 2:
 		strat = core.NewGPDiscontinuousModel1(sctx)
-	} else if strat, err = harness.NewStrategy(cfg.Strategy, sctx); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrUnknownName, err)
+	case cfg.Strategy == "GP-discontinuous" && model == 2:
+		strat = core.NewGPDiscontinuousModel2(sctx)
+	default:
+		if strat, err = harness.NewStrategy(cfg.Strategy, sctx); err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrUnknownName, err)
+		}
 	}
 	s := &Session{
 		driver: NewDriver(strat),

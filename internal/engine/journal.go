@@ -27,8 +27,8 @@ import (
 // observations double as an integrity check (a replayed observation
 // that does not reproduce bit-identically means the journal and the
 // binary disagree).
-// GP-discontinuous refits on the whole observation history (both
-// strategy models: model 2 condenses it into per-action means), so
+// GP-discontinuous refits on the whole observation history (every
+// strategy model: models 2 and 3 condense it into per-action means), so
 // replay needs every record and no compaction could drop one.
 //
 // Record grammar (field presence by type):
@@ -87,8 +87,11 @@ import (
 // replica can reject appends from a deposed owner. Both fields are
 // omitempty, so v1 journals replay unchanged. The create record's
 // config carries the session's strategy model (v3; see freshModel):
-// fresh sessions write "model":2, and a config without a model, as
-// every v1 and v2 journal has, means model 1.
+// fresh sessions write "model":3, journals written before model 3 name
+// model 2, and a config without a model, as every v1 and v2 journal
+// has, means model 1. A new model needs no new format version: a
+// binary that does not know a journal's model refuses it in
+// buildSession.
 //
 // Torn tails are expected: a crash mid-append leaves a partial final
 // line, which recovery drops (the operation never committed) and then
@@ -119,8 +122,8 @@ type journalRecord struct {
 // v2 added the generation (fencing) field and the "gen" record type; v3
 // added the strategy model to the config. v1 and v2 journals replay
 // unchanged, and a journal from a future version fails recovery instead
-// of being misread: a binary that reads up to v2 refuses a model-2
-// journal rather than replay it in model 1.
+// of being misread: a binary that reads up to v2 refuses a model-2 or
+// model-3 journal rather than replay it in model 1.
 const journalFormatVersion = 3
 
 // journalConfig is the durable form of a SessionConfig, with the
@@ -135,8 +138,9 @@ type journalConfig struct {
 	Tiles       int    `json:"tiles,omitempty"`
 	Exact       bool   `json:"exact,omitempty"`
 	GenNodes    int    `json:"gen_nodes,omitempty"`
-	// Model is the strategy model (freshModel for new sessions); 0, as
-	// journals written before model 2 read back, means model 1.
+	// Model is the strategy model (freshModel for new sessions; 2 in
+	// journals written before model 3); 0, as journals written before
+	// model 2 read back, means model 1.
 	Model int `json:"model,omitempty"`
 }
 

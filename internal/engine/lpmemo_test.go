@@ -102,7 +102,7 @@ func TestLPMemoBounded(t *testing.T) {
 	}
 }
 
-// TestCreateSessionMemoizesLPBound: model-2 creates solve the bound in
+// TestCreateSessionMemoizesLPBound: fresh creates solve the bound in
 // closed form and leave the memo alone, while model-1 sessions restored
 // on one fingerprint share one simplex solve; another tile count is
 // another fingerprint.
@@ -114,7 +114,7 @@ func TestCreateSessionMemoizesLPBound(t *testing.T) {
 		}
 	}
 	if n := len(e.lp.entries); n != 0 {
-		t.Fatalf("memo holds %d fingerprints after model-2 creates, want 0", n)
+		t.Fatalf("memo holds %d fingerprints after fresh creates, want 0", n)
 	}
 
 	dir := t.TempDir()

@@ -16,22 +16,34 @@ import (
 // history: summed in map order, its last bits varied from call to call.
 func EstimateNoise(xs [][]float64, ys []float64, fallback float64) float64 {
 	ids, uniq := groupInputs(xs)
-	groups := make([][]float64, len(uniq))
+	// Lay the observations out group by group, each group in history
+	// order, in one slice: start[g] is where group g begins.
+	start := make([]int, len(uniq)+1)
+	for _, g := range ids {
+		start[g+1]++
+	}
+	for g := range uniq {
+		start[g+1] += start[g]
+	}
+	next := append([]int(nil), start[:len(uniq)]...)
+	obs := make([]float64, len(ys))
 	for i, g := range ids {
-		groups[g] = append(groups[g], ys[i])
+		obs[next[g]] = ys[i]
+		next[g]++
 	}
 	ss := 0.0
 	dof := 0
-	for _, obs := range groups {
-		if len(obs) < 2 {
+	for g := range uniq {
+		group := obs[start[g]:start[g+1]]
+		if len(group) < 2 {
 			continue
 		}
-		m := stats.Mean(obs)
-		for _, y := range obs {
+		m := stats.Mean(group)
+		for _, y := range group {
 			d := y - m
 			ss += d * d
 		}
-		dof += len(obs) - 1
+		dof += len(group) - 1
 	}
 	if dof == 0 {
 		return fallback
@@ -45,6 +57,9 @@ func EstimateNoise(xs [][]float64, ys []float64, fallback float64) float64 {
 // the distance between two inputs, a kernel included, takes one value
 // across a group.
 func groupInputs(xs [][]float64) (ids []int, uniq [][]float64) {
+	if ids, uniq, ok := groupIntegers(xs); ok {
+		return ids, uniq
+	}
 	index := make(map[string]int, len(xs))
 	ids = make([]int, len(xs))
 	var key []byte
@@ -59,6 +74,59 @@ func groupInputs(xs [][]float64) (ids []int, uniq [][]float64) {
 		ids[i] = g
 	}
 	return ids, uniq
+}
+
+// groupIntegers is groupInputs for 1-D integer-valued inputs that span
+// at most 4 values per input plus 64, the shape of every action
+// history: the groups sit in a slice indexed by value instead of a map
+// keyed by text. Two such inputs have equal keys exactly when their
+// integers are equal, so it numbers the same groups in the same order.
+// ok is false for any other inputs.
+func groupIntegers(xs [][]float64) (ids []int, uniq [][]float64, ok bool) {
+	if len(xs) == 0 {
+		return nil, nil, false
+	}
+	var lo, hi int64
+	for i, x := range xs {
+		if len(x) != 1 {
+			return nil, nil, false
+		}
+		v, isInt := integer(x[0])
+		if !isInt {
+			return nil, nil, false
+		}
+		if i == 0 || v < lo {
+			lo = v
+		}
+		if i == 0 || v > hi {
+			hi = v
+		}
+	}
+	if hi-lo >= int64(4*len(xs)+64) {
+		return nil, nil, false
+	}
+	slot := make([]int, hi-lo+1) // 1 + the group of the value; 0 = unseen
+	ids = make([]int, len(xs))
+	for i, x := range xs {
+		v, _ := integer(x[0])
+		a := v - lo
+		if slot[a] == 0 {
+			uniq = append(uniq, x)
+			slot[a] = len(uniq)
+		}
+		ids[i] = slot[a] - 1
+	}
+	return ids, uniq, true
+}
+
+// integer returns v as an integer when v is integer-valued and below
+// 1e15 in magnitude, where a float64 holds every integer exactly.
+func integer(v float64) (int64, bool) {
+	//lint:allow floatsafe v == Trunc(v) is the canonical exact is-integer test; both sides share one rounding
+	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+		return int64(v), true
+	}
+	return 0, false
 }
 
 func keyOf(x []float64) string {
@@ -78,9 +146,7 @@ func appendKey(b []byte, x []float64) []byte {
 
 func appendFloat(b []byte, v float64) []byte {
 	// Exact for the integers used as actions; fall back to bits otherwise.
-	//lint:allow floatsafe v == Trunc(v) is the canonical exact is-integer test; both sides share one rounding
-	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		n := int64(v)
+	if n, ok := integer(v); ok {
 		if n < 0 {
 			b = append(b, '-')
 			n = -n

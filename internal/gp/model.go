@@ -74,25 +74,8 @@ const jitterFrac = 1e-10
 // inputs share their covariances.
 func (m Model) FitModel(xs [][]float64, ys []float64) (*Fit, error) {
 	n := len(xs)
-	if n == 0 {
-		return nil, ErrNoData
-	}
-	if len(ys) != n {
-		return nil, fmt.Errorf("gp: %d inputs but %d observations", n, len(ys))
-	}
-	if m.Kernel == nil {
-		return nil, errors.New("gp: nil kernel")
-	}
-	if m.Noise < 0 {
-		return nil, fmt.Errorf("gp: negative noise variance %v", m.Noise)
-	}
-	if m.Reps != nil && len(m.Reps) != n {
-		return nil, fmt.Errorf("gp: %d inputs but %d replicate counts", n, len(m.Reps))
-	}
-	for i, r := range m.Reps {
-		if r < 1 {
-			return nil, fmt.Errorf("gp: point %d is the mean of %d observations", i, r)
-		}
+	if err := m.check(n, ys); err != nil {
+		return nil, err
 	}
 	jitter := jitterFrac * (m.Kernel.Variance() + 1)
 	ids, uniq := groupInputs(xs)
@@ -190,6 +173,31 @@ func (m Model) FitModel(xs [][]float64, ys []float64) (*Fit, error) {
 	f.logLik = -0.5*quad - 0.5*linalg.LogDetFromChol(chol) -
 		0.5*float64(n)*math.Log(2*math.Pi)
 	return f, nil
+}
+
+// check validates the model for a fit on n inputs with observations ys.
+func (m Model) check(n int, ys []float64) error {
+	if n == 0 {
+		return ErrNoData
+	}
+	if len(ys) != n {
+		return fmt.Errorf("gp: %d inputs but %d observations", n, len(ys))
+	}
+	if m.Kernel == nil {
+		return errors.New("gp: nil kernel")
+	}
+	if m.Noise < 0 {
+		return fmt.Errorf("gp: negative noise variance %v", m.Noise)
+	}
+	if m.Reps != nil && len(m.Reps) != n {
+		return fmt.Errorf("gp: %d inputs but %d replicate counts", n, len(m.Reps))
+	}
+	for i, r := range m.Reps {
+		if r < 1 {
+			return fmt.Errorf("gp: point %d is the mean of %d observations", i, r)
+		}
+	}
+	return nil
 }
 
 // Predict returns the kriging mean and standard deviation of the latent

@@ -48,23 +48,38 @@ func TestSimulateIterationAllocBound(t *testing.T) {
 	}
 }
 
-// lateProposalAllocs and lateProposalBytes bound one GP-discontinuous
-// proposal late in a long-tune-shaped session: 192 history entries,
-// constant-liar lies included, and 74 allowed actions. The proposal
-// allocates about 400 times on linux/amd64 with Go 1.24, none of them
-// per predicted action. Before predictions shared one block solve,
-// every predicted action allocated about seven slices, about 1,340
-// allocations in all. It allocates about 140 KB; before the fit's
-// factors and the prediction blocks were recycled it allocated about
-// 950 KB, most of it two 192 × 192 and two 74 × 192 matrices.
-const (
-	lateProposalAllocs = 600
-	lateProposalBytes  = 256 << 10
-)
+// lateProposalBounds bound the allocations and bytes of one
+// GP-discontinuous proposal late in a long-tune-shaped session, 192
+// history entries, constant-liar lies included, and 74 allowed actions,
+// in strategy model 2, which sessions journaled in it still run, and
+// model 3, the model of new sessions. Measured on linux/amd64 with
+// Go 1.24:
+//
+//   - Model 2 allocates about 104 times and 112 KB, none of it per
+//     predicted action. Before predictions shared one block solve,
+//     every predicted action allocated about seven slices, about 1,340
+//     allocations in all; before the fit's factors and the prediction
+//     blocks were recycled it allocated about 950 KB, most of it two
+//     192 × 192 and two 74 × 192 matrices; before integer inputs were
+//     grouped by value and the noise estimate laid its groups out in
+//     one slice, it allocated 412 times and 125 KB.
+//   - Model 3 allocates about 76 times and 43 KB: its chain fit and
+//     its storage are recycled, and nothing grows with the square of
+//     the history. What is left is shared with model 2: the noise
+//     estimate, the trend pre-fit that sizes alpha, and the grouping
+//     into per-action means.
+var lateProposalBounds = []struct {
+	model  int
+	allocs float64
+	bytes  uint64
+}{
+	{model: 2, allocs: 600, bytes: 256 << 10},
+	{model: 3, allocs: 150, bytes: 64 << 10},
+}
 
 // TestLateProposalAllocBound keeps a late GP proposal's allocations
 // independent of the number of actions it predicts, and its bytes
-// independent of the history's square.
+// independent of the history's square, in strategy models 2 and 3.
 func TestLateProposalAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -81,49 +96,55 @@ func TestLateProposalAllocBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := core.NewGPDiscontinuous(core.Context{
+	ctx := core.Context{
 		N: sc.Platform.N(), Min: sc.MinNodes, GroupSizes: sc.Platform.GroupSizes(), LP: lpf,
-	}, core.GPOptions{})
-	// 120 observations committed as step, step, batch of 4, batch of 4,
-	// each batch proposal but the last followed by its exact makespan
-	// as the constant-liar lie.
-	noise := stats.NewRNG(1)
-	entries := 0
-	for n := 0; n < 120; {
-		for _, k := range []int{1, 1, 4, 4} {
-			if n == 120 {
-				break
-			}
-			actions := make([]int, k)
-			for i := range actions {
-				actions[i] = s.Next()
-				if i < k-1 {
-					s.Observe(actions[i], sims[actions[i]])
+	}
+	for _, b := range lateProposalBounds {
+		s := core.NewGPDiscontinuous(ctx, core.GPOptions{})
+		if b.model == 2 {
+			s = core.NewGPDiscontinuousModel2(ctx)
+		}
+		// 120 observations committed as step, step, batch of 4, batch
+		// of 4, each batch proposal but the last followed by its exact
+		// makespan as the constant-liar lie.
+		noise := stats.NewRNG(1)
+		entries := 0
+		for n := 0; n < 120; {
+			for _, k := range []int{1, 1, 4, 4} {
+				if n == 120 {
+					break
+				}
+				actions := make([]int, k)
+				for i := range actions {
+					actions[i] = s.Next()
+					if i < k-1 {
+						s.Observe(actions[i], sims[actions[i]])
+						entries++
+					}
+				}
+				for _, a := range actions {
+					s.Observe(a, sims[a]+noise.Normal(0, NoiseSD))
 					entries++
 				}
+				n += k
 			}
-			for _, a := range actions {
-				s.Observe(a, sims[a]+noise.Normal(0, NoiseSD))
-				entries++
-			}
-			n += k
 		}
-	}
-	allocs := testing.AllocsPerRun(5, func() { s.Next() })
-	const runs = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		s.Next()
-	}
-	runtime.ReadMemStats(&after)
-	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
-	t.Logf("per proposal at %d history entries and %d allowed actions: %.0f allocs, %d bytes",
-		entries, len(s.Allowed()), allocs, bytes)
-	if allocs > lateProposalAllocs {
-		t.Errorf("late proposal: %.0f allocs, bound %d", allocs, lateProposalAllocs)
-	}
-	if bytes > lateProposalBytes {
-		t.Errorf("late proposal: %d bytes, bound %d", bytes, lateProposalBytes)
+		allocs := testing.AllocsPerRun(5, func() { s.Next() })
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			s.Next()
+		}
+		runtime.ReadMemStats(&after)
+		bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("model %d, per proposal at %d history entries and %d allowed actions: %.0f allocs, %d bytes",
+			b.model, entries, len(s.Allowed()), allocs, bytes)
+		if allocs > b.allocs {
+			t.Errorf("model %d late proposal: %.0f allocs, bound %.0f", b.model, allocs, b.allocs)
+		}
+		if bytes > b.bytes {
+			t.Errorf("model %d late proposal: %d bytes, bound %d", b.model, bytes, b.bytes)
+		}
 	}
 }
